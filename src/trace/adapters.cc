@@ -1,9 +1,7 @@
 #include "trace/adapters.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <fstream>
-#include <sstream>
 
 #include "support/aligned.hh"
 #include "support/logging.hh"
@@ -110,6 +108,7 @@ decodeBptImage(const std::string &image, const std::string &path)
         const std::size_t want = static_cast<std::size_t>(
             std::min<u64>(buffer.size(), remaining));
         std::size_t consumed = 0;
+        TRACE_SCOPE("ingest", "decode-batch", want, header.count - remaining);
         const std::size_t got = bpt::decodeRecords(
             payload, size, buffer.data(), want, last_pc, consumed);
         if (got < want) {
@@ -123,50 +122,15 @@ decodeBptImage(const std::string &image, const std::string &path)
     return trace;
 }
 
-/**
- * True when the text looks like our own "C|U <hexpc> T|N" dialect
- * rather than CBP's "<pc> <dir>": the first non-blank, non-comment
- * line starts with a kind letter.
- */
-bool
-looksLikeNativeText(const std::string &text)
-{
-    std::istringstream is(text);
-    std::string line;
-    while (std::getline(is, line)) {
-        const auto hash = line.find('#');
-        if (hash != std::string::npos) {
-            line.erase(hash);
-        }
-        const auto first = line.find_first_not_of(" \t\r");
-        if (first == std::string::npos) {
-            continue;
-        }
-        const char c = line[first];
-        return (c == 'C' || c == 'U') && first + 1 < line.size() &&
-            (line[first + 1] == ' ' || line[first + 1] == '\t');
-    }
-    return false;
-}
-
-Trace
-parseTextImage(const std::string &text, const std::string &name)
-{
-    std::istringstream is(text);
-    return looksLikeNativeText(text) ? readTextTrace(is, name)
-                                     : readCbpTextTrace(is, name);
-}
-
 std::string
 readWholeFile(const std::string &path)
 {
+    TRACE_SCOPE("ingest", "read-file");
     std::ifstream is(path, std::ios::binary);
     if (!is) {
         fatal("trace: cannot open '" + path + "' for reading");
     }
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
-    return buffer.str();
+    return readAllBytes(is);
 }
 
 } // namespace
@@ -222,57 +186,12 @@ isTraceFileName(const std::string &path)
 Trace
 readCbpTextTrace(std::istream &is, const std::string &name)
 {
-    Trace trace(name);
-    std::string line;
-    u64 line_no = 0;
-    while (std::getline(is, line)) {
-        ++line_no;
-        const auto hash = line.find('#');
-        if (hash != std::string::npos) {
-            line.erase(hash);
-        }
-        std::istringstream fields(line);
-        std::string pc_text;
-        std::string dir_text;
-        if (!(fields >> pc_text)) {
-            continue; // blank line
-        }
-        if (!(fields >> dir_text)) {
-            fatal("trace: malformed line " + std::to_string(line_no));
-        }
-        Addr pc = 0;
-        try {
-            std::size_t used = 0;
-            const bool hex = pc_text.size() > 2 &&
-                pc_text[0] == '0' &&
-                (pc_text[1] == 'x' || pc_text[1] == 'X');
-            pc = std::stoull(pc_text, &used, hex ? 16 : 10);
-            if (used != pc_text.size()) {
-                fatal("trace: bad pc on line " +
-                      std::to_string(line_no));
-            }
-        } catch (const std::exception &) {
-            fatal("trace: bad pc on line " + std::to_string(line_no));
-        }
-        bool taken = false;
-        if (dir_text == "1" || dir_text == "T" || dir_text == "t") {
-            taken = true;
-        } else if (dir_text == "0" || dir_text == "N" ||
-                   dir_text == "n") {
-            taken = false;
-        } else {
-            fatal("trace: bad direction on line " +
-                  std::to_string(line_no));
-        }
-        trace.appendConditional(pc, taken);
-    }
-    return trace;
+    return parseTextTrace(readAllBytes(is), name, TextDialect::cbp);
 }
 
 Trace
 loadRealTrace(const std::string &path)
 {
-    TRACE_SCOPE("ingest", "load-real-trace");
     if (!isTraceFileName(path)) {
         fatal("trace: unsupported trace file '" + path + "'");
     }
@@ -284,10 +203,9 @@ loadRealTrace(const std::string &path)
     if (endsWith(path, ".bpt")) {
         return loadBinaryTrace(path);
     }
-    if (endsWith(path, ".gz")) {
-        return parseTextImage(inflateFile(path), name);
-    }
-    return parseTextImage(readWholeFile(path), name);
+    return parseTextTrace(endsWith(path, ".gz") ? inflateFile(path)
+                                                : readWholeFile(path),
+                          name);
 }
 
 std::size_t

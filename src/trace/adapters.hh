@@ -45,10 +45,11 @@ bool writeGzFile(const std::string &path, const std::string &bytes);
 bool isTraceFileName(const std::string &path);
 
 /**
- * Parse CBP/CSE240A-style text: one branch per line, "<pc> <dir>"
- * where <pc> is decimal or 0x-prefixed hex and <dir> is 0/1 or
- * T/N (case-insensitive); '#' starts a comment. Every record is a
- * conditional branch — the format carries no kind bit.
+ * Parse CBP/CSE240A-style text from a stream: one branch per line,
+ * "<pc> <dir>" where <pc> is decimal or 0x-prefixed hex and <dir>
+ * is 0/1 or T/N (case-insensitive); '#' starts a comment. Every
+ * record is a conditional branch — the format carries no kind bit.
+ * Reads the whole stream, then runs parseTextTrace() on it.
  *
  * @throws FatalError on a malformed line.
  */

@@ -434,6 +434,68 @@ TEST(Adapters, CbpTextParses)
     EXPECT_THROW(readCbpTextTrace(junk, "junk"), FatalError);
 }
 
+/** Expect @p bad_line, as line 2 of a CBP trace, to fail on line 2. */
+void
+expectCbpRejectedOnLine2(const std::string &bad_line)
+{
+    std::istringstream is("0x4000 1\n" + bad_line + "\n");
+    try {
+        (void)readCbpTextTrace(is, "cbp");
+        FAIL() << "accepted '" << bad_line << "'";
+    } catch (const FatalError &error) {
+        EXPECT_NE(std::string(error.what()).find("on line 2"),
+                  std::string::npos)
+            << error.what();
+    }
+}
+
+TEST(Adapters, CbpTextRejectsNegativePc)
+{
+    // stoull used to wrap "-5" to 0xfffffffffffffffb.
+    expectCbpRejectedOnLine2("-5 1");
+}
+
+TEST(Adapters, CbpTextRejectsPlusSignedPc)
+{
+    // stoull used to accept "+5" as 5.
+    expectCbpRejectedOnLine2("+5 1");
+}
+
+/**
+ * Expect a native .txt file whose line 2 is @p bad_line to fail on
+ * line 2 through loadRealTrace (read, dialect detection, parse).
+ */
+void
+expectTxtFileRejectedOnLine2(const std::string &bad_line)
+{
+    ScratchDir dir("txt_reject");
+    const std::string path = dir.file("bad.txt");
+    writeFile(path, "C 4000 T\n" + bad_line + "\n");
+    try {
+        (void)loadRealTrace(path);
+        FAIL() << "accepted '" << bad_line << "'";
+    } catch (const FatalError &error) {
+        EXPECT_NE(std::string(error.what()).find("on line 2"),
+                  std::string::npos)
+            << error.what();
+    }
+}
+
+TEST(Adapters, TxtFileRejectsSignedPc)
+{
+    expectTxtFileRejectedOnLine2("C -40 T");
+}
+
+TEST(Adapters, TxtFileRejectsPcWithTrailingJunk)
+{
+    expectTxtFileRejectedOnLine2("C 40zz T");
+}
+
+TEST(Adapters, TxtFileRejectsDirectionWithTrailingJunk)
+{
+    expectTxtFileRejectedOnLine2("C 40 Tx");
+}
+
 TEST(Adapters, GzRoundTrip)
 {
     if (!gzSupported()) {

@@ -239,5 +239,41 @@ TEST(TextTraceIO, RejectsBadPc)
     EXPECT_THROW(readTextTrace(input), FatalError);
 }
 
+/**
+ * Expect @p text to fail as a native trace with a FatalError naming
+ * line 2 (line 1 is always a good record).
+ */
+void
+expectRejectedOnLine2(const std::string &bad_line)
+{
+    std::stringstream input("C 1000 T\n" + bad_line + "\n");
+    try {
+        (void)readTextTrace(input);
+        FAIL() << "accepted '" << bad_line << "'";
+    } catch (const FatalError &error) {
+        EXPECT_NE(std::string(error.what()).find("on line 2"),
+                  std::string::npos)
+            << error.what();
+    }
+}
+
+TEST(TextTraceIO, RejectsSignedPc)
+{
+    // strtoull used to wrap "-40" to 0xffffffffffffffc0.
+    expectRejectedOnLine2("C -40 T");
+}
+
+TEST(TextTraceIO, RejectsPcWithTrailingJunk)
+{
+    // strtoull used to stop at 'z' and return 0x40.
+    expectRejectedOnLine2("C 40zz T");
+}
+
+TEST(TextTraceIO, RejectsDirectionWithTrailingJunk)
+{
+    // The direction used to be read as a single character.
+    expectRejectedOnLine2("C 40 Tx");
+}
+
 } // namespace
 } // namespace bpred

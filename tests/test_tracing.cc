@@ -30,6 +30,7 @@
 #include "support/stat_registry.hh"
 #include "support/tracing.hh"
 #include "trace/trace.hh"
+#include "trace/trace_io.hh"
 
 namespace
 {
@@ -111,6 +112,31 @@ TEST(Tracing, SpansInstantsAndCountersAreRecorded)
     EXPECT_LE(mine->events[1].startNs, mine->events[0].startNs);
     EXPECT_EQ(mine->events[2].kind, trace::TraceEvent::Kind::counter);
     EXPECT_DOUBLE_EQ(mine->events[2].value, 2.5);
+}
+
+TEST(Tracing, TextParseSpanCarriesByteAndRecordCounts)
+{
+    quiesce();
+    const std::string text = "# two records\nC 40 T\nU 44 T\n";
+    trace::setEnabled(true);
+    const Trace parsed = parseTextTrace(text, "spans");
+    trace::setEnabled(false);
+
+    const std::vector<trace::ThreadSnapshot> lanes = trace::snapshot();
+    const trace::TraceEvent *parse = nullptr;
+    for (const trace::ThreadSnapshot &lane : lanes) {
+        for (const trace::TraceEvent &event : lane.events) {
+            if (std::string(event.name) == "text-parse") {
+                parse = &event;
+            }
+        }
+    }
+    ASSERT_NE(parse, nullptr);
+    EXPECT_EQ(std::string(parse->category), "ingest");
+    EXPECT_TRUE(parse->hasArgs);
+    EXPECT_EQ(parse->argIndex, text.size());
+    EXPECT_EQ(parse->argCount, parsed.size());
+    EXPECT_EQ(parsed.size(), 2u);
 }
 
 TEST(Tracing, ExporterEscapesQuotesBackslashesAndNonAscii)
