@@ -11,3 +11,12 @@ traced(int index, int count)
     TRACE_INSTANT("engine", "boundary");
     TRACE_COUNTER("engine", "occupancy", 0.5);
 }
+
+// A declared span, for args known only when it closes.
+int
+parsed()
+{
+    trace::Scope span("engine", "parse");
+    span.setArgs(0, 3);
+    return 3;
+}

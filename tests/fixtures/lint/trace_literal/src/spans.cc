@@ -22,3 +22,20 @@ spans(const std::string &label)
     (void)doc;
     MY_TRACE_SCOPE(label, label);
 }
+
+// A span declared by hand is held to the same contract, including a
+// brace-initialised one; a Scope reference, a qualified member and a
+// multi-line #define passing its parameters through stay silent.
+#define MY_SPAN(category, name) \
+    ::bpred::trace::Scope mySpan(category, \
+                                 name)
+
+void
+declared(const std::string &label, trace::Scope &outer)
+{
+    trace::Scope good("engine", "declared");
+    trace::Scope bad(label.c_str(), "declared");
+    trace::Scope braced{"engine", label.c_str()};
+    trace::Scope::describe(label);
+    (void)outer;
+}

@@ -143,12 +143,15 @@ TEST(BpLint, NonLiteralTraceArgumentsAreFlagged)
 {
     const auto findings =
         lintWith("trace_literal", "trace-literal");
-    ASSERT_EQ(findings.size(), 3u);
+    ASSERT_EQ(findings.size(), 5u);
 
     // Non-literal category, non-literal name, non-literal instant
-    // name — in line order. The literal and wrapped-literal calls,
-    // the allow()ed counter, the commented/string mentions, and the
-    // MY_TRACE_SCOPE lookalike all stay silent.
+    // name, then the two hand-declared Scopes with a non-literal
+    // argument — in line order. The literal and wrapped-literal
+    // calls, the allow()ed counter, the commented/string mentions,
+    // the MY_TRACE_SCOPE lookalike, the literal declared Scope, the
+    // Scope reference and qualifier, and the #define body all stay
+    // silent.
     EXPECT_EQ(findings[0].file, "src/spans.cc");
     EXPECT_EQ(findings[0].line, 14u);
     EXPECT_TRUE(mentions(findings[0], "TRACE_SCOPE"));
@@ -156,6 +159,10 @@ TEST(BpLint, NonLiteralTraceArgumentsAreFlagged)
     EXPECT_TRUE(mentions(findings[1], "TRACE_SCOPE"));
     EXPECT_EQ(findings[2].line, 16u);
     EXPECT_TRUE(mentions(findings[2], "TRACE_INSTANT"));
+    EXPECT_EQ(findings[3].line, 37u);
+    EXPECT_TRUE(mentions(findings[3], "trace::Scope"));
+    EXPECT_EQ(findings[4].line, 38u);
+    EXPECT_TRUE(mentions(findings[4], "trace::Scope"));
 }
 
 TEST(BpLint, SimdIsolationViolationsAreFlagged)

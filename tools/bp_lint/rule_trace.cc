@@ -1,7 +1,9 @@
 /**
  * @file
  * Rule "trace-literal": TRACE_SCOPE / TRACE_INSTANT / TRACE_COUNTER
- * category and name arguments must be string literals.
+ * category and name arguments must be string literals, and so must
+ * those of a span declared by hand as `trace::Scope span(...)` (the
+ * form that reaches Scope::setArgs).
  *
  * The tracing hot path (support/tracing.hh) stores those arguments
  * as raw `const char *` without copying, so anything that is not a
@@ -14,9 +16,10 @@
  *
  * Matching runs over comment/string-stripped code (literal bodies
  * are blanked but their quote delimiters survive), so the check is
- * simply: each of the first two macro arguments starts with '"'.
- * `#define` lines are skipped — the macro definitions themselves
- * pass through their parameters unquoted by construction.
+ * simply: each of the first two arguments starts with '"'.
+ * `#define` lines and their continuations are skipped — the macro
+ * definitions themselves pass through their parameters unquoted by
+ * construction.
  */
 
 #include "bp_lint/lint.hh"
@@ -27,10 +30,23 @@ namespace bplint
 namespace
 {
 
-constexpr const char *traceMacros[] = {
-    "TRACE_SCOPE",
-    "TRACE_INSTANT",
-    "TRACE_COUNTER",
+/**
+ * The checked call shapes. A macro's argument list is the next
+ * '(' after its name; a declared Scope's comes after an optional
+ * variable name and must open right there, so `trace::Scope &`
+ * parameters and `trace::Scope::` qualifiers stay silent.
+ */
+struct TraceCall
+{
+    const char *name;
+    bool declaration;
+};
+
+constexpr TraceCall traceCalls[] = {
+    {"TRACE_SCOPE", false},
+    {"TRACE_INSTANT", false},
+    {"TRACE_COUNTER", false},
+    {"trace::Scope", true},
 };
 
 bool
@@ -63,6 +79,27 @@ std::size_t
 skipBlanks(const std::string &text, std::size_t pos)
 {
     return text.find_first_not_of(" \t", pos);
+}
+
+/**
+ * The position of the '(' or '{' that opens a declared Scope's
+ * arguments, searching from @p pos right after the type name; npos
+ * when no argument list follows.
+ */
+std::size_t
+declarationArgs(const std::string &text, std::size_t pos)
+{
+    pos = skipBlanks(text, pos);
+    while (pos != std::string::npos && pos < text.size() &&
+           isIdentChar(text[pos])) {
+        ++pos;
+    }
+    pos = skipBlanks(text, pos);
+    if (pos == std::string::npos ||
+        (text[pos] != '(' && text[pos] != '{')) {
+        return std::string::npos;
+    }
+    return pos;
 }
 
 /**
@@ -100,21 +137,27 @@ ruleTraceLiteral(const RepoTree &tree, std::vector<Finding> &findings)
         if (!file.isCpp) {
             continue;
         }
+        bool in_define = false;
         for (std::size_t i = 0; i < file.code.size(); ++i) {
             const std::string &code = file.code[i];
             const std::size_t line_no = i + 1;
-            if (code.find("#define") != std::string::npos) {
+            const bool define_line = in_define ||
+                code.find("#define") != std::string::npos;
+            const std::size_t last = code.find_last_not_of(" \t");
+            in_define = define_line && last != std::string::npos &&
+                code[last] == '\\';
+            if (define_line) {
                 continue; // the macro definitions themselves
             }
-            for (const char *macro : traceMacros) {
+            for (const TraceCall &call : traceCalls) {
                 std::size_t pos = 0;
-                const std::size_t len = std::string(macro).size();
-                while ((pos = code.find(macro, pos)) !=
+                const std::size_t len = std::string(call.name).size();
+                while ((pos = code.find(call.name, pos)) !=
                        std::string::npos) {
                     const std::size_t at = pos;
                     pos += len;
-                    // Identifier boundaries: reject TRACE_SCOPED
-                    // and X_TRACE_SCOPE.
+                    // Identifier boundaries: reject TRACE_SCOPED,
+                    // X_TRACE_SCOPE and trace::ScopeGuard.
                     if ((at > 0 && isIdentChar(code[at - 1])) ||
                         (at + len < code.size() &&
                          isIdentChar(code[at + len]))) {
@@ -124,10 +167,11 @@ ruleTraceLiteral(const RepoTree &tree, std::vector<Finding> &findings)
                         continue;
                     }
                     // Parse "(<literal>, <literal>" from the joined
-                    // next few lines, starting after the macro name.
+                    // next few lines, starting after the name.
                     const std::string joined = joinedCode(file, i, 4);
-                    std::size_t cursor =
-                        joined.find('(', at + len);
+                    std::size_t cursor = call.declaration
+                        ? declarationArgs(joined, at + len)
+                        : joined.find('(', at + len);
                     if (cursor == std::string::npos) {
                         continue; // not an invocation
                     }
@@ -140,7 +184,7 @@ ruleTraceLiteral(const RepoTree &tree, std::vector<Finding> &findings)
                     if (!category_ok || !name_ok) {
                         findings.push_back(
                             {"trace-literal", file.relative, line_no,
-                             std::string(macro) +
+                             std::string(call.name) +
                                  " category/name must be string "
                                  "literals (stored as raw const "
                                  "char*; no formatting on the hot "
