@@ -316,15 +316,17 @@ namespace detail
  * the runtime stride). Two-record unroll with split accumulators:
  * the compiler does not unroll this loop at -O2 and the
  * per-iteration dependency chains are short enough that pairing
- * records measurably overlaps their counter accesses.
+ * records measurably overlaps their counter accesses. With
+ * @p WriteMask, record j's overall mispredict flag lands in
+ * @p mask[j].
  */
-template <unsigned NumBanks, unsigned StrideConst>
+template <unsigned NumBanks, unsigned StrideConst, bool WriteMask>
 inline void
 resolveSkewedSpan(u8 *const (&base)[NumBanks], unsigned stride,
                   const u32 *const (&idx)[NumBanks], const u8 *taken,
                   std::size_t begin, std::size_t end, u8 max,
                   u8 threshold, bool partial, bool lazy, u64 &mis0,
-                  u64 &mis1, u64 &writes0, u64 &writes1)
+                  u64 &mis1, u64 &writes0, u64 &writes1, u8 *mask)
 {
     const auto one = [&](std::size_t j, u64 &mis, u64 &writes) {
         const u8 t = taken[j];
@@ -357,7 +359,11 @@ resolveSkewedSpan(u8 *const (&base)[NumBanks], unsigned stride,
             *ptr[bank] = u8(value + write * (up - down));
             writes += u64(write);
         }
-        mis += u64(overall != outcome);
+        const u8 wrong = u8(overall != outcome);
+        if constexpr (WriteMask) {
+            mask[j] = wrong;
+        }
+        mis += wrong;
     };
     std::size_t j = begin;
     for (; j + 2 <= end; j += 2) {
@@ -378,15 +384,16 @@ resolveSkewedSpan(u8 *const (&base)[NumBanks], unsigned stride,
  * generic span on e-gskew. The update policy is a template
  * parameter too: Total drops the whole skip computation and Partial
  * (the paper's enhanced default) drops the lazy saturation check,
- * instead of ANDing runtime flags per bank per record.
+ * instead of ANDing runtime flags per bank per record. The mask
+ * request is a template parameter for the same reason.
  */
-template <unsigned StrideConst, bool Partial, bool Lazy>
+template <unsigned StrideConst, bool Partial, bool Lazy, bool WriteMask>
 inline void
 resolveSkewed3Span(u8 *const (&base)[3], unsigned stride,
                    const u32 *const (&idx)[3], const u8 *taken,
                    std::size_t begin, std::size_t end, u8 max,
                    u8 threshold, u64 &mis0, u64 &mis1, u64 &writes0,
-                   u64 &writes1)
+                   u64 &writes1, u8 *mask)
 {
     u8 *const b0 = base[0];
     u8 *const b1 = base[1];
@@ -430,7 +437,11 @@ resolveSkewed3Span(u8 *const (&base)[3], unsigned stride,
         update(p0, v0, q0, writes);
         update(p1, v1, q1, writes);
         update(p2, v2, q2, writes);
-        mis += u64(overall != outcome);
+        const u8 wrong = u8(overall != outcome);
+        if constexpr (WriteMask) {
+            mask[j] = wrong;
+        }
+        mis += wrong;
     };
     std::size_t j = begin;
     for (; j + 2 <= end; j += 2) {
@@ -455,17 +466,20 @@ resolveSkewed3Span(u8 *const (&base)[3], unsigned stride,
  * overhead. The vote / policy arithmetic is the branchless form of
  * the fused SkewedBlockState::step(), consuming precomputed indices;
  * @p recompute(bank, j) is the scalar bank-index reference used by
- * checked builds to verify and repair (see block_kernel_simd.hh).
- * The banks must be one uniform group (shared counter width and
- * stride) — every caller's are.
+ * checked builds to verify (see noteIndexRepair in
+ * block_kernel_simd.hh). A non-null @p mask receives conditional
+ * j's overall mispredict flag in mask[j]. The banks must be one
+ * uniform group (shared counter width and stride) — every caller's
+ * are.
  */
 template <unsigned NumBanks, typename RecomputeIndex>
 inline void
 resolveSkewedBanks(SatCounterArray::View (&banks)[NumBanks],
                    const u32 *const (&idx)[NumBanks], const u8 *taken,
                    std::size_t n, bool partial, bool lazy,
-                   bool prefetch_counters, ReplayCounters &counters,
-                   u64 &bank_write_count,
+                   [[maybe_unused]] bool prefetch_counters,
+                   ReplayCounters &counters, u64 &bank_write_count,
+                   u8 *mask,
                    [[maybe_unused]] RecomputeIndex &&recompute)
 {
     const u8 max = banks[0].max;
@@ -480,8 +494,7 @@ resolveSkewedBanks(SatCounterArray::View (&banks)[NumBanks],
 
 #ifdef BPRED_CHECKED
     // Checked builds keep the straight-line loop: per-record index
-    // verification dominates anyway, and the repair path stays
-    // readable.
+    // verification dominates anyway.
     u64 mispredicts = 0;
     u64 bank_writes = 0;
     for (std::size_t j = 0; j < n; ++j) {
@@ -492,10 +505,8 @@ resolveSkewedBanks(SatCounterArray::View (&banks)[NumBanks],
         unsigned votes_taken = 0;
         for (unsigned bank = 0; bank < NumBanks; ++bank) {
             indices[bank] = idx[bank][j];
-            const u64 expected = recompute(bank, j);
-            if (indices[bank] != expected) [[unlikely]] {
+            if (indices[bank] != recompute(bank, j)) [[unlikely]] {
                 noteIndexRepair();
-                indices[bank] = expected;
             }
             values[bank] = banks[bank].value(indices[bank]);
             bank_predictions[bank] =
@@ -521,6 +532,9 @@ resolveSkewedBanks(SatCounterArray::View (&banks)[NumBanks],
             bank_writes += u64(write);
         }
         mispredicts += u64(overall != outcome);
+        if (mask) {
+            mask[j] = u8(overall != outcome);
+        }
     }
     counters.conditionals += n;
     counters.mispredicts += mispredicts;
@@ -535,48 +549,61 @@ resolveSkewedBanks(SatCounterArray::View (&banks)[NumBanks],
     u64 mis1 = 0;
     u64 writes0 = 0;
     u64 writes1 = 0;
-    const auto span = [&](std::size_t begin, std::size_t end) {
-        if constexpr (NumBanks == 3) {
-            const auto run3 = [&](auto stride_const, auto is_partial,
-                                  auto is_lazy) {
-                detail::resolveSkewed3Span<stride_const(),
-                                           is_partial(), is_lazy()>(
-                    base, stride, idx, taken, begin, end, max,
-                    threshold, mis0, mis1, writes0, writes1);
-            };
-            const auto policy = [&](auto stride_const) {
-                const auto k3 = std::integral_constant<bool, true>();
-                const auto k0 = std::integral_constant<bool, false>();
-                if (lazy) {
-                    run3(stride_const, k3, k3);
-                } else if (partial) {
-                    run3(stride_const, k3, k0);
+    // One instantiation per mask request (tested once per call), so
+    // a mask-free replay runs the same spans as ever.
+    const auto run = [&]<bool WriteMask>() {
+        const auto span = [&](std::size_t begin, std::size_t end) {
+            if constexpr (NumBanks == 3) {
+                const auto run3 = [&](auto stride_const,
+                                      auto is_partial, auto is_lazy) {
+                    detail::resolveSkewed3Span<stride_const(),
+                                               is_partial(), is_lazy(),
+                                               WriteMask>(
+                        base, stride, idx, taken, begin, end, max,
+                        threshold, mis0, mis1, writes0, writes1, mask);
+                };
+                const auto policy = [&](auto stride_const) {
+                    const auto k3 =
+                        std::integral_constant<bool, true>();
+                    const auto k0 =
+                        std::integral_constant<bool, false>();
+                    if (lazy) {
+                        run3(stride_const, k3, k3);
+                    } else if (partial) {
+                        run3(stride_const, k3, k0);
+                    } else {
+                        run3(stride_const, k0, k0);
+                    }
+                };
+                if (stride == 3) {
+                    policy(std::integral_constant<unsigned, 3>());
+                } else if (stride == 1) {
+                    policy(std::integral_constant<unsigned, 1>());
                 } else {
-                    run3(stride_const, k0, k0);
+                    policy(std::integral_constant<unsigned, 0>());
                 }
-            };
-            if (stride == 3) {
-                policy(std::integral_constant<unsigned, 3>());
+            } else if (stride == NumBanks) {
+                detail::resolveSkewedSpan<NumBanks, NumBanks,
+                                          WriteMask>(
+                    base, stride, idx, taken, begin, end, max,
+                    threshold, partial, lazy, mis0, mis1, writes0,
+                    writes1, mask);
             } else if (stride == 1) {
-                policy(std::integral_constant<unsigned, 1>());
+                detail::resolveSkewedSpan<NumBanks, 1, WriteMask>(
+                    base, stride, idx, taken, begin, end, max,
+                    threshold, partial, lazy, mis0, mis1, writes0,
+                    writes1, mask);
             } else {
-                policy(std::integral_constant<unsigned, 0>());
+                detail::resolveSkewedSpan<NumBanks, 0, WriteMask>(
+                    base, stride, idx, taken, begin, end, max,
+                    threshold, partial, lazy, mis0, mis1, writes0,
+                    writes1, mask);
             }
-        } else if (stride == NumBanks) {
-            detail::resolveSkewedSpan<NumBanks, NumBanks>(
-                base, stride, idx, taken, begin, end, max, threshold,
-                partial, lazy, mis0, mis1, writes0, writes1);
-        } else if (stride == 1) {
-            detail::resolveSkewedSpan<NumBanks, 1>(
-                base, stride, idx, taken, begin, end, max, threshold,
-                partial, lazy, mis0, mis1, writes0, writes1);
-        } else {
-            detail::resolveSkewedSpan<NumBanks, 0>(
-                base, stride, idx, taken, begin, end, max, threshold,
-                partial, lazy, mis0, mis1, writes0, writes1);
+        };
+        if (!prefetch_counters) {
+            span(0, n);
+            return;
         }
-    };
-    if (prefetch_counters) {
         for (std::size_t at = 0; at < n; at += simdSubBatch) {
             const std::size_t end = std::min(n, at + simdSubBatch);
             const std::size_t prefetch_end =
@@ -591,8 +618,11 @@ resolveSkewedBanks(SatCounterArray::View (&banks)[NumBanks],
             }
             span(at, end);
         }
+    };
+    if (mask) {
+        run.template operator()<true>();
     } else {
-        span(0, n);
+        run.template operator()<false>();
     }
     counters.conditionals += n;
     counters.mispredicts += mis0 + mis1;

@@ -231,7 +231,7 @@ SkewedPredictor::replayBlock(const BranchRecord *records,
 {
     if (probeSink) [[unlikely]] {
         // Scalar delegation keeps the event stream bit-identical.
-        Predictor::replayBlock(records, count, counters);
+        Predictor::replayBlock(records, count, counters, scratch);
         return;
     }
     const bool phase_split = scratch &&
@@ -260,7 +260,7 @@ SkewedPredictor::replayBlock(const BranchRecord *records,
                 u64(NumBanks) << config.bankIndexBits);
             const u64 history_out = replayTiled(
                 records, count, history.raw(), *scratch, NumBanks,
-                [&](std::size_t conditionals) {
+                [&](std::size_t conditionals, u8 *mask) {
                     const u64 *pcs = scratch->pc.data();
                     const u64 *hists = scratch->history.data();
                     if (identical) {
@@ -301,7 +301,7 @@ SkewedPredictor::replayBlock(const BranchRecord *records,
                     resolveSkewedBanks(
                         views, idx, scratch->taken.data(),
                         conditionals, partial, lazy, prefetch,
-                        counters, bankWriteCount,
+                        counters, bankWriteCount, mask,
                         [&](unsigned bank, std::size_t j) -> u64 {
                             if (identical) {
                                 return u64(gshareIndex(
@@ -331,7 +331,8 @@ SkewedPredictor::replayBlock(const BranchRecord *records,
         state.history = history;
         state.historyOut = &history;
         state.bankWritesOut = &bankWriteCount;
-        replayBlockWithState(state, records, count, counters);
+        replayBlockWithState(state, records, count, counters,
+                             scratch);
     };
     // The constructor admits only the family's odd bank counts.
     switch (config.numBanks) {

@@ -95,7 +95,7 @@ BimodalPredictor::replayBlock(const BranchRecord *records,
 {
     if (probeSink) [[unlikely]] {
         // Scalar delegation keeps the event stream bit-identical.
-        Predictor::replayBlock(records, count, counters);
+        Predictor::replayBlock(records, count, counters, scratch);
         return;
     }
     if (scratch && simdIndexWidthOk(indexBits) &&
@@ -106,14 +106,14 @@ BimodalPredictor::replayBlock(const BranchRecord *records,
         const bool prefetch = simdWantsCounterPrefetch(table.size());
         replayTiled(
             records, count, 0, *scratch, 1,
-            [&](std::size_t conditionals) {
+            [&](std::size_t conditionals, u8 *mask) {
                 fillAddressIndices(SimdMode::Avx2, scratch->pc.data(),
                                    conditionals, indexBits,
                                    scratch->indices[0].data());
                 resolveSingleTable(
                     table.view(), scratch->indices[0].data(),
                     scratch->taken.data(), conditionals, prefetch,
-                    counters, [&](std::size_t j) {
+                    counters, mask, [&](std::size_t j) {
                         return u64(addressIndex(scratch->pc[j],
                                                 indexBits));
                     });
@@ -121,7 +121,7 @@ BimodalPredictor::replayBlock(const BranchRecord *records,
         return;
     }
     replayBlockWithState(BimodalBlockState{table.view(), indexBits},
-                         records, count, counters);
+                         records, count, counters, scratch);
 }
 
 void

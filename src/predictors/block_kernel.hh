@@ -26,7 +26,10 @@
  *
  * Overrides must run the kernel only on the no-probe path (a probed
  * predictor delegates to the scalar Predictor::replayBlock() so
- * event streams stay identical, mirroring the fused-path contract).
+ * event streams stay identical, mirroring the fused-path contract),
+ * and must pass their ReplayScratch through — to the kernel and to
+ * the delegated default alike — so a requested mispredict mask is
+ * filled on every path.
  */
 
 #pragma once
@@ -34,19 +37,25 @@
 #include <cstddef>
 
 #include "predictors/predictor.hh"
+#include "predictors/replay_scratch.hh"
 
 namespace bpred
 {
 
+namespace detail
+{
+
 /**
- * Replay @p count records through @p state (a predictor's
- * BlockState, constructed fresh for this block), committing the
- * state back and adding the block's tallies to @p counters.
+ * The kernel loop. @p state arrives by value so its fields stay
+ * promotable to registers (see the file comment). Flattened: with
+ * two instantiations calling step(), GCC's inliner would otherwise
+ * leave large steps (the skewed family's bank hashes) out of line.
  */
-template <typename BlockState>
-void
-replayBlockWithState(BlockState state, const BranchRecord *records,
-                     std::size_t count, ReplayCounters &counters)
+template <bool WriteMask, typename BlockState>
+[[gnu::flatten]] inline void
+replayBlockLoop(BlockState state, const BranchRecord *records,
+                std::size_t count, ReplayCounters &counters,
+                [[maybe_unused]] u8 *mask)
 {
     u64 conditionals = 0;
     u64 mispredicts = 0;
@@ -57,15 +66,57 @@ replayBlockWithState(BlockState state, const BranchRecord *records,
             continue;
         }
         const bool prediction = state.step(record.pc, record.taken);
-        ++conditionals;
         // Arithmetic, not a branch: whether a prediction was right
         // is data, and maximally unpredictable data for exactly the
         // records that make a predictor study interesting.
-        mispredicts += u64(prediction != record.taken);
+        const u8 wrong = u8(prediction != record.taken);
+        if constexpr (WriteMask) {
+            mask[conditionals] = wrong;
+        }
+        ++conditionals;
+        mispredicts += wrong;
     }
     state.commit();
     counters.conditionals += conditionals;
     counters.mispredicts += mispredicts;
+}
+
+/**
+ * The mask-writing instantiation, kept out of line so the mask-free
+ * loop inlines into each replayBlock() exactly as it would alone.
+ */
+template <typename BlockState>
+[[gnu::noinline]] void
+replayBlockMasked(BlockState state, const BranchRecord *records,
+                  std::size_t count, ReplayCounters &counters,
+                  u8 *mask)
+{
+    replayBlockLoop<true>(state, records, count, counters, mask);
+}
+
+} // namespace detail
+
+/**
+ * Replay @p count records through @p state (a predictor's
+ * BlockState, constructed fresh for this block), committing the
+ * state back and adding the block's tallies to @p counters. When
+ * @p scratch requests the mispredict mask (replay_scratch.hh), the
+ * k-th conditional's outcome lands in its k-th byte; the request is
+ * tested once per block.
+ */
+template <typename BlockState>
+void
+replayBlockWithState(BlockState state, const BranchRecord *records,
+                     std::size_t count, ReplayCounters &counters,
+                     ReplayScratch *scratch = nullptr)
+{
+    if (u8 *const mask = mispredictMask(scratch)) {
+        detail::replayBlockMasked(state, records, count, counters,
+                                  mask);
+        return;
+    }
+    detail::replayBlockLoop<false>(state, records, count, counters,
+                                   nullptr);
 }
 
 } // namespace bpred

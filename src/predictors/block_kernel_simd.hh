@@ -23,11 +23,12 @@
  *     __builtin_prefetch, hiding table-lookup latency behind the
  *     current sub-batch's ALU work.
  *  3. Resolve — the serial pass consuming precomputed indices:
- *     counter read, vote, policy update, misprediction tally.
+ *     counter read, vote, policy update, misprediction tally, and
+ *     (when the session asked) the per-conditional mispredict mask.
  *     Checked builds recompute each index from the stored history
- *     through the scalar index function and repair (prefer the
- *     recomputed index) on divergence — defensive, since phase 0's
- *     speculation is exact by construction.
+ *     through the scalar index function and abort on divergence
+ *     (noteIndexRepair) — phase 0's speculation is exact by
+ *     construction, so a mismatch is a fill-kernel bug.
  *
  * Dispatch: predictors enter these kernels only when the resolved
  * SimdMode (support/simd.hh) is a vector mode and the table geometry
@@ -205,9 +206,12 @@ compactConditionals(const BranchRecord *records, std::size_t count,
  * Drive the phase-split passes tile-by-tile over one replay block:
  * compact a tile of records into @p scratch, then hand the tile's
  * conditional count to @p fill_and_resolve (which runs the index
- * fill and resolve phases out of the same scratch). History threads
- * through the tiles; the post-block value is returned. @p index_sets
- * is the number of per-bank index arrays ensure()d per tile.
+ * fill and resolve phases out of the same scratch), together with
+ * the tile's slice of the mispredict mask — null unless the session
+ * requested one (see ReplayScratch::recordMispredicts). History
+ * threads through the tiles; the post-block value is returned.
+ * @p index_sets is the number of per-bank index arrays ensure()d
+ * per tile.
  */
 template <typename FillAndResolve>
 inline u64
@@ -216,13 +220,17 @@ replayTiled(const BranchRecord *records, std::size_t count,
             unsigned index_sets, FillAndResolve &&fill_and_resolve)
 {
     u64 h = history_in;
+    u8 *mask = mispredictMask(&scratch);
     for (std::size_t at = 0; at < count; at += simdTileRecords) {
         const std::size_t n =
             std::min(simdTileRecords, count - at);
         scratch.ensure(n, index_sets);
         const std::size_t conditionals =
             compactConditionals(records + at, n, h, scratch, &h);
-        fill_and_resolve(conditionals);
+        fill_and_resolve(conditionals, mask);
+        if (mask) {
+            mask += conditionals;
+        }
     }
     return h;
 }
@@ -441,22 +449,20 @@ fillGselectIndices(SimdMode mode, const u64 *pc, const u64 *history,
 }
 
 /**
- * Surface a phase-3 index repair: the precomputed index diverged
+ * Fail on a phase-3 index mismatch: the precomputed index diverged
  * from the one recomputed out of the resolved history. Phase 0's
- * speculation is exact, so a repair means a fill kernel and its
- * scalar reference disagree — warn once (checked builds only run
- * this path) and let byte-identity tests localize it.
+ * speculation is exact, so a mismatch means a fill kernel and its
+ * scalar reference disagree — an internal bug. Only checked builds
+ * verify indices, and they abort here rather than repair, so the
+ * checked CI leg fails on the bug instead of passing with patched
+ * output.
  */
-inline void
+[[noreturn]] inline void
 noteIndexRepair()
 {
-    static const bool once = [] {
-        warn("phase-split replay: precomputed index diverged from "
-             "resolved history; repaired from the scalar index "
-             "function (fill-kernel bug — results stay exact)");
-        return true;
-    }();
-    static_cast<void>(once);
+    panic("phase-split replay: precomputed index diverged from the "
+          "scalar index function over the resolved history "
+          "(fill-kernel bug)");
 }
 
 namespace detail
@@ -465,50 +471,52 @@ namespace detail
 /**
  * The release resolve span for narrow counters (max <= 7): one
  * counterTransitionLut() shift per record, unrolled by 4 with split
- * misprediction accumulators.
+ * misprediction accumulators. With @p WriteMask, record j's outcome
+ * also lands in @p mask[j].
  */
+template <bool WriteMask>
 inline void
 resolveLutSpan(u8 *values, const u32 *idx, const u8 *taken,
                std::size_t begin, std::size_t end, u64 lut,
-               u8 threshold, u64 &m0, u64 &m1)
+               u8 threshold, u64 &m0, u64 &m1, u8 *mask)
 {
-    std::size_t j = begin;
-    for (; j + 4 <= end; j += 4) {
-        u8 &v0 = values[idx[j]];
-        const u8 t0 = taken[j];
-        m0 += u64(u8(v0 >= threshold) != t0);
-        v0 = u8((lut >> ((v0 * 2 + t0) * 4)) & 15);
-        u8 &v1 = values[idx[j + 1]];
-        const u8 t1 = taken[j + 1];
-        m1 += u64(u8(v1 >= threshold) != t1);
-        v1 = u8((lut >> ((v1 * 2 + t1) * 4)) & 15);
-        u8 &v2 = values[idx[j + 2]];
-        const u8 t2 = taken[j + 2];
-        m0 += u64(u8(v2 >= threshold) != t2);
-        v2 = u8((lut >> ((v2 * 2 + t2) * 4)) & 15);
-        u8 &v3 = values[idx[j + 3]];
-        const u8 t3 = taken[j + 3];
-        m1 += u64(u8(v3 >= threshold) != t3);
-        v3 = u8((lut >> ((v3 * 2 + t3) * 4)) & 15);
-    }
-    for (; j < end; ++j) {
+    const auto one = [&](std::size_t j, u64 &m) {
         u8 &value = values[idx[j]];
         const u8 outcome = taken[j];
-        m0 += u64(u8(value >= threshold) != outcome);
+        const u8 wrong = u8(u8(value >= threshold) != outcome);
+        if constexpr (WriteMask) {
+            mask[j] = wrong;
+        }
+        m += wrong;
         value = u8((lut >> ((value * 2 + outcome) * 4)) & 15);
+    };
+    std::size_t j = begin;
+    for (; j + 4 <= end; j += 4) {
+        one(j, m0);
+        one(j + 1, m1);
+        one(j + 2, m0);
+        one(j + 3, m1);
+    }
+    for (; j < end; ++j) {
+        one(j, m0);
     }
 }
 
 /** The release resolve span for wide counters (max > 7). */
+template <bool WriteMask>
 inline void
 resolveArithSpan(u8 *values, const u32 *idx, const u8 *taken,
                  std::size_t begin, std::size_t end, u8 max,
-                 u8 threshold, u64 &m0)
+                 u8 threshold, u64 &m0, u8 *mask)
 {
     for (std::size_t j = begin; j < end; ++j) {
         u8 &value = values[idx[j]];
         const u8 outcome = taken[j];
-        m0 += u64(u8(value >= threshold) != outcome);
+        const u8 wrong = u8(u8(value >= threshold) != outcome);
+        if constexpr (WriteMask) {
+            mask[j] = wrong;
+        }
+        m0 += wrong;
         const u8 up = u8(outcome & (value < max));
         const u8 down = u8((outcome ^ 1) & (value > 0));
         value = u8(value + up - down);
@@ -527,7 +535,9 @@ resolveArithSpan(u8 *values, const u32 *idx, const u8 *taken,
  * since the prefetch instruction itself would be the overhead.
  * @p recompute(j) must return the scalar index function's value for
  * conditional @p j from the stored pre-branch history; checked
- * builds verify every index against it and repair on divergence.
+ * builds verify every index against it and abort on divergence.
+ * A non-null @p mask receives conditional j's mispredict flag in
+ * mask[j] (replayTiled() hands each tile its slice).
  *
  * The table must be a flat stride-1 view (every single-table caller
  * is); the loops index raw bytes so no per-access stride multiply
@@ -536,33 +546,31 @@ resolveArithSpan(u8 *values, const u32 *idx, const u8 *taken,
 template <typename RecomputeIndex>
 inline void
 resolveSingleTable(SatCounterArray::View table, const u32 *idx,
-                   const u8 *taken, std::size_t n, bool prefetch_counters,
-                   ReplayCounters &counters,
+                   const u8 *taken, std::size_t n,
+                   [[maybe_unused]] bool prefetch_counters,
+                   ReplayCounters &counters, u8 *mask,
                    [[maybe_unused]] RecomputeIndex &&recompute)
 {
     BP_DCHECK(table.stride == 1,
               "resolveSingleTable: strided view (use the bank "
               "resolver)");
-    u8 *values = table.values;
-    const u8 max = table.max;
-    const u8 threshold = table.threshold;
-    u64 mispredicts = 0;
 
 #ifdef BPRED_CHECKED
     // Checked builds keep the straight-line loop: per-record index
-    // verification dominates anyway, and the repair path stays
-    // readable.
+    // verification dominates anyway.
+    u64 mispredicts = 0;
     for (std::size_t j = 0; j < n; ++j) {
-        u64 index = idx[j];
-        const u64 expected = recompute(j);
-        if (index != expected) [[unlikely]] {
+        const u64 index = idx[j];
+        if (index != recompute(j)) [[unlikely]] {
             noteIndexRepair();
-            index = expected;
         }
         const bool outcome = taken[j] != 0;
         const bool prediction = table.predictTaken(index);
         table.update(index, outcome);
         mispredicts += u64(prediction != outcome);
+        if (mask) {
+            mask[j] = u8(prediction != outcome);
+        }
     }
     counters.conditionals += n;
     counters.mispredicts += mispredicts;
@@ -574,46 +582,53 @@ resolveSingleTable(SatCounterArray::View table, const u32 *idx,
     // at -O2, and this serial pass is the longest phase. The spans
     // are free functions (detail::resolveLutSpan /
     // resolveArithSpan), not capturing lambdas: measured ~10%
-    // faster, the compiler keeps every hot value in registers.
+    // faster, the compiler keeps every hot value in registers. The
+    // counter width and the mask request pick one instantiation per
+    // call, so a mask-free replay runs the same loop as ever.
+    u8 *values = table.values;
+    const u8 max = table.max;
+    const u8 threshold = table.threshold;
     u64 m0 = 0;
     u64 m1 = 0;
+    const u64 lut = max <= 7 ? counterTransitionLut(max) : 0;
+    const auto run = [&]<bool Narrow, bool WriteMask>() {
+        const auto span = [&](std::size_t begin, std::size_t end) {
+            if constexpr (Narrow) {
+                detail::resolveLutSpan<WriteMask>(values, idx, taken,
+                                                  begin, end, lut,
+                                                  threshold, m0, m1,
+                                                  mask);
+            } else {
+                detail::resolveArithSpan<WriteMask>(values, idx, taken,
+                                                    begin, end, max,
+                                                    threshold, m0,
+                                                    mask);
+            }
+        };
+        if (!prefetch_counters) {
+            span(0, n);
+            return;
+        }
+        for (std::size_t base = 0; base < n; base += simdSubBatch) {
+            const std::size_t end = std::min(n, base + simdSubBatch);
+            const std::size_t prefetch_end =
+                std::min(n, end + simdSubBatch);
+            for (std::size_t j = end; j < prefetch_end; ++j) {
+                __builtin_prefetch(values + idx[j], 1);
+            }
+            span(base, end);
+        }
+    };
     if (max <= 7) {
-        const u64 lut = counterTransitionLut(max);
-        if (prefetch_counters) {
-            for (std::size_t base = 0; base < n;
-                 base += simdSubBatch) {
-                const std::size_t end =
-                    std::min(n, base + simdSubBatch);
-                const std::size_t prefetch_end =
-                    std::min(n, end + simdSubBatch);
-                for (std::size_t j = end; j < prefetch_end; ++j) {
-                    __builtin_prefetch(values + idx[j], 1);
-                }
-                detail::resolveLutSpan(values, idx, taken, base, end,
-                                       lut, threshold, m0, m1);
-            }
+        if (mask) {
+            run.template operator()<true, true>();
         } else {
-            detail::resolveLutSpan(values, idx, taken, 0, n, lut,
-                                   threshold, m0, m1);
+            run.template operator()<true, false>();
         }
+    } else if (mask) {
+        run.template operator()<false, true>();
     } else {
-        if (prefetch_counters) {
-            for (std::size_t base = 0; base < n;
-                 base += simdSubBatch) {
-                const std::size_t end =
-                    std::min(n, base + simdSubBatch);
-                const std::size_t prefetch_end =
-                    std::min(n, end + simdSubBatch);
-                for (std::size_t j = end; j < prefetch_end; ++j) {
-                    __builtin_prefetch(values + idx[j], 1);
-                }
-                detail::resolveArithSpan(values, idx, taken, base,
-                                         end, max, threshold, m0);
-            }
-        } else {
-            detail::resolveArithSpan(values, idx, taken, 0, n, max,
-                                     threshold, m0);
-        }
+        run.template operator()<false, false>();
     }
     counters.conditionals += n;
     counters.mispredicts += m0 + m1;

@@ -88,7 +88,7 @@ GSelectPredictor::replayBlock(const BranchRecord *records,
 {
     if (probeSink) [[unlikely]] {
         // Scalar delegation keeps any future event stream identical.
-        Predictor::replayBlock(records, count, counters);
+        Predictor::replayBlock(records, count, counters, scratch);
         return;
     }
     if (scratch && simdIndexWidthOk(indexBits) &&
@@ -98,7 +98,7 @@ GSelectPredictor::replayBlock(const BranchRecord *records,
         const bool prefetch = simdWantsCounterPrefetch(table.size());
         const u64 history_out = replayTiled(
             records, count, history.raw(), *scratch, 1,
-            [&](std::size_t conditionals) {
+            [&](std::size_t conditionals, u8 *mask) {
                 fillGselectIndices(SimdMode::Avx2, scratch->pc.data(),
                                    scratch->history.data(),
                                    conditionals, historyBits_,
@@ -107,7 +107,7 @@ GSelectPredictor::replayBlock(const BranchRecord *records,
                 resolveSingleTable(
                     table.view(), scratch->indices[0].data(),
                     scratch->taken.data(), conditionals, prefetch,
-                    counters, [&](std::size_t j) {
+                    counters, mask, [&](std::size_t j) {
                         return u64(gselectIndex(scratch->pc[j],
                                                 scratch->history[j],
                                                 historyBits_,
@@ -120,7 +120,7 @@ GSelectPredictor::replayBlock(const BranchRecord *records,
     replayBlockWithState(
         GSelectBlockState{table.view(), history, historyBits_, indexBits,
                           &history},
-        records, count, counters);
+        records, count, counters, scratch);
 }
 
 void

@@ -106,7 +106,7 @@ GSharePredictor::replayBlock(const BranchRecord *records,
 {
     if (probeSink) [[unlikely]] {
         // Scalar delegation keeps the event stream bit-identical.
-        Predictor::replayBlock(records, count, counters);
+        Predictor::replayBlock(records, count, counters, scratch);
         return;
     }
     if (scratch && simdIndexWidthOk(indexBits) &&
@@ -117,7 +117,7 @@ GSharePredictor::replayBlock(const BranchRecord *records,
         const bool prefetch = simdWantsCounterPrefetch(table.size());
         const u64 history_out = replayTiled(
             records, count, history.raw(), *scratch, 1,
-            [&](std::size_t conditionals) {
+            [&](std::size_t conditionals, u8 *mask) {
                 fillGshareIndices(SimdMode::Avx2, scratch->pc.data(),
                                   scratch->history.data(),
                                   conditionals, historyBits_,
@@ -126,7 +126,7 @@ GSharePredictor::replayBlock(const BranchRecord *records,
                 resolveSingleTable(
                     table.view(), scratch->indices[0].data(),
                     scratch->taken.data(), conditionals, prefetch,
-                    counters, [&](std::size_t j) {
+                    counters, mask, [&](std::size_t j) {
                         return u64(gshareIndex(scratch->pc[j],
                                                scratch->history[j],
                                                historyBits_,
@@ -139,7 +139,7 @@ GSharePredictor::replayBlock(const BranchRecord *records,
     replayBlockWithState(
         GShareBlockState{table.view(), history, historyBits_, indexBits,
                          &history},
-        records, count, counters);
+        records, count, counters, scratch);
 }
 
 void

@@ -160,7 +160,7 @@ HybridPredictor::replayBlock(const BranchRecord *records,
 {
     if (probeSink) [[unlikely]] {
         // Scalar delegation keeps the event stream bit-identical.
-        Predictor::replayBlock(records, count, counters);
+        Predictor::replayBlock(records, count, counters, scratch);
         return;
     }
     if (scratch && simdIndexWidthOk(chooserIndexBits) &&
@@ -180,6 +180,9 @@ HybridPredictor::replayBlock(const BranchRecord *records,
         // resolve walks the tile's original records with a cursor
         // into the precomputed indices.
         SatCounterArray::View chooser_view = chooser.view();
+        // Tested per record, not hoisted: the two virtual component
+        // calls per branch dwarf one predictable branch.
+        u8 *const mask = mispredictMask(scratch);
         u64 conditionals = 0;
         u64 mispredicts = 0;
         for (std::size_t tile = 0; tile < count;
@@ -210,13 +213,12 @@ HybridPredictor::replayBlock(const BranchRecord *records,
                                         simdPrefetchDistance]),
                         1);
                 }
-                u64 chooser_index = chooser_idx[cursor];
+                const u64 chooser_index = chooser_idx[cursor];
 #ifdef BPRED_CHECKED
-                const u64 expected =
-                    u64(addressIndex(record.pc, chooserIndexBits));
-                if (chooser_index != expected) [[unlikely]] {
+                if (chooser_index !=
+                    u64(addressIndex(record.pc, chooserIndexBits)))
+                    [[unlikely]] {
                     noteIndexRepair();
-                    chooser_index = expected;
                 }
 #endif
                 const bool use_first =
@@ -236,6 +238,9 @@ HybridPredictor::replayBlock(const BranchRecord *records,
                 }
                 const bool prediction =
                     use_first ? first_prediction : second_prediction;
+                if (mask) {
+                    mask[conditionals] = u8(prediction != record.taken);
+                }
                 ++conditionals;
                 mispredicts += u64(prediction != record.taken);
                 ++cursor;
@@ -255,7 +260,7 @@ HybridPredictor::replayBlock(const BranchRecord *records,
         HybridBlockState{chooser.view(), chooserIndexBits,
                          firstComponent.get(), secondComponent.get(),
                          &havePrediction},
-        records, count, counters);
+        records, count, counters, scratch);
 }
 
 void

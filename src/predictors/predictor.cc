@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 
+#include "predictors/block_kernel.hh"
 #include "support/logging.hh"
 #include "support/serialize.hh"
 
@@ -34,28 +35,27 @@ Predictor::notifyUnconditional(Addr)
 
 void
 Predictor::replayBlock(const BranchRecord *records, std::size_t count,
-                       ReplayCounters &counters, ReplayScratch *)
+                       ReplayCounters &counters, ReplayScratch *scratch)
 {
     // Scalar reference path: one virtual fused step per branch.
     // Overrides delegate here while a probe is attached, so this
     // loop defines the observable behaviour of every block replay.
-    u64 conditionals = 0;
-    u64 mispredicts = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-        const BranchRecord &record = records[i];
-        if (!record.conditional) {
-            notifyUnconditional(record.pc);
-            continue;
+    struct VirtualStepState
+    {
+        Predictor *predictor;
+
+        bool
+        step(Addr pc, bool taken)
+        {
+            return predictor->predictAndUpdate(pc, taken).prediction;
         }
-        const bool prediction =
-            predictAndUpdate(record.pc, record.taken).prediction;
-        ++conditionals;
-        if (prediction != record.taken) {
-            ++mispredicts;
-        }
-    }
-    counters.conditionals += conditionals;
-    counters.mispredicts += mispredicts;
+
+        void unconditional(Addr pc) { predictor->notifyUnconditional(pc); }
+
+        void commit() {}
+    };
+    replayBlockWithState(VirtualStepState{this}, records, count,
+                         counters, scratch);
 }
 
 void

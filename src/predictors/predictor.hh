@@ -27,8 +27,8 @@ struct Outcome
 
 /**
  * Tallies accumulated by replayBlock(): everything the simulation
- * loop needs per block when no per-branch attribution (top sites,
- * probes) was requested.
+ * loop needs per block. Per-branch attribution (top sites, site
+ * tallies) reads the scratch's mispredict mask instead.
  */
 struct ReplayCounters
 {
@@ -105,7 +105,10 @@ class Predictor
      * precompute the block's table indices with the vectorized
      * index pass and resolve fed by them — still byte-identical to
      * the fused path. A null scratch always runs the fused/scalar
-     * reference kernels.
+     * reference kernels. When the scratch's recordMispredicts is
+     * set, every implementation — including this default and the
+     * probed delegation to it — also writes one mispredict byte per
+     * conditional record into the scratch, in trace order.
      */
     virtual void replayBlock(const BranchRecord *records,
                              std::size_t count,

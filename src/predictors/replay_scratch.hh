@@ -13,6 +13,14 @@
  * Every array is cache-line aligned (support/aligned.hh): the index
  * pass reads them with 256-bit loads, and a 64-byte base plus the
  * block-granular ensure() guarantees those loads never split a line.
+ *
+ * The scratch also carries the optional per-conditional mispredict
+ * mask: when the session sets recordMispredicts, every replayBlock()
+ * implementation writes one byte per conditional record of the call
+ * (1 = mispredicted), in trace order, into `mispredicted` — which is
+ * how top-site attribution and per-site tallies run on the block
+ * kernels. Kernels test the request once per block, so callers that
+ * never ask (sweeps, serving) keep mask-free inner loops.
  */
 
 #pragma once
@@ -61,6 +69,33 @@ struct ReplayScratch
     std::array<AlignedVector<u32>, maxReplayIndexSets> indices;
 
     /**
+     * When set, replayBlock() fills `mispredicted` for the call.
+     * Re-stamped by the owning session on every feed, like mode, so
+     * gang members sharing one scratch can differ.
+     */
+    bool recordMispredicts = false;
+
+    /**
+     * One byte per conditional record of the latest replayBlock()
+     * call, in trace order: 1 when it was mispredicted. Written
+     * only while recordMispredicts is set; sized by the caller via
+     * ensureMispredicts() before the call.
+     */
+    AlignedVector<u8> mispredicted;
+
+    /**
+     * Grow the mask (never shrinking) to cover a replayBlock() call
+     * over @p count records.
+     */
+    void
+    ensureMispredicts(std::size_t count)
+    {
+        if (mispredicted.size() < count) {
+            mispredicted.resize(count);
+        }
+    }
+
+    /**
      * Grow the staging arrays (never shrinking) to hold a block of
      * @p count records using @p index_sets index arrays.
      */
@@ -84,5 +119,17 @@ struct ReplayScratch
                   "replay scratch: staging arrays not cache aligned");
     }
 };
+
+/**
+ * Where a replayBlock() call writes the mispredict mask: null
+ * without a scratch or without a request.
+ */
+inline u8 *
+mispredictMask(ReplayScratch *scratch)
+{
+    return scratch && scratch->recordMispredicts
+        ? scratch->mispredicted.data()
+        : nullptr;
+}
 
 } // namespace bpred

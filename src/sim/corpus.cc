@@ -5,14 +5,12 @@
 #include <filesystem>
 #include <memory>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "sim/factory.hh"
 #include "sim/gang.hh"
 #include "support/aligned.hh"
 #include "support/logging.hh"
-#include "support/probe.hh"
+#include "support/site_table.hh"
 #include "support/tracing.hh"
 #include "trace/adapters.hh"
 #include "trace/mmap_source.hh"
@@ -40,35 +38,8 @@ endsWith(const std::string &text, const std::string &suffix)
                      suffix) == 0;
 }
 
-/**
- * Exact per-site outcome counts from the reference member — the
- * probe half of the "reuse top-K/probe machinery" contract (the
- * top-K half is the reference member's SimResult::topSites).
- */
-class SiteProbe : public ProbeSink
-{
-  public:
-    struct Cell
-    {
-        u64 branches = 0;
-        u64 mispredicts = 0;
-    };
-
-    void
-    onResolved(const ResolvedEvent &event) override
-    {
-        Cell &cell = sites[event.pc];
-        ++cell.branches;
-        if (event.predicted != event.taken) {
-            ++cell.mispredicts;
-        }
-    }
-
-    std::unordered_map<Addr, Cell> sites;
-};
-
 Predictability
-classifySite(const SiteProbe::Cell &cell, const CorpusOptions &opt)
+classifySite(const SiteCounts &cell, const CorpusOptions &opt)
 {
     if (cell.branches < opt.classifyMinBranches) {
         return Predictability::Cold;
@@ -85,14 +56,14 @@ classifySite(const SiteProbe::Cell &cell, const CorpusOptions &opt)
 }
 
 CorpusClassification
-classify(const SiteProbe &probe, const CorpusOptions &opt)
+classify(const SiteTable &tally, const CorpusOptions &opt)
 {
     CorpusClassification classes;
     std::vector<SitePredictability> all;
-    // bp_lint: allow(reserve-untrusted): sized by the probe's own
-    // in-memory site map, not by any decoded field.
-    all.reserve(probe.sites.size());
-    for (const auto &[pc, cell] : probe.sites) {
+    // bp_lint: allow(reserve-untrusted): sized by the session's own
+    // in-memory site table, not by any decoded field.
+    all.reserve(tally.size());
+    tally.forEach([&](Addr pc, const SiteCounts &cell) {
         SitePredictability site;
         site.pc = pc;
         site.branches = cell.branches;
@@ -115,7 +86,7 @@ classify(const SiteProbe &probe, const CorpusOptions &opt)
             break;
         }
         all.push_back(site);
-    }
+    });
     std::sort(all.begin(), all.end(),
               [](const SitePredictability &a,
                  const SitePredictability &b) {
@@ -167,21 +138,24 @@ runFile(const std::string &path, const std::string &file_name,
             predictors.push_back(makePredictor(spec));
         }
 
+        // The reference member (specs[0]) tallies exact per-site
+        // outcomes — warmup branches included — from its replay
+        // kernel's mispredict mask; its top-K sites come along.
         GangSession gang(opt.blockRecords);
-        SiteProbe probe;
+        SiteTable tally;
         for (std::size_t i = 0; i < predictors.size(); ++i) {
             SimOptions member = opt.sim;
             // A shared registry would race across pool jobs.
             member.metrics = nullptr;
             if (i == 0 && opt.topSites > 0) {
-                member.probe = &probe;
+                member.siteTally = &tally;
                 member.topSites = opt.topSites;
             }
             gang.add(*predictors[i], member, result.traceName);
         }
 
-        std::unordered_set<Addr> conditional_sites;
-        std::unordered_set<Addr> unconditional_sites;
+        SiteTable conditional_sites;
+        SiteTable unconditional_sites;
         AlignedVector<BranchRecord> buffer(gang.blockRecords());
         while (const std::size_t n =
                    source->pull(buffer.data(), buffer.size())) {
@@ -191,10 +165,10 @@ runFile(const std::string &path, const std::string &file_name,
                     ++result.stats.dynamicConditional;
                     result.stats.takenConditional +=
                         record.taken ? 1 : 0;
-                    conditional_sites.insert(record.pc);
+                    ++conditional_sites.at(record.pc).branches;
                 } else {
                     ++result.stats.dynamicUnconditional;
-                    unconditional_sites.insert(record.pc);
+                    ++unconditional_sites.at(record.pc).branches;
                 }
             }
             result.records += n;
@@ -217,7 +191,7 @@ runFile(const std::string &path, const std::string &file_name,
         }
 
         if (opt.topSites > 0) {
-            result.classes = classify(probe, opt);
+            result.classes = classify(tally, opt);
         }
     } catch (const std::exception &e) {
         result = CorpusFileResult();

@@ -16,8 +16,9 @@
  * Determinism contract: the report (stdout tables and JSON) is
  * byte-identical for any thread count. Files are processed in
  * sorted-name order, results keep submission order (parallelMap),
- * replay is the gang contract, and the classification probe counts
- * exactly. Timings therefore never appear in the report.
+ * replay is the gang contract, and the reference member's site
+ * tallies (SimOptions::siteTally) count exactly. Timings therefore
+ * never appear in the report.
  */
 
 #pragma once
@@ -37,8 +38,8 @@ struct CorpusOptions
     /**
      * Predictor specs replayed over every trace (factory syntax,
      * see sim/factory.hh). The first spec is the *reference*: its
-     * member carries the classification probe and top-K site
-     * attribution.
+     * member carries the exact per-site tallies behind the
+     * classification and top-K site attribution.
      */
     std::vector<std::string> specs;
 

@@ -17,6 +17,7 @@ namespace bpred
 {
 
 class ProbeSink;
+class SiteTable;
 class StatRegistry;
 
 /** One fixed-size window of the misprediction time series. */
@@ -89,20 +90,23 @@ struct SimOptions
     ProbeSink *probe = nullptr;
 
     /**
-     * Force the per-branch scalar loop instead of the replayBlock()
-     * batch kernel. Results are contract-identical either way; this
-     * exists so equivalence tests and throughput baselines can pin
-     * the legacy fused path explicitly.
+     * Exact per-site tallies: when set, the session adds every
+     * conditional branch it replays — warmup included — to this
+     * table as {branches, mispredicts}, read from the replay
+     * kernels' mispredict mask (predictors/replay_scratch.hh). The
+     * table is caller-owned and NOT thread-safe: one per session.
+     * Null (the default) records nothing.
      */
-    bool scalarReplay = false;
+    SiteTable *siteTally = nullptr;
 
     /**
      * Index/hash kernel dispatch for the block replay path (see
      * support/simd.hh): Auto defers to the BPRED_SIMD environment
      * variable and then the CPU probe; Avx2 requests the phase-split
      * vector kernels; Scalar pins the fused block kernel — the
-     * reference the vector path is byte-identical to. Ignored by the
-     * scalar per-branch loop (scalarReplay / topSites / probes).
+     * reference the vector path is byte-identical to. Ignored while
+     * a probe is attached (probed replay runs the scalar default
+     * Predictor::replayBlock()).
      */
     SimdMode simd = SimdMode::Auto;
 

@@ -8,11 +8,21 @@
 #include "support/check.hh"
 #include "support/logging.hh"
 #include "support/probe.hh"
+#include "support/site_table.hh"
 #include "support/stat_registry.hh"
 #include "support/tracing.hh"
 
 namespace bpred
 {
+
+namespace
+{
+
+/** Records per replayBlock() call while attribution reads the mask
+ * (~128 KiB of records plus an 8 KiB mask: L2-resident). */
+constexpr std::size_t attributionBlockRecords = 8192;
+
+} // namespace
 
 SimSession::SimSession(Predictor &predictor, const SimOptions &options,
                        std::string trace_name)
@@ -59,16 +69,7 @@ SimSession::feed(const BranchRecord *records, std::size_t count)
     TRACE_SCOPE("session", "feed", seen, count);
     const u64 feedStart =
         options.metrics ? trace::nowNs() : 0;
-    // Top-site attribution needs the PC of every misprediction, so
-    // it keeps the per-branch loop (as does an explicit
-    // scalarReplay request). Everything else — including probed
-    // runs, whose overrides delegate to the scalar kernel
-    // internally — replays through the per-block batch kernel.
-    if (options.topSites > 0 || options.scalarReplay) {
-        feedScalar(records, count);
-    } else {
-        feedBlocks(records, count);
-    }
+    feedBlocks(records, count);
     if (options.metrics) {
         StatRegistry &metrics = *options.metrics;
         ++metrics.counter("session.feeds");
@@ -85,10 +86,14 @@ SimSession::feedBlocks(const BranchRecord *records, std::size_t count)
     const u64 warmup = options.warmupBranches;
     const u64 flush_interval = options.flushInterval;
     const u64 window_size = options.windowSize;
+    // Per-branch attribution reads the kernels' mispredict mask.
+    const bool want_mask =
+        options.topSites > 0 || options.siteTally != nullptr;
 
     // Re-stamped every feed: a gang-shared scratch is passed through
-    // members whose SimOptions::simd may differ.
+    // members whose SimOptions may differ.
     scratch->mode = options.simd;
+    scratch->recordMispredicts = want_mask;
 
     std::size_t at = 0;
     while (at < count) {
@@ -110,19 +115,30 @@ SimSession::feedBlocks(const BranchRecord *records, std::size_t count)
 
         // Segment end: just past the limit-th conditional record,
         // or the chunk end. Trailing unconditionals fall into the
-        // next segment, matching the scalar loop's ordering of
-        // boundary actions before their notifyUnconditional().
-        std::size_t end = count;
+        // next segment, so a boundary action (flush) always precedes
+        // the notifyUnconditional() of the records after it. With
+        // attribution on, segments are also capped so the mask and
+        // the records attribute() re-reads are still cache-resident.
+        const std::size_t stop = want_mask
+            ? std::min(count, at + attributionBlockRecords)
+            : count;
+        std::size_t end = stop;
         if (limit != unbounded) {
             u64 conditionals = 0;
-            for (end = at; end < count && conditionals < limit;
+            for (end = at; end < stop && conditionals < limit;
                  ++end) {
                 conditionals += records[end].conditional ? 1 : 0;
             }
         }
 
         ReplayCounters tally;
+        if (want_mask) {
+            scratch->ensureMispredicts(end - at);
+        }
         predictor.replayBlock(records + at, end - at, tally, scratch);
+        if (want_mask) {
+            attribute(records + at, end - at, in_warmup);
+        }
         at = end;
 
         seen += tally.conditionals;
@@ -154,68 +170,46 @@ SimSession::feedBlocks(const BranchRecord *records, std::size_t count)
 }
 
 void
-SimSession::feedScalar(const BranchRecord *records, std::size_t count)
+SimSession::attribute(const BranchRecord *records, std::size_t count,
+                      bool in_warmup)
 {
-    // Hot counters live in locals for the duration of the chunk;
-    // member writes happen once per feed(), not once per branch, so
-    // the streaming path matches the batch loop's throughput.
-    Predictor &pred = predictor;
-    u64 seen_local = seen;
-    u64 since_flush = sinceFlush;
-    u64 conditionals = result.conditionals;
-    u64 mispredicts = result.mispredicts;
-    const u64 warmup = options.warmupBranches;
-    const u64 flush_interval = options.flushInterval;
-    const u64 window_size = options.windowSize;
-    const bool track_sites = options.topSites > 0;
-
-    for (std::size_t i = 0; i < count; ++i) {
-        const BranchRecord &record = records[i];
-        if (!record.conditional) {
-            pred.notifyUnconditional(record.pc);
-            continue;
-        }
-        // Fused fast path: one virtual dispatch and one index
-        // computation per branch (contract-equivalent to
-        // predict() + update(); test_predictor_contract guards it).
-        const bool prediction =
-            pred.predictAndUpdate(record.pc, record.taken).prediction;
-        ++seen_local;
-        if (flush_interval && ++since_flush == flush_interval) {
-            TRACE_INSTANT("session", "flush");
-            pred.reset();
-            since_flush = 0;
-        }
-        if (seen_local <= warmup) {
-            if (seen_local == warmup) {
-                TRACE_INSTANT("session", "warmup-complete");
-            }
-            continue;
-        }
-        ++conditionals;
-        const bool wrong = prediction != record.taken;
-        if (wrong) {
-            ++mispredicts;
-            if (track_sites) {
-                sites.add(record.pc);
-            }
-        }
-        if (window_size > 0) {
-            ++window.branches;
-            if (wrong) {
-                ++window.mispredicts;
-            }
-            if (window.branches == window_size) {
-                result.windows.push_back(window);
-                window = WindowSample();
+    // The k-th conditional record of the segment owns mask byte k.
+    const u8 *mask = scratch->mispredicted.data();
+    if (SiteTable *const tally = options.siteTally) {
+        std::size_t k = 0;
+        for (std::size_t i = 0; i < count; ++i) {
+            if (records[i].conditional) {
+                SiteCounts &site = tally->at(records[i].pc);
+                ++site.branches;
+                site.mispredicts += mask[k++];
             }
         }
     }
-
-    seen = seen_local;
-    sinceFlush = since_flush;
-    result.conditionals = conditionals;
-    result.mispredicts = mispredicts;
+    if (options.topSites == 0 || in_warmup) {
+        return;
+    }
+    // Mispredicted scored sites reach the top-K counter in trace
+    // order, exactly as a per-branch loop would add them. They are
+    // compacted branch-free first: both the conditional bit and the
+    // mask byte are data no host predictor guesses well. Reading
+    // mask[k] at an unconditional record stays in bounds (k is then
+    // below the segment's record count) and is discarded.
+    constexpr std::size_t batch = 256;
+    Addr missed[batch];
+    std::size_t k = 0;
+    for (std::size_t base = 0; base < count; base += batch) {
+        const std::size_t end = std::min(count, base + batch);
+        std::size_t n = 0;
+        for (std::size_t i = base; i < end; ++i) {
+            const u8 conditional = u8(records[i].conditional);
+            missed[n] = records[i].pc;
+            n += mask[k] & conditional;
+            k += conditional;
+        }
+        for (std::size_t j = 0; j < n; ++j) {
+            sites.add(missed[j]);
+        }
+    }
 }
 
 SimResult

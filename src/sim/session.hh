@@ -63,12 +63,13 @@ class SimSession
      * boundaries are invisible to the result: any partition of a
      * trace into feed() calls yields the same SimResult.
      *
-     * Internally the chunk is resolved through the predictor's
-     * replayBlock() batch kernel — split at warmup, flush and
-     * window boundaries so per-segment tallies suffice — unless
-     * per-branch attribution (top sites) forces the scalar loop.
-     * The two paths are contract-equivalent (test_session /
-     * test_predictor_contract).
+     * The chunk is resolved through the predictor's replayBlock()
+     * batch kernel, split at warmup, flush and window boundaries so
+     * per-segment tallies suffice. Per-branch attribution (top
+     * sites, site tallies) asks the kernel for its per-conditional
+     * mispredict mask instead of leaving the block path; the
+     * result matches a split predict()/update() loop
+     * (test_predictor_contract).
      *
      * @throws FatalError when called after finish().
      */
@@ -116,11 +117,16 @@ class SimSession
     void useSharedScratch(ReplayScratch *shared);
 
   private:
-    /** The per-branch loop: needed for top-site attribution. */
-    void feedScalar(const BranchRecord *records, std::size_t count);
-
     /** The replayBlock() path, segmented at bookkeeping boundaries. */
     void feedBlocks(const BranchRecord *records, std::size_t count);
+
+    /**
+     * Per-branch attribution of one replayed segment from the
+     * scratch's mispredict mask: site tallies (every conditional)
+     * and top-K sites (scored conditionals only).
+     */
+    void attribute(const BranchRecord *records, std::size_t count,
+                   bool in_warmup);
 
     Predictor &predictor;
     SimOptions options;

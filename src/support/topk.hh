@@ -10,11 +10,22 @@
  * increments its slot; a new key evicts the smallest slot and
  * inherits its count as an overcount bound. Any key whose true
  * count exceeds total/capacity is guaranteed to be present.
+ *
+ * Eviction ties (several slots at the minimum count) break by a
+ * fixed order over the tracked keys: the iteration order the
+ * counter's original std::unordered_map had under libstdc++. Keys
+ * hash to key % B (B: that map's bucket count at this capacity);
+ * keys sharing a bucket form one run, newest first; a bucket's run
+ * goes to the front of the order when the bucket becomes non-empty
+ * and leaves it when it empties. The slots are stored in that
+ * order in one flat array, searched linearly — sized for the tens
+ * of slots top-site reports use — so results stay identical to the
+ * map-based counter without its per-eviction node allocation and
+ * bucket walks.
  */
 
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "support/types.hh"
@@ -66,13 +77,22 @@ class TopKCounter
   private:
     struct Slot
     {
+        u64 key;
         u64 count;
         u64 overcount;
+
+        /** key % buckets, cached for the tie-break order. */
+        u64 bucket;
     };
 
     std::size_t capacity_;
     u64 total = 0;
-    std::unordered_map<u64, Slot> slots;
+
+    /** Bucket count of the modelled hash map (see file comment). */
+    u64 buckets;
+
+    /** Tracked keys, in tie-break order. */
+    std::vector<Slot> slots;
 };
 
 } // namespace bpred

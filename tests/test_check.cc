@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "predictors/block_kernel_simd.hh"
 #include "predictors/history.hh"
 #include "predictors/info_vector.hh"
 #include "support/check.hh"
@@ -109,6 +110,27 @@ TEST(CheckedIndexFunctions, OutputsStayInRange)
         const u64 addr = addressIndex(pc, 8);
         EXPECT_LT(addr, 1u << 8);
     }
+}
+
+TEST(PhaseSplitDeathTest, IndexMismatchAborts)
+{
+    // The checked resolve verifies every precomputed index against
+    // the scalar index function. A mismatch is a fill-kernel bug:
+    // it must abort, not warn and repair.
+    SatCounterArray table(16, 2);
+    const u32 idx[2] = {3, 5};
+    const u8 taken[2] = {1, 0};
+    u8 mask[2] = {};
+    ReplayCounters counters;
+    resolveSingleTable(table.view(), idx, taken, 2, false, counters,
+                       mask, [&](std::size_t j) { return u64(idx[j]); });
+    EXPECT_EQ(counters.conditionals, 2u);
+    EXPECT_EQ(u64(mask[0]) + mask[1], counters.mispredicts);
+    EXPECT_DEATH(resolveSingleTable(table.view(), idx, taken, 2, false,
+                                    counters, nullptr,
+                                    [](std::size_t) { return u64(7); }),
+                 "precomputed index diverged");
+    EXPECT_DEATH(noteIndexRepair(), "fill-kernel bug");
 }
 
 } // namespace

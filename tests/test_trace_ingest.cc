@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <unistd.h>
@@ -579,6 +581,145 @@ TEST(Corpus, ReportIsIdenticalAcrossThreadCounts)
     }
     EXPECT_EQ(serial.files[0].ingest,
               mmapSupported() ? "mmap" : "stream");
+}
+
+/**
+ * The corpus classification, recomputed from first principles: a
+ * split predict()/update() loop of @p spec over @p trace, counting
+ * every conditional per site (warmup included, flushes applied),
+ * classified and ranked by the CorpusOptions rules.
+ */
+CorpusClassification
+referenceClassification(const std::string &spec, const Trace &trace,
+                        const CorpusOptions &options)
+{
+    struct Cell
+    {
+        u64 branches = 0;
+        u64 mispredicts = 0;
+    };
+    std::map<Addr, Cell> cells;
+    auto predictor = makePredictor(spec);
+    u64 since_flush = 0;
+    for (const BranchRecord &record : trace) {
+        if (!record.conditional) {
+            predictor->notifyUnconditional(record.pc);
+            continue;
+        }
+        const bool prediction = predictor->predict(record.pc);
+        predictor->update(record.pc, record.taken);
+        Cell &cell = cells[record.pc];
+        ++cell.branches;
+        cell.mispredicts += prediction != record.taken ? 1 : 0;
+        if (++since_flush == options.sim.flushInterval) {
+            predictor->reset();
+            since_flush = 0;
+        }
+    }
+
+    CorpusClassification classes;
+    std::vector<SitePredictability> all;
+    for (const auto &[pc, cell] : cells) {
+        SitePredictability site;
+        site.pc = pc;
+        site.branches = cell.branches;
+        site.mispredicts = cell.mispredicts;
+        const double ratio = double(cell.mispredicts) /
+            double(cell.branches);
+        classes.totalMispredicts += cell.mispredicts;
+        if (cell.branches < options.classifyMinBranches) {
+            site.klass = Predictability::Cold;
+            ++classes.coldSites;
+        } else if (ratio <= options.easyThreshold) {
+            site.klass = Predictability::Easy;
+            ++classes.easySites;
+        } else if (ratio > options.hardThreshold) {
+            site.klass = Predictability::Hard;
+            ++classes.hardSites;
+            classes.hardMispredicts += cell.mispredicts;
+        } else {
+            site.klass = Predictability::Medium;
+            ++classes.mediumSites;
+        }
+        all.push_back(site);
+    }
+    std::stable_sort(all.begin(), all.end(),
+                     [](const SitePredictability &a,
+                        const SitePredictability &b) {
+                         return a.mispredicts > b.mispredicts;
+                     });
+    all.resize(std::min(all.size(), options.topSites));
+    classes.hardest = all;
+    return classes;
+}
+
+TEST(Corpus, ClassificationMatchesSplitReference)
+{
+    // Pins the reference member's site tallies: warmup branches are
+    // counted, flushes apply, and every class count, the hard-site
+    // mispredicts and the hardest list equal a split-loop
+    // recomputation — across .bpt, .bpt.gz and .txt ingest.
+    ScratchDir dir("classify");
+    std::map<std::string, Trace> traces;
+    traces.emplace("groff.bpt", makeIbsTrace("groff", 0.01));
+    traces.emplace("gcc.txt", makeIbsTrace("real_gcc", 0.005));
+    saveBinaryTrace(dir.file("groff.bpt"), traces.at("groff.bpt"));
+    {
+        std::ofstream os(dir.file("gcc.txt"));
+        writeTextTrace(os, traces.at("gcc.txt"));
+    }
+    if (gzSupported()) {
+        traces.emplace("nroff.bpt.gz", makeIbsTrace("nroff", 0.005));
+        ASSERT_TRUE(writeGzFile(dir.file("nroff.bpt.gz"),
+                                bptBytes(traces.at("nroff.bpt.gz"))));
+    }
+
+    CorpusOptions options;
+    options.specs = {"gshare:10:8", "bimodal:10"};
+    options.topSites = 12;
+    options.threads = 2;
+    options.sim.warmupBranches = 1500;
+    options.sim.flushInterval = 4000;
+    const CorpusReport report = runCorpus(dir.str(), options);
+
+    ASSERT_EQ(report.files.size(), traces.size());
+    for (const CorpusFileResult &file : report.files) {
+        SCOPED_TRACE(file.file);
+        ASSERT_TRUE(file.error.empty()) << file.error;
+        const Trace &trace = traces.at(file.file);
+        const TraceStats stats = computeTraceStats(trace);
+        EXPECT_EQ(file.stats.staticConditional,
+                  stats.staticConditional);
+        EXPECT_EQ(file.stats.staticUnconditional,
+                  stats.staticUnconditional);
+        EXPECT_EQ(file.stats.dynamicConditional,
+                  stats.dynamicConditional);
+        ASSERT_GT(stats.dynamicConditional,
+                  options.sim.warmupBranches +
+                      options.sim.flushInterval);
+
+        const CorpusClassification want =
+            referenceClassification(options.specs[0], trace, options);
+        const CorpusClassification &got = file.classes;
+        EXPECT_GT(want.hardSites, 0u);
+        EXPECT_EQ(got.easySites, want.easySites);
+        EXPECT_EQ(got.mediumSites, want.mediumSites);
+        EXPECT_EQ(got.hardSites, want.hardSites);
+        EXPECT_EQ(got.coldSites, want.coldSites);
+        EXPECT_EQ(got.hardMispredicts, want.hardMispredicts);
+        EXPECT_EQ(got.totalMispredicts, want.totalMispredicts);
+        ASSERT_EQ(got.hardest.size(), want.hardest.size());
+        for (std::size_t i = 0; i < want.hardest.size(); ++i) {
+            EXPECT_EQ(got.hardest[i].pc, want.hardest[i].pc);
+            EXPECT_EQ(got.hardest[i].branches,
+                      want.hardest[i].branches);
+            EXPECT_EQ(got.hardest[i].mispredicts,
+                      want.hardest[i].mispredicts);
+            EXPECT_EQ(got.hardest[i].klass, want.hardest[i].klass);
+        }
+        // Warmup mispredicts are in the tallies, not in the score.
+        EXPECT_GT(want.totalMispredicts, file.results[0].mispredicts);
+    }
 }
 
 TEST(Corpus, CorruptFileIsIsolated)
