@@ -1,5 +1,7 @@
 #include "aliasing/fa_lru_table.hh"
 
+#include <string>
+
 #include "support/logging.hh"
 #include "support/serialize.hh"
 
@@ -9,51 +11,75 @@ namespace bpred
 FullyAssociativeLruTable::FullyAssociativeLruTable(u64 capacity)
     : capacity_(capacity)
 {
-    assert(capacity > 0);
-    entries.reserve(capacity);
+    if (capacity == 0 || capacity >= none) {
+        fatal("fa-lru table: capacity must be in [1, 2^32 - 2], got " +
+              std::to_string(capacity));
+    }
 }
 
 const u8 *
 FullyAssociativeLruTable::peek(u64 key) const
 {
-    const auto it = entries.find(key);
-    return it == entries.end() ? nullptr : &it->second->payload;
+    const u32 *node = index.find(key);
+    return node == nullptr ? nullptr : &payloads[*node];
+}
+
+void
+FullyAssociativeLruTable::unlink(u32 n)
+{
+    const Node &node = nodes[n];
+    (node.prev == none ? mru : nodes[node.prev].next) = node.next;
+    (node.next == none ? lru : nodes[node.next].prev) = node.prev;
+}
+
+void
+FullyAssociativeLruTable::pushFront(u32 n)
+{
+    nodes[n].prev = none;
+    nodes[n].next = mru;
+    (mru == none ? lru : nodes[mru].prev) = n;
+    mru = n;
 }
 
 u8 *
 FullyAssociativeLruTable::access(u64 key, u8 initial)
 {
-    const auto it = entries.find(key);
-    if (it != entries.end()) {
+    if (const u32 *node = index.find(key)) {
         misses.sample(false);
-        // Move to MRU.
-        lruList.splice(lruList.begin(), lruList, it->second);
-        return &it->second->payload;
+        const u32 n = *node;
+        if (n != mru) {
+            unlink(n);
+            pushFront(n);
+        }
+        return &payloads[n];
     }
 
     misses.sample(true);
-    if (entries.size() >= capacity_) {
-        entries.erase(lruList.back().key);
-        lruList.pop_back();
+    u32 n;
+    if (nodes.size() < capacity_) {
+        n = static_cast<u32>(nodes.size());
+        nodes.push_back({key, none, none});
+        payloads.push_back(initial);
+    } else {
+        // Full: the LRU node takes the new key.
+        n = lru;
+        index.erase(nodes[n].key);
+        unlink(n);
+        nodes[n].key = key;
+        payloads[n] = initial;
     }
-    lruList.push_front({key, initial});
-    entries.emplace(key, lruList.begin());
+    index.at(key) = n;
+    pushFront(n);
     return nullptr;
-}
-
-void
-FullyAssociativeLruTable::setPayload(u64 key, u8 payload)
-{
-    const auto it = entries.find(key);
-    assert(it != entries.end());
-    it->second->payload = payload;
 }
 
 void
 FullyAssociativeLruTable::reset()
 {
-    lruList.clear();
-    entries.clear();
+    nodes.clear();
+    payloads.clear();
+    index.clear();
+    mru = lru = none;
     misses.reset();
 }
 
@@ -61,10 +87,10 @@ void
 FullyAssociativeLruTable::saveState(std::ostream &os) const
 {
     putU64(os, capacity_);
-    putU64(os, lruList.size());
-    for (const Entry &entry : lruList) {
-        putU64(os, entry.key);
-        putU8(os, entry.payload);
+    putU64(os, nodes.size());
+    for (u32 n = mru; n != none; n = nodes[n].next) {
+        putU64(os, nodes[n].key);
+        putU8(os, payloads[n]);
     }
     putU64(os, misses.events());
     putU64(os, misses.total());
@@ -83,24 +109,33 @@ FullyAssociativeLruTable::loadState(std::istream &is)
     if (count > capacity_) {
         fatal("fa-lru snapshot: entry count exceeds capacity");
     }
-    std::list<Entry> restored;
-    std::unordered_map<u64, std::list<Entry>::iterator> index;
-    index.reserve(static_cast<std::size_t>(count));
+    // Stored MRU first: node i links to i - 1 and i + 1.
+    std::vector<Node> restored;
+    std::vector<u8> restored_payloads;
+    FlatTable<u32> restored_index;
     for (u64 i = 0; i < count; ++i) {
         const u64 key = getU64(is);
         const u8 payload = getU8(is);
-        restored.push_back({key, payload});
-        if (!index.emplace(key, std::prev(restored.end())).second) {
+        const u32 n = static_cast<u32>(i);
+        auto [slot, inserted] = restored_index.tryEmplace(key);
+        if (!inserted) {
             fatal("fa-lru snapshot: duplicate key");
         }
+        slot = n;
+        restored.push_back(
+            {key, n == 0 ? none : n - 1, i + 1 == count ? none : n + 1});
+        restored_payloads.push_back(payload);
     }
     const u64 miss_events = getU64(is);
     const u64 miss_total = getU64(is);
     if (miss_events > miss_total) {
         fatal("fa-lru snapshot: inconsistent miss tallies");
     }
-    lruList = std::move(restored);
-    entries = std::move(index);
+    nodes = std::move(restored);
+    payloads = std::move(restored_payloads);
+    index = std::move(restored_index);
+    mru = count == 0 ? none : 0;
+    lru = count == 0 ? none : static_cast<u32>(count - 1);
     misses.restore(miss_events, miss_total);
 }
 

@@ -10,11 +10,11 @@
 
 #pragma once
 
-#include <cassert>
 #include <iosfwd>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
+#include "support/check.hh"
+#include "support/site_table.hh"
 #include "support/stats.hh"
 #include "support/types.hh"
 
@@ -29,7 +29,11 @@ namespace bpred
 class FullyAssociativeLruTable
 {
   public:
-    /** @param capacity Maximum number of resident entries (> 0). */
+    /**
+     * @param capacity Maximum number of resident entries (> 0).
+     * @throws FatalError when @p capacity does not fit a u32 node
+     *         index.
+     */
     explicit FullyAssociativeLruTable(u64 capacity);
 
     /**
@@ -47,14 +51,21 @@ class FullyAssociativeLruTable
      */
     u8 *access(u64 key, u8 initial = 0);
 
-    /** Update the payload of a resident key (asserts residency). */
-    void setPayload(u64 key, u8 payload);
+    /** Update the payload of a resident key. */
+    void
+    setPayload(u64 key, u8 payload)
+    {
+        const u32 *node = index.find(key);
+        BP_CHECK(node != nullptr, "fa-lru setPayload on a key that "
+                                  "is not resident");
+        payloads[*node] = payload;
+    }
 
     /** Maximum entries. */
     u64 capacity() const { return capacity_; }
 
     /** Current resident entries. */
-    u64 size() const { return entries.size(); }
+    u64 size() const { return nodes.size(); }
 
     /** Miss ratio statistics over all access() calls. */
     const RatioStat &missStat() const { return misses; }
@@ -81,15 +92,36 @@ class FullyAssociativeLruTable
     void loadState(std::istream &is);
 
   private:
-    struct Entry
+    /** Marks the end of the recency list. */
+    static constexpr u32 none = ~u32(0);
+
+    /** One resident entry, linked MRU -> LRU by node index. */
+    struct Node
     {
         u64 key;
-        u8 payload;
+        u32 prev;
+        u32 next;
     };
 
-    /** MRU at front, LRU at back. */
-    std::list<Entry> lruList;
-    std::unordered_map<u64, std::list<Entry>::iterator> entries;
+    /** Detach node @p n from the recency list. */
+    void unlink(u32 n);
+
+    /** Make node @p n the MRU entry. */
+    void pushFront(u32 n);
+
+    /**
+     * Resident entries. Nodes are appended until the table is full;
+     * after that the LRU node is reused for each new key.
+     */
+    std::vector<Node> nodes;
+
+    /** Per-node payload, apart so the recency walk skips it. */
+    std::vector<u8> payloads;
+
+    /** Key -> index into nodes. */
+    FlatTable<u32> index;
+    u32 mru = none;
+    u32 lru = none;
     RatioStat misses;
     u64 capacity_;
 };

@@ -35,14 +35,11 @@ FaLruPredictor::predict(Addr pc)
 void
 FaLruPredictor::update(Addr pc, bool taken)
 {
-    const u64 key = keyOf(pc);
-    u8 *payload = table.access(key);
-    if (payload == nullptr) {
-        // Fresh entry: initialize strongly toward the outcome.
-        SatCounter counter(counterBits);
-        counter.setStrong(taken);
-        table.setPayload(key, counter.value());
-    } else {
+    // A fresh entry starts strongly toward the outcome.
+    SatCounter fresh(counterBits);
+    fresh.setStrong(taken);
+    u8 *payload = table.access(keyOf(pc), fresh.value());
+    if (payload != nullptr) {
         SatCounter counter(counterBits, *payload);
         counter.update(taken);
         *payload = counter.value();

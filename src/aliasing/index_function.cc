@@ -8,15 +8,9 @@ namespace bpred
 {
 
 u64
-IndexFunction::operator()(Addr pc, History history) const
+IndexFunction::skewed(Addr pc, History history) const
 {
     switch (kind) {
-      case IndexKind::GShare:
-        return gshareIndex(pc, history, historyBits, indexBits);
-      case IndexKind::GSelect:
-        return gselectIndex(pc, history, historyBits, indexBits);
-      case IndexKind::Address:
-        return addressIndex(pc, indexBits);
       case IndexKind::Skew0:
       case IndexKind::Skew1:
       case IndexKind::Skew2: {

@@ -12,6 +12,7 @@
 
 #include <string>
 
+#include "predictors/info_vector.hh"
 #include "support/types.hh"
 
 namespace bpred
@@ -43,10 +44,27 @@ struct IndexFunction
     unsigned historyBits = 4;
 
     /** Compute the table index for (@p pc, @p history). */
-    u64 operator()(Addr pc, History history) const;
+    u64
+    operator()(Addr pc, History history) const
+    {
+        switch (kind) {
+          case IndexKind::GShare:
+            return gshareIndex(pc, history, historyBits, indexBits);
+          case IndexKind::GSelect:
+            return gselectIndex(pc, history, historyBits, indexBits);
+          case IndexKind::Address:
+            return addressIndex(pc, indexBits);
+          default:
+            return skewed(pc, history);
+        }
+    }
 
     /** Human-readable name, e.g. "gshare/10/h4". */
     std::string name() const;
+
+  private:
+    /** The skew kinds: one bank of the skewing functions. */
+    u64 skewed(Addr pc, History history) const;
 };
 
 } // namespace bpred

@@ -1,10 +1,9 @@
 #include "aliasing/interference.hh"
 
-#include <unordered_map>
-
 #include "aliasing/tagged_table.hh"
 #include "predictors/history.hh"
 #include "predictors/info_vector.hh"
+#include "support/site_table.hh"
 
 namespace bpred
 {
@@ -33,7 +32,7 @@ classifyInterference(const Trace &trace, const IndexFunction &function,
 {
     SatCounterArray table(u64(1) << function.indexBits, counter_bits);
     TaggedDirectMappedTable shadow(function.indexBits);
-    std::unordered_map<u64, SatCounter> twins;
+    FlatTable<SatCounter> twins;
     GlobalHistory history;
     RatioStat mispredicts;
     InterferenceResult result;
@@ -50,15 +49,15 @@ classifyInterference(const Trace &trace, const IndexFunction &function,
         const u64 index = function(record.pc, history.raw());
 
         const bool real_prediction = table.predictTaken(index);
-        auto [twin_it, is_new] =
-            twins.try_emplace(key, SatCounter(counter_bits));
+        auto [twin, is_new] = twins.tryEmplace(key);
         if (is_new) {
             // First encounter: the twin is seeded with the outcome
             // (the unaliased-predictor convention); the reference
             // itself is compulsory, not interference.
-            twin_it->second.setStrong(record.taken);
+            twin = SatCounter(counter_bits);
+            twin.setStrong(record.taken);
         }
-        const bool twin_prediction = twin_it->second.predictTaken();
+        const bool twin_prediction = twin.predictTaken();
 
         const auto outcome = shadow.probe(index, key);
         if (is_new) {
@@ -80,7 +79,7 @@ classifyInterference(const Trace &trace, const IndexFunction &function,
         mispredicts.sample(real_prediction != record.taken);
         table.update(index, record.taken);
         if (!is_new) {
-            twin_it->second.update(record.taken);
+            twin.update(record.taken);
         }
         history.shiftIn(record.taken);
     }

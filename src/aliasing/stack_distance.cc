@@ -23,10 +23,7 @@ StackDistanceTracker::growTo(u64 position)
     // Every resident mark is the most-recent timestamp of some key
     // in lastUse, so the tree can be rebuilt directly from the map.
     tree.assign(new_size, 0);
-    for (const auto &[key, time] : lastUse) {
-        (void)key;
-        fenwickAdd(time, +1);
-    }
+    lastUse.forEach([this](u64, u64 time) { fenwickAdd(time, +1); });
 }
 
 void
@@ -54,20 +51,17 @@ StackDistanceTracker::reference(u64 key)
     ++clock;
     growTo(clock);
 
-    const auto it = lastUse.find(key);
+    auto [last, first_reference] = lastUse.tryEmplace(key);
     u64 distance = infiniteDistance;
-    if (it != lastUse.end()) {
-        const u64 previous = it->second;
-        // Distinct keys referenced strictly after `previous`: one
-        // mark per resident key, minus those at or before it.
+    if (!first_reference) {
+        // Distinct keys referenced strictly after `last`: one mark
+        // per resident key, minus those at or before it.
         const i64 resident = static_cast<i64>(lastUse.size());
-        const i64 at_or_before = fenwickPrefixSum(previous);
+        const i64 at_or_before = fenwickPrefixSum(last);
         distance = static_cast<u64>(resident - at_or_before);
-        fenwickAdd(previous, -1);
-        it->second = clock;
-    } else {
-        lastUse.emplace(key, clock);
+        fenwickAdd(last, -1);
     }
+    last = clock;
     fenwickAdd(clock, +1);
     return distance;
 }

@@ -11,9 +11,9 @@
 
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
+#include "support/site_table.hh"
 #include "support/types.hh"
 
 namespace bpred
@@ -61,7 +61,9 @@ class StackDistanceTracker
 
     /** Fenwick tree, 1-indexed. */
     std::vector<i64> tree;
-    std::unordered_map<u64, u64> lastUse;
+
+    /** Key -> timestamp of its most recent reference. */
+    FlatTable<u64> lastUse;
     u64 clock = 0;
 };
 

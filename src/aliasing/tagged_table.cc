@@ -1,5 +1,6 @@
 #include "aliasing/tagged_table.hh"
 
+#include <algorithm>
 #include <cassert>
 
 namespace bpred
@@ -7,39 +8,17 @@ namespace bpred
 
 TaggedDirectMappedTable::TaggedDirectMappedTable(unsigned index_bits)
     : tags(u64(1) << index_bits, 0),
-      valid(u64(1) << index_bits, false),
+      valid(u64(1) << index_bits, 0),
       indexBits(index_bits)
 {
     assert(index_bits >= 1 && index_bits <= 28);
-}
-
-bool
-TaggedDirectMappedTable::access(u64 index, u64 key)
-{
-    return probe(index, key) != Outcome::Hit;
-}
-
-TaggedDirectMappedTable::Outcome
-TaggedDirectMappedTable::probe(u64 index, u64 key)
-{
-    assert(index < tags.size());
-    Outcome outcome = Outcome::Hit;
-    if (!valid[index]) {
-        outcome = Outcome::Cold;
-    } else if (tags[index] != key) {
-        outcome = Outcome::Conflict;
-    }
-    tags[index] = key;
-    valid[index] = true;
-    aliasStat.sample(outcome != Outcome::Hit);
-    return outcome;
 }
 
 void
 TaggedDirectMappedTable::reset()
 {
     std::fill(tags.begin(), tags.end(), 0);
-    std::fill(valid.begin(), valid.end(), false);
+    std::fill(valid.begin(), valid.end(), 0);
     aliasStat.reset();
 }
 

@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "support/check.hh"
 #include "support/stats.hh"
 #include "support/types.hh"
 
@@ -45,13 +46,31 @@ class TaggedDirectMappedTable
      * @return true when this reference aliased (miss): the entry was
      *         empty or held a different identity.
      */
-    bool access(u64 index, u64 key);
+    bool
+    access(u64 index, u64 key)
+    {
+        return probe(index, key) != Outcome::Hit;
+    }
 
     /**
      * As access(), but distinguishing a cold (first-touch) entry
      * from a genuine identity conflict.
      */
-    Outcome probe(u64 index, u64 key);
+    Outcome
+    probe(u64 index, u64 key)
+    {
+        BP_DCHECK(index < tags.size(), "tagged-table index out of range");
+        Outcome outcome = Outcome::Hit;
+        if (!valid[index]) {
+            outcome = Outcome::Cold;
+        } else if (tags[index] != key) {
+            outcome = Outcome::Conflict;
+        }
+        tags[index] = key;
+        valid[index] = 1;
+        aliasStat.sample(outcome != Outcome::Hit);
+        return outcome;
+    }
 
     /** Number of entries. */
     u64 size() const { return u64(1) << indexBits; }
@@ -64,7 +83,8 @@ class TaggedDirectMappedTable
 
   private:
     std::vector<u64> tags;
-    std::vector<bool> valid;
+    /** One byte per entry: nonzero once the entry was referenced. */
+    std::vector<u8> valid;
     RatioStat aliasStat;
     unsigned indexBits;
 };

@@ -1,12 +1,11 @@
 #include "aliasing/three_c.hh"
 
-#include <unordered_set>
-
 #include "aliasing/fa_lru_table.hh"
 #include "aliasing/tagged_table.hh"
 #include "predictors/history.hh"
 #include "predictors/info_vector.hh"
 #include "support/logging.hh"
+#include "support/site_table.hh"
 
 namespace bpred
 {
@@ -43,7 +42,7 @@ measureThreeCsMulti(const Trace &trace,
     }
 
     FullyAssociativeLruTable fa_table(fa_entries);
-    std::unordered_set<u64> seen;
+    FlatTable<NoValue> seen;
     GlobalHistory history;
     u64 dynamic_branches = 0;
     u64 compulsory = 0;
@@ -61,9 +60,10 @@ measureThreeCsMulti(const Trace &trace,
             const u64 index = functions[i](record.pc, history.raw());
             dm_tables[i].access(index, key);
         }
-        fa_table.access(key);
-        if (seen.insert(key).second) {
-            ++compulsory;
+        // A first reference always misses the FA table, so only
+        // its misses need the first-reference set.
+        if (fa_table.access(key) == nullptr) {
+            compulsory += seen.tryEmplace(key).second ? 1 : 0;
         }
         history.shiftIn(record.taken);
     }

@@ -25,6 +25,8 @@ SharedHysteresisSkewedPredictor::SharedHysteresisSkewedPredictor(
         fatal("gskewed-sh: the shared-hysteresis encoding splits "
               "2-bit counters; counterBits must be 2");
     }
+    // bp_lint: allow(reserve-untrusted): the constructor's bank
+    // count, checked against the skewing family above.
     banks.resize(config.numBanks);
     const u64 entries = u64(1) << config.bankIndexBits;
     for (Bank &bank : banks) {

@@ -31,6 +31,8 @@ SkewedLocalPredictor::SkewedLocalPredictor(unsigned bht_index_bits,
     if (local_history_bits < 1 || local_history_bits > 16) {
         fatal("pskew: local history length out of range");
     }
+    // bp_lint: allow(reserve-untrusted): the constructor's bank
+    // count, checked against the skewing family above.
     banks.reserve(num_banks);
     for (unsigned bank = 0; bank < num_banks; ++bank) {
         banks.emplace_back(u64(1) << bank_index_bits, counter_bits);

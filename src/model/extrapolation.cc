@@ -1,12 +1,11 @@
 #include "model/extrapolation.hh"
 
-#include <unordered_map>
-
 #include "aliasing/stack_distance.hh"
 #include "model/formulas.hh"
 #include "predictors/history.hh"
 #include "predictors/info_vector.hh"
 #include "predictors/unaliased.hh"
+#include "support/site_table.hh"
 
 namespace bpred
 {
@@ -21,7 +20,7 @@ measureModelInputs(const Trace &trace, unsigned history_bits)
         u64 taken = 0;
         u64 total = 0;
     };
-    std::unordered_map<u64, PairCounts> pairs;
+    FlatTable<PairCounts> pairs;
     UnaliasedPredictor unaliased(history_bits, 1);
     GlobalHistory history;
     u64 dynamic_branches = 0;
@@ -35,7 +34,7 @@ measureModelInputs(const Trace &trace, unsigned history_bits)
         ++dynamic_branches;
         const u64 key =
             packInfoVector(record.pc, history.raw(), history_bits);
-        PairCounts &counts = pairs[key];
+        PairCounts &counts = pairs.at(key);
         ++counts.total;
         if (record.taken) {
             ++counts.taken;
@@ -46,12 +45,9 @@ measureModelInputs(const Trace &trace, unsigned history_bits)
     }
 
     u64 biased_taken = 0;
-    for (const auto &[key, counts] : pairs) {
-        (void)key;
-        if (2 * counts.taken >= counts.total) {
-            ++biased_taken;
-        }
-    }
+    pairs.forEach([&](u64, const PairCounts &counts) {
+        biased_taken += 2 * counts.taken >= counts.total ? 1 : 0;
+    });
 
     TraceModelInputs inputs;
     inputs.biasTaken = pairs.empty()

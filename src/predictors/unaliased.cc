@@ -26,11 +26,11 @@ UnaliasedPredictor::keyOf(Addr pc) const
 bool
 UnaliasedPredictor::predict(Addr pc)
 {
-    const auto it = counters.find(keyOf(pc));
-    lastWasCold = it == counters.end();
+    const SatCounter *counter = counters.find(keyOf(pc));
+    lastWasCold = counter == nullptr;
     // Cold entries have no information; predict taken (the static
     // fallback), but the miss will not be charged as a misprediction.
-    lastPrediction = lastWasCold ? true : it->second.predictTaken();
+    lastPrediction = lastWasCold ? true : counter->predictTaken();
     lastPredictionValid = true;
     return lastPrediction;
 }
@@ -41,23 +41,23 @@ UnaliasedPredictor::update(Addr pc, bool taken)
     const u64 key = keyOf(pc);
     if (!lastPredictionValid) {
         // update() without a paired predict(): recompute.
-        const auto it = counters.find(key);
-        lastWasCold = it == counters.end();
-        lastPrediction = lastWasCold ? true : it->second.predictTaken();
+        const SatCounter *counter = counters.find(key);
+        lastWasCold = counter == nullptr;
+        lastPrediction = lastWasCold ? true : counter->predictTaken();
     }
     lastPredictionValid = false;
 
     ++dynamicCount;
-    staticBranches.insert(pc);
+    staticBranches.at(pc);
 
+    SatCounter &counter = counters.at(key);
     if (lastWasCold) {
         ++compulsoryCount;
-        SatCounter counter(counterBits);
+        counter = SatCounter(counterBits);
         counter.setStrong(taken);
-        counters.emplace(key, counter);
     } else {
         warmMispredicts.sample(lastPrediction != taken);
-        counters.find(key)->second.update(taken);
+        counter.update(taken);
     }
     history.shiftIn(taken);
 }
@@ -97,10 +97,12 @@ void
 UnaliasedPredictor::saveState(std::ostream &os) const
 {
     std::vector<std::pair<u64, u8>> sorted_counters;
+    // bp_lint: allow(reserve-untrusted): sized by this predictor's
+    // own in-memory table, not by any decoded field.
     sorted_counters.reserve(counters.size());
-    for (const auto &[key, counter] : counters) {
+    counters.forEach([&](u64 key, const SatCounter &counter) {
         sorted_counters.emplace_back(key, counter.value());
-    }
+    });
     std::sort(sorted_counters.begin(), sorted_counters.end());
     putU64(os, sorted_counters.size());
     for (const auto &[key, value] : sorted_counters) {
@@ -108,8 +110,11 @@ UnaliasedPredictor::saveState(std::ostream &os) const
         putU8(os, value);
     }
 
-    std::vector<Addr> sorted_branches(staticBranches.begin(),
-                                      staticBranches.end());
+    std::vector<Addr> sorted_branches;
+    // bp_lint: allow(reserve-untrusted): as above, an in-memory size.
+    sorted_branches.reserve(staticBranches.size());
+    staticBranches.forEach(
+        [&](Addr pc, NoValue) { sorted_branches.push_back(pc); });
     std::sort(sorted_branches.begin(), sorted_branches.end());
     putU64(os, sorted_branches.size());
     for (const Addr pc : sorted_branches) {
@@ -127,9 +132,9 @@ void
 UnaliasedPredictor::loadState(std::istream &is)
 {
     const u64 counter_count = getU64(is);
-    std::unordered_map<u64, SatCounter> restored_counters;
-    restored_counters.reserve(
-        static_cast<std::size_t>(counter_count));
+    // No reserve: counter_count is untrusted, so the table grows
+    // only as entries actually arrive (truncation stops the loop).
+    FlatTable<SatCounter> restored_counters;
     for (u64 i = 0; i < counter_count; ++i) {
         const u64 key = getU64(is);
         const u8 value = getU8(is);
@@ -137,20 +142,17 @@ UnaliasedPredictor::loadState(std::istream &is)
             fatal("unaliased snapshot: counter value exceeds " +
                   std::to_string(counterBits) + " bits");
         }
-        const bool inserted =
-            restored_counters.emplace(key, SatCounter(counterBits, value))
-                .second;
+        auto [counter, inserted] = restored_counters.tryEmplace(key);
         if (!inserted) {
             fatal("unaliased snapshot: duplicate counter key");
         }
+        counter = SatCounter(counterBits, value);
     }
 
     const u64 branch_count = getU64(is);
-    std::unordered_set<Addr> restored_branches;
-    restored_branches.reserve(
-        static_cast<std::size_t>(branch_count));
+    FlatTable<NoValue> restored_branches;
     for (u64 i = 0; i < branch_count; ++i) {
-        if (!restored_branches.insert(getU64(is)).second) {
+        if (!restored_branches.tryEmplace(getU64(is)).second) {
             fatal("unaliased snapshot: duplicate branch address");
         }
     }

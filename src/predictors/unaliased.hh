@@ -6,12 +6,10 @@
 
 #pragma once
 
-#include <unordered_map>
-#include <unordered_set>
-
 #include "predictors/history.hh"
 #include "predictors/predictor.hh"
 #include "support/sat_counter.hh"
+#include "support/site_table.hh"
 #include "support/stats.hh"
 
 namespace bpred
@@ -90,8 +88,8 @@ class UnaliasedPredictor : public Predictor
   private:
     u64 keyOf(Addr pc) const;
 
-    std::unordered_map<u64, SatCounter> counters;
-    std::unordered_set<Addr> staticBranches;
+    FlatTable<SatCounter> counters;
+    FlatTable<NoValue> staticBranches;
     GlobalHistory history;
     RatioStat warmMispredicts;
     u64 dynamicCount = 0;

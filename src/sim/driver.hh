@@ -10,6 +10,7 @@
 
 #include "predictors/predictor.hh"
 #include "support/json.hh"
+#include "support/site_table.hh"
 #include "support/simd.hh"
 #include "trace/trace.hh"
 
@@ -17,7 +18,6 @@ namespace bpred
 {
 
 class ProbeSink;
-class SiteTable;
 class StatRegistry;
 
 /** One fixed-size window of the misprediction time series. */

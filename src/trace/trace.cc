@@ -1,6 +1,6 @@
 #include "trace/trace.hh"
 
-#include <unordered_set>
+#include "support/site_table.hh"
 
 namespace bpred
 {
@@ -27,18 +27,18 @@ TraceStats
 computeTraceStats(const Trace &trace)
 {
     TraceStats stats;
-    std::unordered_set<Addr> cond_sites;
-    std::unordered_set<Addr> uncond_sites;
+    FlatTable<NoValue> cond_sites;
+    FlatTable<NoValue> uncond_sites;
     for (const BranchRecord &record : trace) {
         if (record.conditional) {
             ++stats.dynamicConditional;
             if (record.taken) {
                 ++stats.takenConditional;
             }
-            cond_sites.insert(record.pc);
+            cond_sites.at(record.pc);
         } else {
             ++stats.dynamicUnconditional;
-            uncond_sites.insert(record.pc);
+            uncond_sites.at(record.pc);
         }
     }
     stats.staticConditional = cond_sites.size();

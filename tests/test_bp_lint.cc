@@ -107,17 +107,21 @@ TEST(BpLint, AllocUntrustedIsFlagged)
 {
     const auto findings =
         lintWith("alloc_untrusted", "alloc-untrusted");
-    ASSERT_EQ(findings.size(), 2u);
+    ASSERT_EQ(findings.size(), 3u);
 
-    // The annotated reserve()/resize() in both files stay silent;
-    // only the unjustified ones in the trace layer and the corpus
-    // runner are flagged.
-    EXPECT_EQ(findings[0].file, "src/sim/corpus.cc");
-    EXPECT_EQ(findings[0].line, 9u);
-    EXPECT_TRUE(mentions(findings[0], "resize"));
-    EXPECT_EQ(findings[1].file, "src/trace/decode.cc");
+    // The annotated reserve()/resize() calls stay silent, and so
+    // does plain.cc, which decodes nothing; only the unjustified
+    // ones in a snapshot decoder, the corpus runner and the trace
+    // layer are flagged.
+    EXPECT_EQ(findings[0].file, "src/predictors/snapshot.cc");
+    EXPECT_EQ(findings[0].line, 18u);
+    EXPECT_TRUE(mentions(findings[0], "reserve"));
+    EXPECT_EQ(findings[1].file, "src/sim/corpus.cc");
     EXPECT_EQ(findings[1].line, 9u);
-    EXPECT_TRUE(mentions(findings[1], "reserve"));
+    EXPECT_TRUE(mentions(findings[1], "resize"));
+    EXPECT_EQ(findings[2].file, "src/trace/decode.cc");
+    EXPECT_EQ(findings[2].line, 9u);
+    EXPECT_TRUE(mentions(findings[2], "reserve"));
 }
 
 TEST(BpLint, DeprecatedCallOutsideTestsIsFlagged)

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include "aliasing/fa_lru_table.hh"
+#include "aliasing/tagged_table.hh"
 #include "predictors/block_kernel_simd.hh"
 #include "predictors/history.hh"
 #include "predictors/info_vector.hh"
@@ -131,6 +133,24 @@ TEST(PhaseSplitDeathTest, IndexMismatchAborts)
                                     [](std::size_t) { return u64(7); }),
                  "precomputed index diverged");
     EXPECT_DEATH(noteIndexRepair(), "fill-kernel bug");
+}
+
+TEST(CheckedAliasingTables, MisuseFailsLoudly)
+{
+    // Setting the payload of a key that is not resident used to
+    // dereference a missing entry once assert() compiled out.
+    FullyAssociativeLruTable fa(2);
+    fa.access(1, 0);
+    fa.setPayload(1, 3);
+    EXPECT_EQ(*fa.peek(1), 3);
+    EXPECT_DEATH(fa.setPayload(2, 1), "not resident");
+
+    TaggedDirectMappedTable tagged(4);
+    EXPECT_EQ(tagged.probe(15, 7), TaggedDirectMappedTable::Outcome::Cold);
+#ifndef NDEBUG
+    // probe() is per reference, so its range check is a BP_DCHECK.
+    EXPECT_DEATH(tagged.probe(16, 7), "tagged-table index out of range");
+#endif
 }
 
 } // namespace

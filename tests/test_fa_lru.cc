@@ -5,7 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <sstream>
+#include <vector>
+
 #include "aliasing/fa_lru_table.hh"
+#include "support/logging.hh"
+#include "support/rng.hh"
+#include "support/serialize.hh"
 
 namespace bpred
 {
@@ -129,6 +137,153 @@ TEST(FaLru, LongSequenceConsistency)
     }
     EXPECT_GT(table.missStat().events(), 0u);
     EXPECT_LT(table.missStat().ratio(), 1.0);
+}
+
+/**
+ * The obvious O(capacity) LRU: a vector ordered MRU first. The
+ * oracle for the flat table's linked nodes.
+ */
+class NaiveLru
+{
+  public:
+    explicit NaiveLru(std::size_t capacity) : capacity(capacity) {}
+
+    /** As FullyAssociativeLruTable::access: payload on hit, else null. */
+    u8 *
+    access(u64 key, u8 initial)
+    {
+        ++total;
+        const auto it = std::find_if(
+            entries.begin(), entries.end(),
+            [key](const Entry &entry) { return entry.key == key; });
+        if (it != entries.end()) {
+            std::rotate(entries.begin(), it, it + 1);
+            return &entries.front().payload;
+        }
+        ++missCount;
+        if (entries.size() == capacity) {
+            entries.pop_back();
+        }
+        entries.insert(entries.begin(), {key, initial});
+        return nullptr;
+    }
+
+    /** The saveState() bytes the real table must produce. */
+    std::string
+    snapshot() const
+    {
+        std::ostringstream os;
+        putU64(os, capacity);
+        putU64(os, entries.size());
+        for (const Entry &entry : entries) {
+            putU64(os, entry.key);
+            putU8(os, entry.payload);
+        }
+        putU64(os, missCount);
+        putU64(os, total);
+        return os.str();
+    }
+
+  private:
+    struct Entry
+    {
+        u64 key;
+        u8 payload;
+    };
+
+    std::vector<Entry> entries;
+    std::size_t capacity;
+    u64 missCount = 0;
+    u64 total = 0;
+};
+
+std::string
+snapshotOf(const FullyAssociativeLruTable &table)
+{
+    std::ostringstream os;
+    table.saveState(os);
+    return os.str();
+}
+
+TEST(FaLru, MatchesNaiveLruAcrossSnapshotRoundTrip)
+{
+    // Random streams over key ranges smaller and larger than the
+    // capacity, with 0 and the all-ones key mixed in. Halfway, the
+    // table is saved and restored into a fresh one, which carries
+    // on; hits, misses, payloads and snapshot bytes must track the
+    // naive oracle throughout.
+    for (const u64 capacity : {1u, 2u, 3u, 7u, 64u, 300u}) {
+        for (const u64 keys : {capacity / 2 + 1, capacity * 2, 4096ul}) {
+            Rng rng(capacity * 1000 + keys);
+            NaiveLru oracle(capacity);
+            auto table = std::make_unique<FullyAssociativeLruTable>(
+                capacity);
+            constexpr int steps = 6000;
+            for (int i = 0; i < steps; ++i) {
+                if (i == steps / 2) {
+                    const std::string bytes = snapshotOf(*table);
+                    ASSERT_EQ(bytes, oracle.snapshot());
+                    auto restored =
+                        std::make_unique<FullyAssociativeLruTable>(
+                            capacity);
+                    std::istringstream is(bytes);
+                    restored->loadState(is);
+                    ASSERT_EQ(snapshotOf(*restored), bytes);
+                    table = std::move(restored);
+                }
+                u64 key = rng.uniformInt(keys);
+                if (rng.chance(0.01)) {
+                    key = rng.chance(0.5) ? 0 : ~u64(0);
+                }
+                const u8 initial = static_cast<u8>(i);
+                u8 *got = table->access(key, initial);
+                u8 *want = oracle.access(key, initial);
+                ASSERT_EQ(got == nullptr, want == nullptr)
+                    << "capacity " << capacity << " step " << i;
+                if (got != nullptr) {
+                    ASSERT_EQ(*got, *want);
+                    *got = *want = static_cast<u8>(*got + 1);
+                }
+                ASSERT_NE(table->peek(key), nullptr);
+                ASSERT_LE(table->size(), capacity);
+            }
+            EXPECT_EQ(snapshotOf(*table), oracle.snapshot());
+        }
+    }
+}
+
+TEST(FaLru, RejectsCapacityOutsideNodeIndexRange)
+{
+    EXPECT_THROW(FullyAssociativeLruTable(0), FatalError);
+    EXPECT_THROW(FullyAssociativeLruTable(u64(1) << 32), FatalError);
+}
+
+TEST(FaLru, LoadStateRejectsCorruptSnapshots)
+{
+    FullyAssociativeLruTable table(4);
+    table.access(1, 1);
+    table.access(2, 2);
+    const std::string good = snapshotOf(table);
+
+    const auto load = [](const std::string &bytes) {
+        FullyAssociativeLruTable target(4);
+        std::istringstream is(bytes);
+        target.loadState(is);
+    };
+    EXPECT_NO_THROW(load(good));
+    // Bytes 8..15 hold the entry count; 16..24 the MRU entry.
+    std::string inflated = good;
+    inflated[8 + 6] = 1;
+    EXPECT_THROW(load(inflated), FatalError);
+    std::string duplicate = good;
+    for (int b = 0; b < 8; ++b) {
+        duplicate[25 + b] = duplicate[16 + b];
+    }
+    EXPECT_THROW(load(duplicate), FatalError);
+    EXPECT_THROW(load(good.substr(0, good.size() - 1)), FatalError);
+    FullyAssociativeLruTable bigger(5);
+    std::istringstream is(good);
+    EXPECT_THROW(bigger.loadState(is), FatalError);
 }
 
 } // namespace

@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "aliasing/three_c.hh"
+#include "model/distance_profile.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
+#include "workloads/presets.hh"
 
 namespace bpred
 {
@@ -190,6 +194,54 @@ TEST(IndexFunctionCall, MatchesUnderlyingFunctions)
         const History h = rng.next();
         EXPECT_LT(gshare(pc, h), 1u << 10);
         EXPECT_LT(address(pc, h), 1u << 10);
+    }
+}
+
+TEST(ThreeCs, FaMissesObeyMattsonInclusion)
+{
+    // The paper's capacity aliasing, by definition: an LRU table of
+    // C entries misses on a reference exactly when it is the first
+    // one to its (address, history) pair or when at least C other
+    // distinct pairs came since its last use. So the flat LRU list
+    // behind measureThreeCsMulti must agree, count for count, with
+    // the independent Fenwick stack-distance tracker, at every
+    // Figure 1 (h=4) and Figure 2 (h=12) capacity.
+    const struct
+    {
+        unsigned historyBits;
+        std::vector<unsigned> sizeBits;
+    } figures[] = {{4, {10, 11, 12, 13, 14, 15, 16}},
+                   {12, {10, 12, 14, 16, 18}}};
+    const auto count = [](double ratio, u64 total) {
+        return static_cast<u64>(
+            std::llround(ratio * static_cast<double>(total)));
+    };
+    for (const std::string &name : ibsBenchmarkNames()) {
+        const Trace trace = makeIbsTrace(name, 0.02);
+        for (const auto &figure : figures) {
+            const DistanceProfile profile =
+                profileDistances(trace, figure.historyBits);
+            for (const unsigned bits : figure.sizeBits) {
+                const u64 capacity = u64(1) << bits;
+                u64 far = 0;
+                for (const auto &[distance, n] :
+                     profile.distances.sorted()) {
+                    far += distance >= capacity ? n : 0;
+                }
+                const ThreeCsResult result = measureThreeCs(
+                    trace,
+                    {IndexKind::GShare, bits, figure.historyBits});
+                const u64 total = result.dynamicBranches;
+                ASSERT_EQ(total, profile.dynamicBranches);
+                EXPECT_EQ(count(result.compulsory, total),
+                          profile.compulsory)
+                    << name << " h" << figure.historyBits;
+                EXPECT_EQ(count(result.faMissRatio, total),
+                          profile.compulsory + far)
+                    << name << " h" << figure.historyBits << " C "
+                    << capacity;
+            }
+        }
     }
 }
 

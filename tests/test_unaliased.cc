@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "predictors/unaliased.hh"
+#include "support/logging.hh"
 
 namespace bpred
 {
@@ -136,6 +139,50 @@ TEST(Unaliased, NameEncodesConfig)
 {
     UnaliasedPredictor predictor(12, 1);
     EXPECT_EQ(predictor.name(), "unaliased-h12-1bit");
+}
+
+/** Overwrite the little-endian u64 at @p offset of @p bytes. */
+void
+pokeU64(std::string &bytes, std::size_t offset, u64 value)
+{
+    for (unsigned i = 0; i < 8; ++i) {
+        bytes[offset + i] = static_cast<char>((value >> (8 * i)) & 0xff);
+    }
+}
+
+TEST(Unaliased, InflatedSnapshotCountsFailAsCorruptInput)
+{
+    // A snapshot's saved counts are untrusted: an inflated count
+    // must be reported as a corrupt snapshot (FatalError), never
+    // turned into a huge allocation.
+    UnaliasedPredictor source(4, 2);
+    for (int i = 0; i < 40; ++i) {
+        const Addr pc = 0x100 + 4 * (i % 5);
+        source.predict(pc);
+        source.update(pc, i % 3 != 0);
+    }
+    std::ostringstream os;
+    source.saveState(os);
+    const std::string good = os.str();
+    const u64 counters = source.numSubstreams();
+    ASSERT_GT(counters, 0u);
+
+    const auto load = [](const std::string &bytes) {
+        UnaliasedPredictor target(4, 2);
+        std::istringstream is(bytes);
+        target.loadState(is);
+    };
+    EXPECT_NO_THROW(load(good));
+
+    // Layout: counter count, then (u64 key, u8 value) per counter,
+    // then the static-branch count.
+    std::string inflated_counters = good;
+    pokeU64(inflated_counters, 0, u64(1) << 58);
+    EXPECT_THROW(load(inflated_counters), FatalError);
+
+    std::string inflated_branches = good;
+    pokeU64(inflated_branches, 8 + 9 * counters, u64(1) << 58);
+    EXPECT_THROW(load(inflated_branches), FatalError);
 }
 
 } // namespace

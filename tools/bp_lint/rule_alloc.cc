@@ -3,11 +3,12 @@
  * Rule "alloc-untrusted": allocation sizing in layers that parse
  * external input.
  *
- * The trace layer (src/trace/) and the corpus runner
- * (src/sim/corpus*) decode counts out of files a user points the
- * tools at. Sizing an allocation straight from such a decoded count
- * is how a corrupt 8-byte header becomes a multi-gigabyte OOM, so
- * every container reserve() or resize() in those files must carry a
+ * The trace layer (src/trace/), the corpus runner (src/sim/corpus*)
+ * and every snapshot decoder (any file defining a `::loadState(`)
+ * decode counts out of bytes a user hands the tools. Sizing an
+ * allocation straight from such a decoded count is how a corrupt
+ * 8-byte header becomes a multi-gigabyte OOM, so every container
+ * reserve() or resize() in those files must carry a
  * `bp_lint: allow(reserve-untrusted)` annotation stating why its
  * count is trusted or bounded (validated against the stream length,
  * clamped to an in-memory size, a caller-chosen constant, ...).
@@ -28,12 +29,25 @@ namespace bplint
 namespace
 {
 
-/** Layers whose allocations size themselves from decoded input. */
+/** Whether @p file defines a snapshot decoder. */
+bool
+definesLoadState(const SourceFile &file)
+{
+    for (const std::string &code : file.code) {
+        if (code.find("::loadState(") != std::string::npos) {
+            return true;
+        }
+    }
+    return false;
+}
+
+/** Files whose allocations may size themselves from decoded input. */
 bool
 parsesUntrustedInput(const SourceFile &file)
 {
     return file.relative.rfind("src/trace/", 0) == 0 ||
-        file.relative.rfind("src/sim/corpus", 0) == 0;
+        file.relative.rfind("src/sim/corpus", 0) == 0 ||
+        definesLoadState(file);
 }
 
 constexpr const char *sizedCalls[] = {".reserve(", ".resize("};

@@ -8,7 +8,7 @@
 namespace bplint
 {
 
-const char *const lintVersion = "2.1.0";
+const char *const lintVersion = "2.2.0";
 
 namespace
 {
