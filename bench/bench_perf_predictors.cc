@@ -276,11 +276,11 @@ simdMatchesScalar(const std::string &spec, const Trace &trace,
         return false;
     }
     if (scalar->supportsSnapshot() && simd->supportsSnapshot()) {
-        std::ostringstream scalarState;
-        std::ostringstream simdState;
-        scalar->saveState(scalarState);
-        simd->saveState(simdState);
-        if (scalarState.str() != simdState.str()) {
+        std::string scalarState;
+        std::string simdState;
+        savePredictorState(*scalar, scalarState);
+        savePredictorState(*simd, simdState);
+        if (scalarState != simdState) {
             std::cout << "[FAIL] " << spec
                       << ": simd predictor state bytes diverged "
                          "from scalar\n";

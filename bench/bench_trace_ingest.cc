@@ -50,6 +50,7 @@
 #include "support/logging.hh"
 #include "support/memmeter.hh"
 #include "support/parse.hh"
+#include "support/serialize.hh"
 #include "trace/adapters.hh"
 #include "trace/mmap_source.hh"
 #include "trace/trace_io.hh"
@@ -146,9 +147,8 @@ fingerprint(const std::string &spec, TraceSource &source)
     print.conditionals = result.conditionals;
     print.mispredicts = result.mispredicts;
     if (predictor->supportsSnapshot()) {
-        std::ostringstream os;
-        predictor->saveState(os);
-        print.snapshot = os.str();
+        ByteWriter out(print.snapshot);
+        predictor->saveState(out);
     }
     return print;
 }

@@ -84,28 +84,28 @@ FullyAssociativeLruTable::reset()
 }
 
 void
-FullyAssociativeLruTable::saveState(std::ostream &os) const
+FullyAssociativeLruTable::saveState(ByteWriter &out) const
 {
-    putU64(os, capacity_);
-    putU64(os, nodes.size());
+    out.putU64(capacity_);
+    out.putU64(nodes.size());
     for (u32 n = mru; n != none; n = nodes[n].next) {
-        putU64(os, nodes[n].key);
-        putU8(os, payloads[n]);
+        out.putU64(nodes[n].key);
+        out.putU8(payloads[n]);
     }
-    putU64(os, misses.events());
-    putU64(os, misses.total());
+    out.putU64(misses.events());
+    out.putU64(misses.total());
 }
 
 void
-FullyAssociativeLruTable::loadState(std::istream &is)
+FullyAssociativeLruTable::loadState(ByteReader &in)
 {
-    const u64 stored_capacity = getU64(is);
+    const u64 stored_capacity = in.getU64();
     if (stored_capacity != capacity_) {
         fatal("fa-lru snapshot: capacity mismatch (stored " +
               std::to_string(stored_capacity) + ", table has " +
               std::to_string(capacity_) + ")");
     }
-    const u64 count = getU64(is);
+    const u64 count = in.getU64();
     if (count > capacity_) {
         fatal("fa-lru snapshot: entry count exceeds capacity");
     }
@@ -114,8 +114,8 @@ FullyAssociativeLruTable::loadState(std::istream &is)
     std::vector<u8> restored_payloads;
     FlatTable<u32> restored_index;
     for (u64 i = 0; i < count; ++i) {
-        const u64 key = getU64(is);
-        const u8 payload = getU8(is);
+        const u64 key = in.getU64();
+        const u8 payload = in.getU8();
         const u32 n = static_cast<u32>(i);
         auto [slot, inserted] = restored_index.tryEmplace(key);
         if (!inserted) {
@@ -126,8 +126,8 @@ FullyAssociativeLruTable::loadState(std::istream &is)
             {key, n == 0 ? none : n - 1, i + 1 == count ? none : n + 1});
         restored_payloads.push_back(payload);
     }
-    const u64 miss_events = getU64(is);
-    const u64 miss_total = getU64(is);
+    const u64 miss_events = in.getU64();
+    const u64 miss_total = in.getU64();
     if (miss_events > miss_total) {
         fatal("fa-lru snapshot: inconsistent miss tallies");
     }

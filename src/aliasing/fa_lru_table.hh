@@ -10,7 +10,6 @@
 
 #pragma once
 
-#include <iosfwd>
 #include <vector>
 
 #include "support/check.hh"
@@ -20,6 +19,9 @@
 
 namespace bpred
 {
+
+class ByteReader;
+class ByteWriter;
 
 /**
  * Fully-associative LRU table mapping 64-bit identities to a small
@@ -80,16 +82,16 @@ class FullyAssociativeLruTable
      * stream is canonical: two tables that saw the same reference
      * sequence serialize identically.
      */
-    void saveState(std::ostream &os) const;
+    void saveState(ByteWriter &out) const;
 
     /**
-     * Restore a saveState() stream into this table.
+     * Restore saveState() bytes into this table.
      *
      * @throws FatalError on a capacity mismatch, an entry count
      *         over capacity, a duplicate key, inconsistent miss
      *         tallies, or truncation.
      */
-    void loadState(std::istream &is);
+    void loadState(ByteReader &in);
 
   private:
     /** Marks the end of the recency list. */

@@ -76,17 +76,17 @@ FaLruPredictor::reset()
 }
 
 void
-FaLruPredictor::saveState(std::ostream &os) const
+FaLruPredictor::saveState(ByteWriter &out) const
 {
-    table.saveState(os);
-    putU64(os, history.raw());
+    table.saveState(out);
+    out.putU64(history.raw());
 }
 
 void
-FaLruPredictor::loadState(std::istream &is)
+FaLruPredictor::loadState(ByteReader &in)
 {
-    table.loadState(is);
-    history.set(getU64(is));
+    table.loadState(in);
+    history.set(in.getU64());
 }
 
 } // namespace bpred

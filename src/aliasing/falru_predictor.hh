@@ -51,8 +51,8 @@ class FaLruPredictor : public Predictor
     void reset() override;
 
     bool supportsSnapshot() const override { return true; }
-    void saveState(std::ostream &os) const override;
-    void loadState(std::istream &is) override;
+    void saveState(ByteWriter &out) const override;
+    void loadState(ByteReader &in) override;
 
     /** Miss ratio in the underlying table (capacity + compulsory). */
     double missRatio() const { return table.missStat().ratio(); }

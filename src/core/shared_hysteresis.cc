@@ -146,29 +146,29 @@ SharedHysteresisSkewedPredictor::storageBits() const
 }
 
 void
-SharedHysteresisSkewedPredictor::saveState(std::ostream &os) const
+SharedHysteresisSkewedPredictor::saveState(ByteWriter &out) const
 {
     for (const Bank &bank : banks) {
-        putU64(os, bank.prediction.size());
-        putBytes(os, bank.prediction.data(), bank.prediction.size());
-        putU64(os, bank.hysteresis.size());
-        putBytes(os, bank.hysteresis.data(), bank.hysteresis.size());
+        out.putU64(bank.prediction.size());
+        out.putBytes(bank.prediction.data(), bank.prediction.size());
+        out.putU64(bank.hysteresis.size());
+        out.putBytes(bank.hysteresis.data(), bank.hysteresis.size());
     }
-    putU64(os, history.raw());
+    out.putU64(history.raw());
 }
 
 void
-SharedHysteresisSkewedPredictor::loadState(std::istream &is)
+SharedHysteresisSkewedPredictor::loadState(ByteReader &in)
 {
     for (Bank &bank : banks) {
-        if (getU64(is) != bank.prediction.size()) {
+        if (in.getU64() != bank.prediction.size()) {
             fatal("gskewed-sh: snapshot geometry mismatch");
         }
-        getBytes(is, bank.prediction.data(), bank.prediction.size());
-        if (getU64(is) != bank.hysteresis.size()) {
+        in.getBytes(bank.prediction.data(), bank.prediction.size());
+        if (in.getU64() != bank.hysteresis.size()) {
             fatal("gskewed-sh: snapshot geometry mismatch");
         }
-        getBytes(is, bank.hysteresis.data(), bank.hysteresis.size());
+        in.getBytes(bank.hysteresis.data(), bank.hysteresis.size());
         for (const u8 bit : bank.prediction) {
             if (bit > 1) {
                 fatal("gskewed-sh: snapshot bit out of range");
@@ -180,7 +180,7 @@ SharedHysteresisSkewedPredictor::loadState(std::istream &is)
             }
         }
     }
-    history.set(getU64(is));
+    history.set(in.getU64());
 }
 
 void

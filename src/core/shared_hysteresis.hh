@@ -49,8 +49,8 @@ class SharedHysteresisSkewedPredictor : public Predictor
 
     void reset() override;
     bool supportsSnapshot() const override { return true; }
-    void saveState(std::ostream &os) const override;
-    void loadState(std::istream &is) override;
+    void saveState(ByteWriter &out) const override;
+    void loadState(ByteReader &in) override;
 
     /** Entries per bank. */
     u64 entriesPerBank() const { return u64(1) << config.bankIndexBits; }

@@ -127,21 +127,21 @@ SkewedLocalPredictor::reset()
 }
 
 void
-SkewedLocalPredictor::saveState(std::ostream &os) const
+SkewedLocalPredictor::saveState(ByteWriter &out) const
 {
-    putU64(os, historyTable.size());
+    out.putU64(historyTable.size());
     for (const u16 entry : historyTable) {
-        putU16(os, entry);
+        out.putU16(entry);
     }
     for (const auto &bank : banks) {
-        bank.saveState(os);
+        bank.saveState(out);
     }
 }
 
 void
-SkewedLocalPredictor::loadState(std::istream &is)
+SkewedLocalPredictor::loadState(ByteReader &in)
 {
-    const u64 count = getU64(is);
+    const u64 count = in.getU64();
     if (count != historyTable.size()) {
         fatal("pskew snapshot: history table size mismatch (stored " +
               std::to_string(count) + ", predictor has " +
@@ -149,14 +149,14 @@ SkewedLocalPredictor::loadState(std::istream &is)
     }
     std::vector<u16> restored(historyTable.size());
     for (u16 &entry : restored) {
-        entry = getU16(is);
+        entry = in.getU16();
         if (entry > mask(localHistoryBits)) {
             fatal("pskew snapshot: local history exceeds " +
                   std::to_string(localHistoryBits) + " bits");
         }
     }
     for (auto &bank : banks) {
-        bank.loadState(is);
+        bank.loadState(in);
     }
     historyTable = std::move(restored);
 }

@@ -502,25 +502,21 @@ SkewedPredictor::reset()
 }
 
 void
-SkewedPredictor::saveState(std::ostream &os) const
+SkewedPredictor::saveState(ByteWriter &out) const
 {
     // Bank-by-bank framing, byte-identical to the pre-bank-group
-    // stream of standalone SatCounterArray snapshots.
-    for (unsigned bank = 0; bank < config.numBanks; ++bank) {
-        banks.saveBankState(bank, os);
-    }
-    putU64(os, history.raw());
-    putU64(os, bankWriteCount);
+    // sequence of standalone SatCounterArray snapshots.
+    banks.saveState(out);
+    out.putU64(history.raw());
+    out.putU64(bankWriteCount);
 }
 
 void
-SkewedPredictor::loadState(std::istream &is)
+SkewedPredictor::loadState(ByteReader &in)
 {
-    for (unsigned bank = 0; bank < config.numBanks; ++bank) {
-        banks.loadBankState(bank, is);
-    }
-    history.set(getU64(is));
-    bankWriteCount = getU64(is);
+    banks.loadState(in);
+    history.set(in.getU64());
+    bankWriteCount = in.getU64();
 }
 
 SkewedPredictor::Config

@@ -112,8 +112,8 @@ class SkewedPredictor : public Predictor
     u64 storageBits() const override;
     void reset() override;
     bool supportsSnapshot() const override { return true; }
-    void saveState(std::ostream &os) const override;
-    void loadState(std::istream &is) override;
+    void saveState(ByteWriter &out) const override;
+    void loadState(ByteReader &in) override;
 
     /** Number of banks. */
     unsigned numBanks() const { return config.numBanks; }
@@ -167,8 +167,8 @@ class SkewedPredictor : public Predictor
      * All banks in one interleaved allocation (entry-major): the
      * counters the majority vote reads for one branch sit near each
      * other, and the phase-split resolve prefetches whole lines that
-     * serve every bank. Per-bank snapshot framing is preserved by
-     * saveBankState()/loadBankState().
+     * serve every bank. The group's saveState()/loadState() keep the
+     * per-bank snapshot framing.
      */
     SatCounterBankGroup banks;
     GlobalHistory history;

@@ -1,5 +1,7 @@
 #include "predictors/agree.hh"
 
+#include <algorithm>
+
 #include "predictors/info_vector.hh"
 #include "support/logging.hh"
 #include "support/probe.hh"
@@ -123,35 +125,31 @@ AgreePredictor::reset()
 }
 
 void
-AgreePredictor::saveState(std::ostream &os) const
+AgreePredictor::saveState(ByteWriter &out) const
 {
-    agreeTable.saveState(os);
-    putU64(os, biasTable.size());
-    for (const u8 entry : biasTable) {
-        putU8(os, entry);
-    }
-    putU64(os, history.raw());
+    agreeTable.saveState(out);
+    out.putU64(biasTable.size());
+    out.putBytes(biasTable.data(), biasTable.size());
+    out.putU64(history.raw());
 }
 
 void
-AgreePredictor::loadState(std::istream &is)
+AgreePredictor::loadState(ByteReader &in)
 {
-    agreeTable.loadState(is);
-    const u64 count = getU64(is);
+    agreeTable.loadState(in);
+    const u64 count = in.getU64();
     if (count != biasTable.size()) {
         fatal("agree snapshot: bias table size mismatch (stored " +
               std::to_string(count) + ", predictor has " +
               std::to_string(biasTable.size()) + ")");
     }
-    std::vector<u8> restored(biasTable.size());
-    for (u8 &entry : restored) {
-        entry = getU8(is);
-        if (entry > biasUnset) {
-            fatal("agree snapshot: invalid bias value");
-        }
+    const u8 *restored = in.take(biasTable.size());
+    if (std::any_of(restored, restored + biasTable.size(),
+                    [](u8 entry) { return entry > biasUnset; })) {
+        fatal("agree snapshot: invalid bias value");
     }
-    biasTable = std::move(restored);
-    history.set(getU64(is));
+    std::copy(restored, restored + biasTable.size(), biasTable.begin());
+    history.set(in.getU64());
 }
 
 } // namespace bpred

@@ -150,15 +150,15 @@ BimodalPredictor::reset()
 }
 
 void
-BimodalPredictor::saveState(std::ostream &os) const
+BimodalPredictor::saveState(ByteWriter &out) const
 {
-    table.saveState(os);
+    table.saveState(out);
 }
 
 void
-BimodalPredictor::loadState(std::istream &is)
+BimodalPredictor::loadState(ByteReader &in)
 {
-    table.loadState(is);
+    table.loadState(in);
 }
 
 } // namespace bpred

@@ -96,21 +96,21 @@ BiModePredictor::reset()
 }
 
 void
-BiModePredictor::saveState(std::ostream &os) const
+BiModePredictor::saveState(ByteWriter &out) const
 {
-    takenTable.saveState(os);
-    notTakenTable.saveState(os);
-    choiceTable.saveState(os);
-    putU64(os, history.raw());
+    takenTable.saveState(out);
+    notTakenTable.saveState(out);
+    choiceTable.saveState(out);
+    out.putU64(history.raw());
 }
 
 void
-BiModePredictor::loadState(std::istream &is)
+BiModePredictor::loadState(ByteReader &in)
 {
-    takenTable.loadState(is);
-    notTakenTable.loadState(is);
-    choiceTable.loadState(is);
-    history.set(getU64(is));
+    takenTable.loadState(in);
+    notTakenTable.loadState(in);
+    choiceTable.loadState(in);
+    history.set(in.getU64());
 }
 
 } // namespace bpred

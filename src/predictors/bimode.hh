@@ -45,8 +45,8 @@ class BiModePredictor : public Predictor
     u64 storageBits() const override;
     void reset() override;
     bool supportsSnapshot() const override { return true; }
-    void saveState(std::ostream &os) const override;
-    void loadState(std::istream &is) override;
+    void saveState(ByteWriter &out) const override;
+    void loadState(ByteReader &in) override;
 
   private:
     u64 directionIndexOf(Addr pc) const;

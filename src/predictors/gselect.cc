@@ -144,17 +144,17 @@ GSelectPredictor::reset()
 }
 
 void
-GSelectPredictor::saveState(std::ostream &os) const
+GSelectPredictor::saveState(ByteWriter &out) const
 {
-    table.saveState(os);
-    putU64(os, history.raw());
+    table.saveState(out);
+    out.putU64(history.raw());
 }
 
 void
-GSelectPredictor::loadState(std::istream &is)
+GSelectPredictor::loadState(ByteReader &in)
 {
-    table.loadState(is);
-    history.set(getU64(is));
+    table.loadState(in);
+    history.set(in.getU64());
 }
 
 } // namespace bpred

@@ -41,8 +41,8 @@ class GSelectPredictor : public Predictor
     u64 storageBits() const override { return table.storageBits(); }
     void reset() override;
     bool supportsSnapshot() const override { return true; }
-    void saveState(std::ostream &os) const override;
-    void loadState(std::istream &is) override;
+    void saveState(ByteWriter &out) const override;
+    void loadState(ByteReader &in) override;
 
     /** History length in bits. */
     unsigned historyBits() const { return historyBits_; }

@@ -177,17 +177,17 @@ GSharePredictor::reset()
 }
 
 void
-GSharePredictor::saveState(std::ostream &os) const
+GSharePredictor::saveState(ByteWriter &out) const
 {
-    table.saveState(os);
-    putU64(os, history.raw());
+    table.saveState(out);
+    out.putU64(history.raw());
 }
 
 void
-GSharePredictor::loadState(std::istream &is)
+GSharePredictor::loadState(ByteReader &in)
 {
-    table.loadState(is);
-    history.set(getU64(is));
+    table.loadState(in);
+    history.set(in.getU64());
 }
 
 } // namespace bpred

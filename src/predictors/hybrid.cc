@@ -301,22 +301,22 @@ HybridPredictor::supportsSnapshot() const
 }
 
 void
-HybridPredictor::saveState(std::ostream &os) const
+HybridPredictor::saveState(ByteWriter &out) const
 {
     // Snapshots are taken at branch boundaries, where the cached
     // component predictions are dead state — only the tables and
     // chooser travel.
-    firstComponent->saveState(os);
-    secondComponent->saveState(os);
-    chooser.saveState(os);
+    firstComponent->saveState(out);
+    secondComponent->saveState(out);
+    chooser.saveState(out);
 }
 
 void
-HybridPredictor::loadState(std::istream &is)
+HybridPredictor::loadState(ByteReader &in)
 {
-    firstComponent->loadState(is);
-    secondComponent->loadState(is);
-    chooser.loadState(is);
+    firstComponent->loadState(in);
+    secondComponent->loadState(in);
+    chooser.loadState(in);
     havePrediction = false;
 }
 

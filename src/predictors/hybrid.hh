@@ -47,8 +47,8 @@ class HybridPredictor : public Predictor
 
     /** Snapshots compose: supported when both components support it. */
     bool supportsSnapshot() const override;
-    void saveState(std::ostream &os) const override;
-    void loadState(std::istream &is) override;
+    void saveState(ByteWriter &out) const override;
+    void loadState(ByteReader &in) override;
 
   private:
     std::unique_ptr<Predictor> firstComponent;

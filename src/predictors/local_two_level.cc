@@ -66,19 +66,19 @@ LocalTwoLevelPredictor::reset()
 }
 
 void
-LocalTwoLevelPredictor::saveState(std::ostream &os) const
+LocalTwoLevelPredictor::saveState(ByteWriter &out) const
 {
-    putU64(os, historyTable.size());
+    out.putU64(historyTable.size());
     for (const u16 entry : historyTable) {
-        putU16(os, entry);
+        out.putU16(entry);
     }
-    patternTable.saveState(os);
+    patternTable.saveState(out);
 }
 
 void
-LocalTwoLevelPredictor::loadState(std::istream &is)
+LocalTwoLevelPredictor::loadState(ByteReader &in)
 {
-    const u64 count = getU64(is);
+    const u64 count = in.getU64();
     if (count != historyTable.size()) {
         fatal("pag snapshot: history table size mismatch (stored " +
               std::to_string(count) + ", predictor has " +
@@ -86,13 +86,13 @@ LocalTwoLevelPredictor::loadState(std::istream &is)
     }
     std::vector<u16> restored(historyTable.size());
     for (u16 &entry : restored) {
-        entry = getU16(is);
+        entry = in.getU16();
         if (entry > mask(localHistoryBits)) {
             fatal("pag snapshot: local history exceeds " +
                   std::to_string(localHistoryBits) + " bits");
         }
     }
-    patternTable.loadState(is);
+    patternTable.loadState(in);
     historyTable = std::move(restored);
 }
 

@@ -40,8 +40,8 @@ class StaticPredictor : public Predictor
     // Stateless: a snapshot is trivially supported with an empty
     // payload (the direction is configuration, carried by name()).
     bool supportsSnapshot() const override { return true; }
-    void saveState(std::ostream &) const override {}
-    void loadState(std::istream &) override {}
+    void saveState(ByteWriter &) const override {}
+    void loadState(ByteReader &) override {}
 
   private:
     bool direction;

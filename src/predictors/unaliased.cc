@@ -94,7 +94,7 @@ UnaliasedPredictor::reset()
 }
 
 void
-UnaliasedPredictor::saveState(std::ostream &os) const
+UnaliasedPredictor::saveState(ByteWriter &out) const
 {
     std::vector<std::pair<u64, u8>> sorted_counters;
     // bp_lint: allow(reserve-untrusted): sized by this predictor's
@@ -104,10 +104,10 @@ UnaliasedPredictor::saveState(std::ostream &os) const
         sorted_counters.emplace_back(key, counter.value());
     });
     std::sort(sorted_counters.begin(), sorted_counters.end());
-    putU64(os, sorted_counters.size());
+    out.putU64(sorted_counters.size());
     for (const auto &[key, value] : sorted_counters) {
-        putU64(os, key);
-        putU8(os, value);
+        out.putU64(key);
+        out.putU8(value);
     }
 
     std::vector<Addr> sorted_branches;
@@ -116,28 +116,28 @@ UnaliasedPredictor::saveState(std::ostream &os) const
     staticBranches.forEach(
         [&](Addr pc, NoValue) { sorted_branches.push_back(pc); });
     std::sort(sorted_branches.begin(), sorted_branches.end());
-    putU64(os, sorted_branches.size());
+    out.putU64(sorted_branches.size());
     for (const Addr pc : sorted_branches) {
-        putU64(os, pc);
+        out.putU64(pc);
     }
 
-    putU64(os, warmMispredicts.events());
-    putU64(os, warmMispredicts.total());
-    putU64(os, dynamicCount);
-    putU64(os, compulsoryCount);
-    putU64(os, history.raw());
+    out.putU64(warmMispredicts.events());
+    out.putU64(warmMispredicts.total());
+    out.putU64(dynamicCount);
+    out.putU64(compulsoryCount);
+    out.putU64(history.raw());
 }
 
 void
-UnaliasedPredictor::loadState(std::istream &is)
+UnaliasedPredictor::loadState(ByteReader &in)
 {
-    const u64 counter_count = getU64(is);
+    const u64 counter_count = in.getU64();
     // No reserve: counter_count is untrusted, so the table grows
     // only as entries actually arrive (truncation stops the loop).
     FlatTable<SatCounter> restored_counters;
     for (u64 i = 0; i < counter_count; ++i) {
-        const u64 key = getU64(is);
-        const u8 value = getU8(is);
+        const u64 key = in.getU64();
+        const u8 value = in.getU8();
         if (value > mask(counterBits)) {
             fatal("unaliased snapshot: counter value exceeds " +
                   std::to_string(counterBits) + " bits");
@@ -149,23 +149,23 @@ UnaliasedPredictor::loadState(std::istream &is)
         counter = SatCounter(counterBits, value);
     }
 
-    const u64 branch_count = getU64(is);
+    const u64 branch_count = in.getU64();
     FlatTable<NoValue> restored_branches;
     for (u64 i = 0; i < branch_count; ++i) {
-        if (!restored_branches.tryEmplace(getU64(is)).second) {
+        if (!restored_branches.tryEmplace(in.getU64()).second) {
             fatal("unaliased snapshot: duplicate branch address");
         }
     }
 
-    const u64 warm_events = getU64(is);
-    const u64 warm_total = getU64(is);
+    const u64 warm_events = in.getU64();
+    const u64 warm_total = in.getU64();
     if (warm_events > warm_total) {
         fatal("unaliased snapshot: inconsistent misprediction "
               "tallies");
     }
-    const u64 dynamic_count = getU64(is);
-    const u64 compulsory_count = getU64(is);
-    const u64 history_raw = getU64(is);
+    const u64 dynamic_count = in.getU64();
+    const u64 compulsory_count = in.getU64();
+    const u64 history_raw = in.getU64();
 
     counters = std::move(restored_counters);
     staticBranches = std::move(restored_branches);

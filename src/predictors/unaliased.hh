@@ -61,8 +61,8 @@ class UnaliasedPredictor : public Predictor
      * order so the byte stream is independent of the hash tables'
      * internal layout (which depends on insertion history).
      */
-    void saveState(std::ostream &os) const override;
-    void loadState(std::istream &is) override;
+    void saveState(ByteWriter &out) const override;
+    void loadState(ByteReader &in) override;
 
     /** Distinct (address, history) pairs seen. */
     u64 numSubstreams() const { return counters.size(); }

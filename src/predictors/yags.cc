@@ -121,25 +121,25 @@ YagsPredictor::reset()
 }
 
 void
-YagsPredictor::saveState(std::ostream &os) const
+YagsPredictor::saveState(ByteWriter &out) const
 {
     for (const auto *cache : {&takenCache, &notTakenCache}) {
-        putU64(os, cache->size());
+        out.putU64(cache->size());
         for (const CacheEntry &entry : *cache) {
-            putU16(os, entry.tag);
-            putU8(os, entry.counter);
-            putU8(os, entry.valid ? 1 : 0);
+            out.putU16(entry.tag);
+            out.putU8(entry.counter);
+            out.putU8(entry.valid ? 1 : 0);
         }
     }
-    choiceTable.saveState(os);
-    putU64(os, history.raw());
+    choiceTable.saveState(out);
+    out.putU64(history.raw());
 }
 
 void
-YagsPredictor::loadState(std::istream &is)
+YagsPredictor::loadState(ByteReader &in)
 {
     for (auto *cache : {&takenCache, &notTakenCache}) {
-        const u64 count = getU64(is);
+        const u64 count = in.getU64();
         if (count != cache->size()) {
             fatal("yags snapshot: cache size mismatch (stored " +
                   std::to_string(count) + ", predictor has " +
@@ -147,9 +147,9 @@ YagsPredictor::loadState(std::istream &is)
         }
         std::vector<CacheEntry> restored(cache->size());
         for (CacheEntry &entry : restored) {
-            entry.tag = getU16(is);
-            entry.counter = getU8(is);
-            const u8 valid = getU8(is);
+            entry.tag = in.getU16();
+            entry.counter = in.getU8();
+            const u8 valid = in.getU8();
             if (entry.tag > mask(tagBits) || entry.counter > 3 ||
                 valid > 1) {
                 fatal("yags snapshot: invalid cache entry");
@@ -158,8 +158,8 @@ YagsPredictor::loadState(std::istream &is)
         }
         *cache = std::move(restored);
     }
-    choiceTable.loadState(is);
-    history.set(getU64(is));
+    choiceTable.loadState(in);
+    history.set(in.getU64());
 }
 
 } // namespace bpred

@@ -46,8 +46,8 @@ class YagsPredictor : public Predictor
     u64 storageBits() const override;
     void reset() override;
     bool supportsSnapshot() const override { return true; }
-    void saveState(std::ostream &os) const override;
-    void loadState(std::istream &is) override;
+    void saveState(ByteWriter &out) const override;
+    void loadState(ByteReader &in) override;
 
   private:
     struct CacheEntry

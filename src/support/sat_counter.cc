@@ -1,12 +1,43 @@
 #include "support/sat_counter.hh"
 
-#include <vector>
+#include <cstring>
 
 #include "support/logging.hh"
+#include "support/sat_counter_simd.hh"
 #include "support/serialize.hh"
 
 namespace bpred
 {
+
+namespace
+{
+
+/** Bytes of a SatCounterArray header: u64 entry count + u8 width. */
+constexpr std::size_t runHeaderBytes = 9;
+
+/**
+ * True when every counter of @p run is at most @p max (a width mask
+ * 2^w - 1): the bytes are OR-ed a word at a time and tested once, so
+ * a run costs one branch however long it is.
+ */
+bool
+countersFit(const u8 *run, u64 size, u8 max)
+{
+    const u64 excess = ~u64(0) / 0xff * static_cast<u8>(~max);
+    u64 seen = 0;
+    u64 i = 0;
+    for (; i + 8 <= size; i += 8) {
+        u64 word;
+        std::memcpy(&word, run + i, sizeof(word));
+        seen |= word;
+    }
+    for (; i < size; ++i) {
+        seen |= run[i];
+    }
+    return (seen & excess) == 0;
+}
+
+} // namespace
 
 SatCounterArray::SatCounterArray(u64 num_entries, unsigned width,
                                  u8 initial)
@@ -30,27 +61,26 @@ SatCounterArray::reset(u8 initial)
 }
 
 void
-SatCounterArray::saveState(std::ostream &os) const
+SatCounterArray::saveState(ByteWriter &out) const
 {
-    putU64(os, values.size());
-    putU8(os, width_);
-    putBytes(os, values.data(), values.size());
+    out.putU64(values.size());
+    out.putU8(width_);
+    out.putBytes(values.data(), values.size());
 }
 
 void
-SatCounterArray::loadState(std::istream &is)
+SatCounterArray::loadState(ByteReader &in)
 {
-    const u64 stored_size = getU64(is);
-    const u8 stored_width = getU8(is);
+    const u64 stored_size = in.getU64();
+    const u8 stored_width = in.getU8();
     if (stored_size != values.size() || stored_width != width_) {
         fatal("sat counter array: snapshot geometry mismatch");
     }
-    getBytes(is, values.data(), values.size());
-    for (const u8 value : values) {
-        if (value > maxCounterValue) {
-            fatal("sat counter array: snapshot counter out of range");
-        }
+    const u8 *run = in.take(values.size());
+    if (!countersFit(run, values.size(), maxCounterValue)) {
+        fatal("sat counter array: snapshot counter out of range");
     }
+    std::memcpy(values.data(), run, values.size());
 }
 
 SatCounterBankGroup::SatCounterBankGroup(unsigned num_banks,
@@ -103,39 +133,60 @@ SatCounterBankGroup::reset(u8 initial)
 }
 
 void
-SatCounterBankGroup::saveBankState(unsigned bank,
-                                   std::ostream &os) const
+SatCounterBankGroup::saveState(ByteWriter &out, SimdMode mode) const
 {
-    BP_CHECK(bank < numBanks_, "bank save out of range");
-    putU64(os, entriesPerBank_);
-    putU8(os, width_);
-    // Gather the (possibly strided) bank into the flat run of bytes
-    // SatCounterArray::saveState() would have written.
-    std::vector<u8> flat(entriesPerBank_);
-    for (u64 index = 0; index < entriesPerBank_; ++index) {
-        flat[index] = values[offsetOf(bank, index)];
+    // One SatCounterArray run per bank: header, then the bank's
+    // counters as a flat run of bytes, filled in once all are laid
+    // out (no later write moves the buffer).
+    u8 *last = nullptr;
+    for (unsigned bank = 0; bank < numBanks_; ++bank) {
+        out.putU64(entriesPerBank_);
+        out.putU8(width_);
+        last = out.grow(entriesPerBank_);
     }
-    putBytes(os, flat.data(), flat.size());
+    const std::size_t stride = runHeaderBytes + entriesPerBank_;
+    u8 *first = last - (numBanks_ - 1) * stride;
+    if (layout_ == BankLayout::Planar) {
+        for (unsigned bank = 0; bank < numBanks_; ++bank) {
+            std::memcpy(first + bank * stride,
+                        values.data() + bank * entriesPerBank_,
+                        entriesPerBank_);
+        }
+    } else {
+        gatherBanks(resolveSimdMode(mode), values.data(), numBanks_,
+                    entriesPerBank_, first, stride);
+    }
 }
 
 void
-SatCounterBankGroup::loadBankState(unsigned bank, std::istream &is)
+SatCounterBankGroup::loadState(ByteReader &in, SimdMode mode)
 {
-    BP_CHECK(bank < numBanks_, "bank load out of range");
-    const u64 stored_size = getU64(is);
-    const u8 stored_width = getU8(is);
-    if (stored_size != entriesPerBank_ || stored_width != width_) {
-        fatal("sat counter bank: snapshot geometry mismatch");
-    }
-    std::vector<u8> flat(entriesPerBank_);
-    getBytes(is, flat.data(), flat.size());
-    for (const u8 value : flat) {
-        if (value > maxCounterValue) {
+    // Validate every bank's run in place, then copy them in at once.
+    const u8 *first = nullptr;
+    for (unsigned bank = 0; bank < numBanks_; ++bank) {
+        const u64 stored_size = in.getU64();
+        const u8 stored_width = in.getU8();
+        if (stored_size != entriesPerBank_ || stored_width != width_) {
+            fatal("sat counter bank: snapshot geometry mismatch");
+        }
+        const u8 *run = in.take(entriesPerBank_);
+        if (!countersFit(run, entriesPerBank_, maxCounterValue)) {
             fatal("sat counter bank: snapshot counter out of range");
         }
+        if (bank == 0) {
+            first = run;
+        }
     }
-    for (u64 index = 0; index < entriesPerBank_; ++index) {
-        values[offsetOf(bank, index)] = flat[index];
+    // The runs sit back to back in the span, one header apart.
+    const std::size_t stride = runHeaderBytes + entriesPerBank_;
+    if (layout_ == BankLayout::Planar) {
+        for (unsigned bank = 0; bank < numBanks_; ++bank) {
+            std::memcpy(values.data() + bank * entriesPerBank_,
+                        first + bank * stride, entriesPerBank_);
+        }
+    } else {
+        scatterBanks(resolveSimdMode(mode), first, stride, numBanks_,
+                     entriesPerBank_, values.data());
     }
 }
 

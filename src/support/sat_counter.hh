@@ -6,16 +6,19 @@
 #pragma once
 
 #include <cassert>
-#include <iosfwd>
 #include <vector>
 
 #include "support/aligned.hh"
 #include "support/bitops.hh"
 #include "support/check.hh"
+#include "support/simd.hh"
 #include "support/types.hh"
 
 namespace bpred
 {
+
+class ByteReader;
+class ByteWriter;
 
 /**
  * An n-bit saturating counter (1 <= n <= 8).
@@ -249,17 +252,18 @@ class SatCounterArray
      * Serialize geometry (entry count, width) and every counter
      * value (see support/serialize.hh for the encoding).
      */
-    void saveState(std::ostream &os) const;
+    void saveState(ByteWriter &out) const;
 
     /**
-     * Restore counter values from a saveState() stream. The stored
+     * Restore counter values written by saveState(). The stored
      * geometry must match this array's; every restored value must
-     * be representable at this width.
+     * be representable at this width. The whole run is validated
+     * before any counter changes.
      *
      * @throws FatalError on a geometry mismatch, an out-of-range
      *         counter value, or truncation.
      */
-    void loadState(std::istream &is);
+    void loadState(ByteReader &in);
 
   private:
     std::vector<u8> values;
@@ -292,8 +296,8 @@ enum class BankLayout : u8
  * The layout is invisible to behaviour: per-bank access mirrors a
  * vector of SatCounterArray exactly (the skewed-predictor contract
  * tests pin the two), bank views carry the layout in View::stride so
- * replay kernels are layout-blind, and saveBankState() writes the
- * same byte stream SatCounterArray::saveState() would — snapshots
+ * replay kernels are layout-blind, and saveState() writes the same
+ * bytes as one SatCounterArray::saveState() per bank — snapshots
  * taken before this class existed restore into it unchanged.
  */
 class SatCounterBankGroup
@@ -372,21 +376,24 @@ class SatCounterBankGroup
     void reset(u8 initial = 0);
 
     /**
-     * Serialize bank @p bank exactly as a standalone
-     * SatCounterArray of the same geometry would (entry count,
-     * width, raw values) — the BPS1 snapshot format predates this
-     * class and must not change.
+     * Serialize every bank in bank order, each exactly as a
+     * standalone SatCounterArray of the same geometry would (entry
+     * count, width, raw values) — the BPS1 snapshot format predates
+     * this class and must not change. An Interleaved group gathers
+     * its banks with the transpose kernel @p mode resolves to (see
+     * support/sat_counter_simd.hh); every mode writes the same bytes.
      */
-    void saveBankState(unsigned bank, std::ostream &os) const;
+    void saveState(ByteWriter &out, SimdMode mode = SimdMode::Auto) const;
 
     /**
-     * Restore bank @p bank from a SatCounterArray::saveState()
-     * stream.
+     * Restore every bank from saveState() bytes. All banks are
+     * validated (geometry, counter range) before any counter
+     * changes.
      *
      * @throws FatalError on a geometry mismatch, an out-of-range
      *         counter value, or truncation.
      */
-    void loadBankState(unsigned bank, std::istream &is);
+    void loadState(ByteReader &in, SimdMode mode = SimdMode::Auto);
 
   private:
     /** Storage slot of (bank, index) under the active layout. */

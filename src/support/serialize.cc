@@ -1,7 +1,8 @@
 #include "support/serialize.hh"
 
-#include <istream>
-#include <ostream>
+#include <cstdio>
+#include <cstring>
+#include <memory>
 
 #include "support/logging.hh"
 
@@ -9,105 +10,129 @@ namespace bpred
 {
 
 void
-putU8(std::ostream &os, u8 value)
+ByteWriter::putU16(u16 value)
 {
-    os.put(static_cast<char>(value));
-}
-
-u8
-getU8(std::istream &is)
-{
-    const int byte = is.get();
-    if (byte == std::char_traits<char>::eof()) {
-        fatal("serialize: truncated stream");
-    }
-    return static_cast<u8>(byte);
+    const char bytes[2] = {static_cast<char>(value & 0xff),
+                           static_cast<char>((value >> 8) & 0xff)};
+    out.append(bytes, sizeof(bytes));
 }
 
 void
-putU16(std::ostream &os, u16 value)
-{
-    char bytes[2];
-    bytes[0] = static_cast<char>(value & 0xff);
-    bytes[1] = static_cast<char>((value >> 8) & 0xff);
-    os.write(bytes, sizeof(bytes));
-}
-
-u16
-getU16(std::istream &is)
-{
-    char bytes[2];
-    is.read(bytes, sizeof(bytes));
-    if (!is) {
-        fatal("serialize: truncated stream");
-    }
-    return static_cast<u16>(
-        static_cast<u16>(static_cast<u8>(bytes[0])) |
-        (static_cast<u16>(static_cast<u8>(bytes[1])) << 8));
-}
-
-void
-putU64(std::ostream &os, u64 value)
+ByteWriter::putU64(u64 value)
 {
     char bytes[8];
     for (unsigned i = 0; i < 8; ++i) {
         bytes[i] = static_cast<char>((value >> (8 * i)) & 0xff);
     }
-    os.write(bytes, sizeof(bytes));
+    out.append(bytes, sizeof(bytes));
+}
+
+void
+ByteWriter::putString(std::string_view value)
+{
+    putU64(value.size());
+    out.append(value);
+}
+
+u8 *
+ByteWriter::grow(std::size_t size)
+{
+    const std::size_t at = out.size();
+    out.resize(at + size);
+    return reinterpret_cast<u8 *>(out.data() + at);
+}
+
+const u8 *
+ByteReader::take(std::size_t size)
+{
+    if (size > remaining()) {
+        fatal("serialize: truncated stream");
+    }
+    const u8 *data = reinterpret_cast<const u8 *>(bytes.data() + at);
+    at += size;
+    return data;
+}
+
+u16
+ByteReader::getU16()
+{
+    const u8 *data = take(2);
+    return static_cast<u16>(data[0] | (data[1] << 8));
 }
 
 u64
-getU64(std::istream &is)
+ByteReader::getU64()
 {
-    char bytes[8];
-    is.read(bytes, sizeof(bytes));
-    if (!is) {
-        fatal("serialize: truncated stream");
-    }
+    const u8 *data = take(8);
     u64 value = 0;
     for (unsigned i = 0; i < 8; ++i) {
-        value |= static_cast<u64>(static_cast<u8>(bytes[i])) << (8 * i);
+        value |= static_cast<u64>(data[i]) << (8 * i);
     }
     return value;
 }
 
 void
-putBytes(std::ostream &os, const void *data, std::size_t size)
+ByteReader::getBytes(void *data, std::size_t size)
 {
-    os.write(static_cast<const char *>(data),
-             static_cast<std::streamsize>(size));
-}
-
-void
-getBytes(std::istream &is, void *data, std::size_t size)
-{
-    is.read(static_cast<char *>(data),
-            static_cast<std::streamsize>(size));
-    if (!is) {
-        fatal("serialize: truncated stream");
+    const u8 *source = take(size);
+    if (size > 0) {
+        std::memcpy(data, source, size);
     }
 }
 
-void
-putString(std::ostream &os, const std::string &value)
+std::string_view
+ByteReader::getString(std::size_t max_length)
 {
-    putU64(os, value.size());
-    putBytes(os, value.data(), value.size());
-}
-
-std::string
-getString(std::istream &is, std::size_t max_length)
-{
-    const u64 length = getU64(is);
+    const u64 length = getU64();
     if (length > max_length) {
         fatal("serialize: unreasonable string length");
     }
-    std::string value(static_cast<std::size_t>(length), '\0');
-    if (length > 0) {
-        getBytes(is, value.data(),
-                 static_cast<std::size_t>(length));
+    const std::size_t size = static_cast<std::size_t>(length);
+    return {reinterpret_cast<const char *>(take(size)), size};
+}
+
+namespace
+{
+
+struct FileCloser
+{
+    void operator()(std::FILE *file) const { std::fclose(file); }
+};
+
+} // namespace
+
+bool
+readFileInto(const std::string &path, std::string &out)
+{
+    const std::unique_ptr<std::FILE, FileCloser> file(
+        std::fopen(path.c_str(), "rb"));
+    if (!file) {
+        return false;
     }
-    return value;
+    constexpr std::size_t chunk = 64 * 1024;
+    out.clear();
+    for (;;) {
+        const std::size_t at = out.size();
+        out.resize(at + chunk);
+        const std::size_t got =
+            std::fread(out.data() + at, 1, chunk, file.get());
+        out.resize(at + got);
+        if (got < chunk) {
+            return std::ferror(file.get()) == 0;
+        }
+    }
+}
+
+bool
+writeFileBytes(const std::string &path, std::string_view bytes)
+{
+    std::FILE *file = std::fopen(path.c_str(), "wb");
+    if (!file) {
+        return false;
+    }
+    const bool written =
+        std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size();
+    return (std::fclose(file) == 0) && written;
 }
 
 } // namespace bpred

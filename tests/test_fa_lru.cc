@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <vector>
 
 #include "aliasing/fa_lru_table.hh"
@@ -172,16 +171,17 @@ class NaiveLru
     std::string
     snapshot() const
     {
-        std::ostringstream os;
-        putU64(os, capacity);
-        putU64(os, entries.size());
+        std::string bytes;
+        ByteWriter out(bytes);
+        out.putU64(capacity);
+        out.putU64(entries.size());
         for (const Entry &entry : entries) {
-            putU64(os, entry.key);
-            putU8(os, entry.payload);
+            out.putU64(entry.key);
+            out.putU8(entry.payload);
         }
-        putU64(os, missCount);
-        putU64(os, total);
-        return os.str();
+        out.putU64(missCount);
+        out.putU64(total);
+        return bytes;
     }
 
   private:
@@ -200,9 +200,10 @@ class NaiveLru
 std::string
 snapshotOf(const FullyAssociativeLruTable &table)
 {
-    std::ostringstream os;
-    table.saveState(os);
-    return os.str();
+    std::string bytes;
+    ByteWriter out(bytes);
+    table.saveState(out);
+    return bytes;
 }
 
 TEST(FaLru, MatchesNaiveLruAcrossSnapshotRoundTrip)
@@ -226,8 +227,8 @@ TEST(FaLru, MatchesNaiveLruAcrossSnapshotRoundTrip)
                     auto restored =
                         std::make_unique<FullyAssociativeLruTable>(
                             capacity);
-                    std::istringstream is(bytes);
-                    restored->loadState(is);
+                    ByteReader in(bytes);
+                    restored->loadState(in);
                     ASSERT_EQ(snapshotOf(*restored), bytes);
                     table = std::move(restored);
                 }
@@ -267,8 +268,8 @@ TEST(FaLru, LoadStateRejectsCorruptSnapshots)
 
     const auto load = [](const std::string &bytes) {
         FullyAssociativeLruTable target(4);
-        std::istringstream is(bytes);
-        target.loadState(is);
+        ByteReader in(bytes);
+        target.loadState(in);
     };
     EXPECT_NO_THROW(load(good));
     // Bytes 8..15 hold the entry count; 16..24 the MRU entry.
@@ -282,8 +283,8 @@ TEST(FaLru, LoadStateRejectsCorruptSnapshots)
     EXPECT_THROW(load(duplicate), FatalError);
     EXPECT_THROW(load(good.substr(0, good.size() - 1)), FatalError);
     FullyAssociativeLruTable bigger(5);
-    std::istringstream is(good);
-    EXPECT_THROW(bigger.loadState(is), FatalError);
+    ByteReader in(good);
+    EXPECT_THROW(bigger.loadState(in), FatalError);
 }
 
 } // namespace

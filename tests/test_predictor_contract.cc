@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,6 +18,7 @@
 #include "sim/factory.hh"
 #include "support/probe.hh"
 #include "support/rng.hh"
+#include "support/serialize.hh"
 #include "support/simd.hh"
 #include "support/topk.hh"
 #include "trace/trace.hh"
@@ -516,9 +516,10 @@ snapshotBytes(const Predictor &predictor)
     if (!predictor.supportsSnapshot()) {
         return {};
     }
-    std::ostringstream os;
-    predictor.saveState(os);
-    return os.str();
+    std::string bytes;
+    ByteWriter out(bytes);
+    predictor.saveState(out);
+    return bytes;
 }
 
 TEST(ReplayBlockContract, SimdMatchesScalarAcrossBlockSizesAndModes)

@@ -14,9 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -104,9 +106,7 @@ dedicatedReference(const std::string &spec, const Trace &trace)
     session.feed(trace);
     Reference reference;
     reference.result = session.finish();
-    std::ostringstream os;
-    savePredictorState(*predictor, os);
-    reference.snapshot = std::move(os).str();
+    savePredictorState(*predictor, reference.snapshot);
     return reference;
 }
 
@@ -295,12 +295,12 @@ TEST(TenantCache, CapacityOneThrashStaysExact)
     EXPECT_GE(cache.counters().restores, 198u);
     EXPECT_EQ(cache.resident(), 1u);
 
-    std::ostringstream want_a;
+    std::string want_a;
     savePredictorState(*dedicated_a, want_a);
-    EXPECT_EQ(cache.exportTenant(0), want_a.str());
-    std::ostringstream want_b;
+    EXPECT_EQ(cache.exportTenant(0), want_a);
+    std::string want_b;
     savePredictorState(*dedicated_b, want_b);
-    EXPECT_EQ(cache.exportTenant(1), want_b.str());
+    EXPECT_EQ(cache.exportTenant(1), want_b);
 }
 
 TEST(TenantCache, RestoreEvictsTheLruResidentFirst)
@@ -399,13 +399,97 @@ TEST(TenantCache, SpillsCheckpointsToDisk)
 
     // Restore from the spill file and keep matching the dedicated
     // predictor.
-    std::ostringstream want;
+    std::string want;
     savePredictorState(*dedicated, want);
-    EXPECT_EQ(cache.exportTenant(42), want.str());
+    EXPECT_EQ(cache.exportTenant(42), want);
     Predictor &restored = cache.acquire(42);
-    std::ostringstream got;
+    std::string got;
     savePredictorState(restored, got);
-    EXPECT_EQ(got.str(), want.str());
+    EXPECT_EQ(got, want);
+}
+
+TEST(TenantCache, CorruptSpillFileLeavesCacheUnchanged)
+{
+    TenantCache::Options options;
+    options.capacity = 2;
+    options.spillDir =
+        ::testing::TempDir() + "bpred_serve_corrupt_spill_test";
+    std::filesystem::remove_all(options.spillDir);
+    const std::string spec = "egskew:7:6";
+    TenantCache cache(parseSpec(spec), options);
+
+    std::map<u64, std::unique_ptr<Predictor>> dedicated;
+    Rng rng(31);
+    const auto serve = [&](u64 tenant) -> Predictor & {
+        Predictor &pooled = cache.acquire(tenant);
+        auto &reference = dedicated[tenant];
+        if (!reference) {
+            reference = makePredictor(spec);
+        }
+        for (int i = 0; i < 200; ++i) {
+            const Addr pc = 0x500 + 4 * rng.uniformInt(80);
+            const bool taken = rng.chance(0.6);
+            pooled.predictAndUpdate(pc, taken);
+            reference->predictAndUpdate(pc, taken);
+        }
+        return pooled;
+    };
+    const auto snapshot = [](const Predictor &predictor) {
+        std::string bytes;
+        savePredictorState(predictor, bytes);
+        return bytes;
+    };
+
+    Predictor *const first = &serve(1);
+    serve(2);
+    serve(3); // spills tenant 1; its predictor becomes the spare
+    ASSERT_EQ(cache.counters().spills, 1u);
+    const std::string path =
+        options.spillDir + "/tenant-1.bps1";
+    std::string good;
+    {
+        std::ifstream file(path, std::ios::binary);
+        good.assign(std::istreambuf_iterator<char>(file),
+                    std::istreambuf_iterator<char>());
+    }
+    ASSERT_EQ(good, snapshot(*dedicated[1]));
+    const std::string export_2 = cache.exportTenant(2);
+    const std::string export_3 = cache.exportTenant(3);
+    const std::size_t known = cache.knownTenants();
+
+    // A 2-bit counter of 0xff in the middle bank cannot load.
+    std::string bad = good;
+    bad[bad.size() / 2] = static_cast<char>(0xff);
+    {
+        std::ofstream file(path, std::ios::binary | std::ios::trunc);
+        file << bad;
+    }
+    EXPECT_THROW(cache.acquire(1), FatalError);
+    EXPECT_FALSE(cache.isResident(1));
+    EXPECT_TRUE(cache.isResident(2));
+    EXPECT_TRUE(cache.isResident(3));
+    EXPECT_EQ(cache.resident(), 2u);
+    EXPECT_EQ(cache.knownTenants(), known);
+    EXPECT_EQ(cache.exportTenant(2), export_2);
+    EXPECT_EQ(cache.exportTenant(3), export_3);
+    EXPECT_EQ(cache.counters().restores, 0u);
+
+    // The next good restore reuses the spare that saw the failed
+    // load, and must match the dedicated predictor exactly.
+    {
+        std::ofstream file(path, std::ios::binary | std::ios::trunc);
+        file << good;
+    }
+    Predictor &restored = serve(1);
+    EXPECT_EQ(&restored, first);
+    EXPECT_EQ(snapshot(restored), snapshot(*dedicated[1]));
+    EXPECT_EQ(cache.counters().restores, 1u);
+    for (const u64 tenant : {2u, 3u, 1u}) {
+        const Predictor &pooled = serve(tenant);
+        EXPECT_EQ(snapshot(pooled), snapshot(*dedicated[tenant]))
+            << "tenant " << tenant;
+    }
+    std::filesystem::remove_all(options.spillDir);
 }
 
 } // namespace

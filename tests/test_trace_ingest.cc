@@ -24,6 +24,7 @@
 #include "sim/session.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
+#include "support/serialize.hh"
 #include "trace/adapters.hh"
 #include "trace/bpt_format.hh"
 #include "trace/mmap_source.hh"
@@ -225,9 +226,8 @@ fingerprint(const std::string &spec, TraceSource &source)
     print.conditionals = result.conditionals;
     print.mispredicts = result.mispredicts;
     if (predictor->supportsSnapshot()) {
-        std::ostringstream os;
-        predictor->saveState(os);
-        print.snapshot = os.str();
+        ByteWriter out(print.snapshot);
+        predictor->saveState(out);
     }
     return print;
 }

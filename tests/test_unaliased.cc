@@ -6,10 +6,10 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "predictors/unaliased.hh"
 #include "support/logging.hh"
+#include "support/serialize.hh"
 
 namespace bpred
 {
@@ -161,16 +161,16 @@ TEST(Unaliased, InflatedSnapshotCountsFailAsCorruptInput)
         source.predict(pc);
         source.update(pc, i % 3 != 0);
     }
-    std::ostringstream os;
-    source.saveState(os);
-    const std::string good = os.str();
+    std::string good;
+    ByteWriter out(good);
+    source.saveState(out);
     const u64 counters = source.numSubstreams();
     ASSERT_GT(counters, 0u);
 
     const auto load = [](const std::string &bytes) {
         UnaliasedPredictor target(4, 2);
-        std::istringstream is(bytes);
-        target.loadState(is);
+        ByteReader in(bytes);
+        target.loadState(in);
     };
     EXPECT_NO_THROW(load(good));
 
