@@ -350,6 +350,7 @@ main(int argc, char **argv)
     const std::vector<std::string> specs = {
         "bimodal:14",      "gshare:14:10", "gselect:14:10",
         "hybrid:13:10",    "gskewed:3:12:10", "egskew:12:10",
+        "gskewed:5:12:10", "gskewed:3:12:10:total",
     };
 
     // Every number is a median of timingRepetitions runs; the

@@ -1,23 +1,58 @@
 /**
  * @file
- * Phase-split kernels for the skewed predictor family: vectorized
- * f0..f4 bank-index fill and the multi-bank prefetch + resolve pass.
+ * Phase-split kernels for the skewed predictor family: the
+ * vectorized f0..f4 bank-index fill and the table-driven resolve.
  *
- * Companion to predictors/block_kernel_simd.hh (which documents the
- * phase structure and the intrinsics policy); this header adds the
- * pieces specific to core/skew.hh — the H / H^-1 bit-mixing
- * permutations lifted to four 64-bit lanes, the packed information
- * vector, and the majority-vote resolve with the Total / Partial /
- * PartialLazy update policies in branchless form.
+ * Companion to predictors/block_kernel_simd.hh, which documents the
+ * phase structure and the intrinsics policy. This header adds what
+ * is specific to core/skew.hh:
+ *
+ *  - The fill. The H / H^-1 bit-mixing permutations are lifted to
+ *    four 64-bit lanes, and one pass over the packed information
+ *    vector feeds every bank of a group.
+ *  - The vote. skewedVote() is the one definition of the majority
+ *    vote and the Total / Partial / PartialLazy update policies. The
+ *    fused SkewedBlockState::step() calls it, and the transition
+ *    tables are generated from it.
+ *  - The resolve. The vote couples the banks, so a group's whole
+ *    per-record update is a function of a few bits. One lookup in a
+ *    transition table replaces the vote and policy arithmetic.
+ *
+ * Table layout, for NumBanks banks of CounterBits-bit counters:
+ *
+ *  - Key: bit 0 is the outcome; bank b's current counter sits at
+ *    bits [1 + b * CounterBits, 1 + (b + 1) * CounterBits).
+ *  - Entry (u16): bank b's next counter at bits
+ *    [b * CounterBits, (b + 1) * CounterBits); the bank-write count
+ *    at bits 12..14 (it keeps bankWrites(), and so the BPS1 bytes,
+ *    exact); the overall-mispredict flag at bit 15.
+ *
+ * The fit rule: a geometry has a table when its key fits 11 bits
+ * (NumBanks * CounterBits + 1 <= 11), so a table is at most 4 KiB.
+ * That covers 1, 3 and 5 banks of 2-bit counters, 3 banks of up to
+ * 3-bit counters and one bank of any width. Wider groups take the
+ * fused block kernel instead. There is one table per geometry and
+ * policy. Each is generated at compile time, is read-only and is
+ * shared by every predictor, so it costs no per-predictor memory
+ * and no snapshot field.
+ *
+ * Checked builds run the same table resolve. They verify every
+ * precomputed index against the scalar index function, and every
+ * looked-up entry against skewedVote() over the counters actually
+ * read, and panic on either divergence. The split
+ * SkewedPredictor::update() path and SimdMode::Scalar use no table,
+ * so the contract tests compare the tables against independent
+ * arithmetic.
  */
 
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
-#include <type_traits>
 
 #include "core/skew.hh"
+#include "core/skewed_predictor.hh"
 #include "predictors/block_kernel_simd.hh"
 
 namespace bpred
@@ -301,69 +336,227 @@ fillSkewIndexGroup(SimdMode mode, const u64 *pc, const u64 *history,
     }
 }
 
+/**
+ * One resolved conditional's effect on a bank group: the majority
+ * vote, every bank's next counter value, and the number of banks the
+ * update policy writes (what bankWrites() counts; a write may leave
+ * a saturated counter unchanged).
+ */
+template <unsigned NumBanks>
+struct SkewedVote
+{
+    u8 next[NumBanks];
+    bool prediction;
+    u8 writes;
+};
+
+/**
+ * The skewed family's vote and update policy over one bank group's
+ * counter @p values for a conditional resolving @p taken. It is the
+ * one definition behind the fused SkewedBlockState::step() and the
+ * transition tables below, so the two cannot drift; the split
+ * SkewedPredictor::update() stays the independent reference. The
+ * policy skips are data (the outcome and per-bank agreement), so
+ * they combine as bitwise bools and fold into the next value
+ * multiplicatively: no data-dependent branch for the host CPU to
+ * mispredict. A skipped bank keeps its value and is not counted.
+ */
+template <unsigned NumBanks>
+constexpr SkewedVote<NumBanks>
+skewedVote(const u8 (&values)[NumBanks], bool taken, u8 max,
+           u8 threshold, UpdatePolicy policy)
+{
+    SkewedVote<NumBanks> vote{};
+    bool bank_predictions[NumBanks] = {};
+    unsigned votes_taken = 0;
+#pragma GCC unroll 8
+    for (unsigned bank = 0; bank < NumBanks; ++bank) {
+        bank_predictions[bank] = values[bank] >= threshold;
+        votes_taken += unsigned(bank_predictions[bank]);
+    }
+    vote.prediction = votes_taken * 2 > NumBanks;
+    const bool overall_correct = vote.prediction == taken;
+    const bool partial = policy != UpdatePolicy::Total;
+    const bool lazy = policy == UpdatePolicy::PartialLazy;
+    const u8 saturated = static_cast<u8>(max * int(taken));
+    unsigned writes = 0;
+#pragma GCC unroll 8
+    for (unsigned bank = 0; bank < NumBanks; ++bank) {
+        const bool bank_correct = bank_predictions[bank] == taken;
+        const u8 value = values[bank];
+        const int skip_partial = int(partial) & int(overall_correct) &
+            int(!bank_correct);
+        const int skip_lazy = int(lazy) & int(bank_correct) &
+            int(value == saturated);
+        const int write = 1 & ~(skip_partial | skip_lazy);
+        const int up = int(taken) & int(value < max);
+        const int down = int(!taken) & int(value > 0);
+        vote.next[bank] = static_cast<u8>(value + write * (up - down));
+        writes += unsigned(write);
+    }
+    vote.writes = static_cast<u8>(writes);
+    return vote;
+}
+
+/**
+ * Widest transition-table key: a table has at most 2^11 u16 entries
+ * (4 KiB), so it stays L1-resident beside the counters it serves.
+ */
+constexpr unsigned skewedTableMaxKeyBits = 11;
+
+/**
+ * True when a group of @p num_banks banks of @p counter_bits-bit
+ * counters has a transition table: every bank's counter plus the
+ * outcome bit fits skewedTableMaxKeyBits.
+ */
+constexpr bool
+skewedTableFits(unsigned num_banks, unsigned counter_bits)
+{
+    return num_banks * counter_bits + 1 <= skewedTableMaxKeyBits;
+}
+
+/** Table-entry bit of the 3-bit write count. */
+constexpr unsigned skewedEntryWritesShift = 12;
+
+/** Table-entry bit of the overall-mispredict flag. */
+constexpr unsigned skewedEntryMispredictShift = 15;
+
+/**
+ * The table entry (see file comment) for counter @p values and
+ * outcome @p taken: skewedVote() over SatCounterArray's counter
+ * convention (max 2^bits - 1, taken from 2^(bits - 1)).
+ */
+template <unsigned NumBanks, unsigned CounterBits>
+constexpr u16
+skewedEntry(const u8 (&values)[NumBanks], bool taken,
+            UpdatePolicy policy)
+{
+    const SkewedVote<NumBanks> vote =
+        skewedVote(values, taken, u8((1u << CounterBits) - 1),
+                   u8(1u << (CounterBits - 1)), policy);
+    unsigned entry =
+        unsigned(vote.prediction != taken) << skewedEntryMispredictShift |
+        unsigned(vote.writes) << skewedEntryWritesShift;
+    for (unsigned bank = 0; bank < NumBanks; ++bank) {
+        entry |= unsigned(vote.next[bank]) << (bank * CounterBits);
+    }
+    return static_cast<u16>(entry);
+}
+
+namespace detail
+{
+
+/** One geometry's table per UpdatePolicy, in enumerator order. */
+template <unsigned NumBanks, unsigned CounterBits>
+using SkewedTables = std::array<
+    std::array<u16, std::size_t(1) << (NumBanks * CounterBits + 1)>, 3>;
+
+/** Evaluate skewedEntry() for every key under every policy. */
+template <unsigned NumBanks, unsigned CounterBits>
+constexpr SkewedTables<NumBanks, CounterBits>
+makeSkewedTables()
+{
+    static_assert(skewedTableFits(NumBanks, CounterBits) &&
+                  CounterBits >= 1 && CounterBits <= 8);
+    SkewedTables<NumBanks, CounterBits> tables{};
+    for (unsigned policy = 0; policy < tables.size(); ++policy) {
+        for (std::size_t key = 0; key < tables[policy].size(); ++key) {
+            u8 values[NumBanks] = {};
+            for (unsigned bank = 0; bank < NumBanks; ++bank) {
+                values[bank] = u8((key >> (1 + bank * CounterBits)) &
+                                  ((1u << CounterBits) - 1));
+            }
+            tables[policy][key] = skewedEntry<NumBanks, CounterBits>(
+                values, (key & 1) != 0, UpdatePolicy(policy));
+        }
+    }
+    return tables;
+}
+
+/** Generated at compile time; read-only data. */
+template <unsigned NumBanks, unsigned CounterBits>
+inline constexpr SkewedTables<NumBanks, CounterBits> skewedTables =
+    makeSkewedTables<NumBanks, CounterBits>();
+
+} // namespace detail
+
+/** The shared transition table of one geometry under @p policy. */
+template <unsigned NumBanks, unsigned CounterBits>
+inline const u16 *
+skewedTransitionTable(UpdatePolicy policy)
+{
+    return detail::skewedTables<NumBanks, CounterBits>
+        .at(std::size_t(policy))
+        .data();
+}
+
+/**
+ * Checked-build verification of one lookup: @p entry, looked up for
+ * the counter @p values and outcome @p taken, must be skewedEntry()
+ * of them. Divergence is a key-packing or table bug: panic.
+ */
+template <unsigned NumBanks, unsigned CounterBits>
+inline void
+verifySkewedEntry(const u8 (&values)[NumBanks], bool taken,
+                  unsigned entry, UpdatePolicy policy)
+{
+    const u16 want =
+        skewedEntry<NumBanks, CounterBits>(values, taken, policy);
+    if (entry != want) [[unlikely]] {
+        panic("skewed resolve: transition-table entry diverged from "
+              "skewedVote() (table or key bug)");
+    }
+}
+
 namespace detail
 {
 
 /**
- * The release resolve span for the skewed family: per record, a
- * majority vote over @p NumBanks counter reads followed by the
- * branchless Total / Partial / PartialLazy policy writes. The bank
- * geometry is hoisted to raw base pointers and a shared
- * threshold/max (the group is uniform); @p StrideConst bakes the
- * view stride in at compile time when it is the interleaved
- * NumBanks or the contiguous 1 — the common layouts — so the
- * address math is a lea, not an imul (StrideConst 0 falls back to
- * the runtime stride). Two-record unroll with split accumulators:
- * the compiler does not unroll this loop at -O2 and the
- * per-iteration dependency chains are short enough that pairing
- * records measurably overlaps their counter accesses. With
- * @p WriteMask, record j's overall mispredict flag lands in
- * @p mask[j].
+ * The resolve span: per record, pack the outcome and every bank's
+ * counter into a key, look up one entry, store each bank's next
+ * value from it and tally its mispredict bit and write count.
+ * @p group is an interleaved group's storage — bank b's counter i at
+ * group[i * NumBanks + b] — so the address math is a lea. Unrolled
+ * x2 with split accumulators: GCC does not unroll at -O2, and
+ * pairing records overlaps their counter accesses. @p verify sees
+ * every lookup before its stores (a no-op outside checked builds).
+ * With @p WriteMask, record j's mispredict flag lands in @p mask[j].
  */
-template <unsigned NumBanks, unsigned StrideConst, bool WriteMask>
+template <unsigned NumBanks, unsigned CounterBits, bool WriteMask,
+          typename Verify>
 inline void
-resolveSkewedSpan(u8 *const (&base)[NumBanks], unsigned stride,
-                  const u32 *const (&idx)[NumBanks], const u8 *taken,
-                  std::size_t begin, std::size_t end, u8 max,
-                  u8 threshold, bool partial, bool lazy, u64 &mis0,
-                  u64 &mis1, u64 &writes0, u64 &writes1, u8 *mask)
+resolveSkewedTableSpan(u8 *group, const u32 *const (&idx)[NumBanks],
+                       const u8 *taken, std::size_t begin,
+                       std::size_t end, const u16 *table, u64 &mis0,
+                       u64 &mis1, u64 &writes0, u64 &writes1,
+                       u8 *mask, Verify &verify)
 {
+    constexpr unsigned counter_max = (1u << CounterBits) - 1;
     const auto one = [&](std::size_t j, u64 &mis, u64 &writes) {
-        const u8 t = taken[j];
-        u8 *ptr[NumBanks];
-        u8 values[NumBanks];
-        bool predictions[NumBanks];
-        unsigned votes = 0;
+        const u8 outcome = taken[j];
+        u8 *ptr[NumBanks] = {};
+        u8 values[NumBanks] = {};
+        unsigned key = outcome;
+#pragma GCC unroll 8
         for (unsigned bank = 0; bank < NumBanks; ++bank) {
-            const std::size_t offset = std::size_t(idx[bank][j]) *
-                (StrideConst ? StrideConst : stride);
-            ptr[bank] = base[bank] + offset;
+            ptr[bank] =
+                group + std::size_t(idx[bank][j]) * NumBanks + bank;
             values[bank] = *ptr[bank];
-            predictions[bank] = values[bank] >= threshold;
-            votes += unsigned(predictions[bank]);
+            key |= unsigned(values[bank]) << (1 + bank * CounterBits);
         }
-        const bool outcome = t != 0;
-        const bool overall = votes * 2 > NumBanks;
-        const bool overall_correct = overall == outcome;
-        const u8 saturated = u8(max * t);
+        const unsigned entry = table[key];
+        verify(values, outcome, entry);
+#pragma GCC unroll 8
         for (unsigned bank = 0; bank < NumBanks; ++bank) {
-            const bool bank_correct = predictions[bank] == outcome;
-            const u8 value = values[bank];
-            const int skip_partial = int(partial) &
-                int(overall_correct) & int(!bank_correct);
-            const int skip_lazy = int(lazy) & int(bank_correct) &
-                int(value == saturated);
-            const int write = 1 & ~(skip_partial | skip_lazy);
-            const int up = int(t) & int(value < max);
-            const int down = int(t ^ 1) & int(value > 0);
-            *ptr[bank] = u8(value + write * (up - down));
-            writes += u64(write);
+            *ptr[bank] =
+                u8((entry >> (bank * CounterBits)) & counter_max);
         }
-        const u8 wrong = u8(overall != outcome);
+        const u8 wrong = u8(entry >> skewedEntryMispredictShift);
         if constexpr (WriteMask) {
             mask[j] = wrong;
         }
         mis += wrong;
+        writes += (entry >> skewedEntryWritesShift) & 7;
     };
     std::size_t j = begin;
     for (; j + 2 <= end; j += 2) {
@@ -376,80 +569,24 @@ resolveSkewedSpan(u8 *const (&base)[NumBanks], unsigned stride,
 }
 
 /**
- * The three-bank resolve span fully scalarized: the per-bank arrays
- * of the generic span keep GCC from promoting everything to
- * registers, and three banks is the paper's configuration (gskewed
- * and e-gskew both), so the common case gets straight-line v0/v1/v2
- * code and a bitwise majority — measured ~25% faster than the
- * generic span on e-gskew. The update policy is a template
- * parameter too: Total drops the whole skip computation and Partial
- * (the paper's enhanced default) drops the lazy saturation check,
- * instead of ANDing runtime flags per bank per record. The mask
- * request is a template parameter for the same reason.
+ * Call @p body.template operator()<CounterBits>() for the table
+ * geometry @p counter_bits names.
  */
-template <unsigned StrideConst, bool Partial, bool Lazy, bool WriteMask>
+template <unsigned NumBanks, unsigned CounterBits = 1, typename Body>
 inline void
-resolveSkewed3Span(u8 *const (&base)[3], unsigned stride,
-                   const u32 *const (&idx)[3], const u8 *taken,
-                   std::size_t begin, std::size_t end, u8 max,
-                   u8 threshold, u64 &mis0, u64 &mis1, u64 &writes0,
-                   u64 &writes1, u8 *mask)
+withTableCounterBits(unsigned counter_bits, Body &&body)
 {
-    u8 *const b0 = base[0];
-    u8 *const b1 = base[1];
-    u8 *const b2 = base[2];
-    const u32 *const i0 = idx[0];
-    const u32 *const i1 = idx[1];
-    const u32 *const i2 = idx[2];
-    const auto one = [&](std::size_t j, u64 &mis, u64 &writes) {
-        const u8 t = taken[j];
-        const unsigned s = StrideConst ? StrideConst : stride;
-        u8 *const p0 = b0 + std::size_t(i0[j]) * s;
-        u8 *const p1 = b1 + std::size_t(i1[j]) * s;
-        u8 *const p2 = b2 + std::size_t(i2[j]) * s;
-        const u8 v0 = *p0;
-        const u8 v1 = *p1;
-        const u8 v2 = *p2;
-        const bool q0 = v0 >= threshold;
-        const bool q1 = v1 >= threshold;
-        const bool q2 = v2 >= threshold;
-        const bool overall =
-            bool((unsigned(q0) & unsigned(q1)) |
-                 (unsigned(q2) & (unsigned(q0) | unsigned(q1))));
-        const bool outcome = t != 0;
-        const bool overall_correct = overall == outcome;
-        const u8 saturated = u8(max * t);
-        const auto update = [&](u8 *ptr, u8 value, bool prediction,
-                                u64 &w) {
-            const bool bank_correct = prediction == outcome;
-            const int skip_partial = Partial
-                ? int(overall_correct) & int(!bank_correct)
-                : 0;
-            const int skip_lazy = Lazy
-                ? int(bank_correct) & int(value == saturated)
-                : 0;
-            const int write = 1 & ~(skip_partial | skip_lazy);
-            const int up = int(t) & int(value < max);
-            const int down = int(t ^ 1) & int(value > 0);
-            *ptr = u8(value + write * (up - down));
-            w += u64(write);
-        };
-        update(p0, v0, q0, writes);
-        update(p1, v1, q1, writes);
-        update(p2, v2, q2, writes);
-        const u8 wrong = u8(overall != outcome);
-        if constexpr (WriteMask) {
-            mask[j] = wrong;
+    if constexpr (CounterBits <= 8 &&
+                  skewedTableFits(NumBanks, CounterBits)) {
+        if (counter_bits == CounterBits) {
+            body.template operator()<CounterBits>();
+            return;
         }
-        mis += wrong;
-    };
-    std::size_t j = begin;
-    for (; j + 2 <= end; j += 2) {
-        one(j, mis0, writes0);
-        one(j + 1, mis1, writes1);
-    }
-    for (; j < end; ++j) {
-        one(j, mis0, writes0);
+        withTableCounterBits<NumBanks, CounterBits + 1>(counter_bits,
+                                                        body);
+    } else {
+        panic("skewed resolve: no transition table for this counter "
+              "width");
     }
 }
 
@@ -457,148 +594,66 @@ resolveSkewed3Span(u8 *const (&base)[3], unsigned stride,
 
 /**
  * Phases 2+3 for the skewed family: resolve @p n precomputed
- * conditionals against the @p NumBanks bank views. When
- * @p prefetch_counters is set (bank group too big to sit in L1 —
- * simdWantsCounterPrefetch over the group's total footprint), the
+ * conditionals against the interleaved bank group @p banks, whose
+ * geometry must have a transition table (skewedTableFits; wider
+ * groups take the fused block kernel). When @p prefetch_counters is
+ * set (simdWantsCounterPrefetch over the group's footprint), the
  * pass runs in sub-batches, prefetching every bank's counter line
  * for the next sub-batch first; L1-resident groups run one flat
- * loop, since the prefetch instructions themselves would be the
- * overhead. The vote / policy arithmetic is the branchless form of
- * the fused SkewedBlockState::step(), consuming precomputed indices;
- * @p recompute(bank, j) is the scalar bank-index reference used by
- * checked builds to verify (see noteIndexRepair in
- * block_kernel_simd.hh). A non-null @p mask receives conditional
- * j's overall mispredict flag in mask[j]. The banks must be one
- * uniform group (shared counter width and stride) — every caller's
- * are.
+ * loop, since the prefetch instructions would be the overhead.
+ * @p recompute(bank, j) is the scalar bank-index reference: checked
+ * builds verify every precomputed index against it (see
+ * noteIndexRepair in block_kernel_simd.hh) and every table lookup
+ * against skewedVote(). A non-null @p mask receives conditional j's
+ * overall mispredict flag in mask[j].
  */
 template <unsigned NumBanks, typename RecomputeIndex>
 inline void
-resolveSkewedBanks(SatCounterArray::View (&banks)[NumBanks],
+resolveSkewedBanks(SatCounterBankGroup &banks,
                    const u32 *const (&idx)[NumBanks], const u8 *taken,
-                   std::size_t n, bool partial, bool lazy,
-                   [[maybe_unused]] bool prefetch_counters,
-                   ReplayCounters &counters, u64 &bank_write_count,
-                   u8 *mask,
+                   std::size_t n, UpdatePolicy policy,
+                   bool prefetch_counters, ReplayCounters &counters,
+                   u64 &bank_write_count, u8 *mask,
                    [[maybe_unused]] RecomputeIndex &&recompute)
 {
-    const u8 max = banks[0].max;
-    const u8 threshold = banks[0].threshold;
-    const unsigned stride = banks[0].stride;
-    for (unsigned bank = 1; bank < NumBanks; ++bank) {
-        BP_DCHECK(banks[bank].max == max &&
-                      banks[bank].threshold == threshold &&
-                      banks[bank].stride == stride,
-                  "resolveSkewedBanks: non-uniform bank group");
-    }
-
+    BP_CHECK(banks.numBanks() == NumBanks &&
+                 banks.layout() == BankLayout::Interleaved &&
+                 skewedTableFits(NumBanks, banks.width()),
+             "resolveSkewedBanks: not an interleaved group with a "
+             "transition table");
 #ifdef BPRED_CHECKED
-    // Checked builds keep the straight-line loop: per-record index
-    // verification dominates anyway.
-    u64 mispredicts = 0;
-    u64 bank_writes = 0;
     for (std::size_t j = 0; j < n; ++j) {
-        const bool outcome = taken[j] != 0;
-        u64 indices[NumBanks];
-        u8 values[NumBanks];
-        bool bank_predictions[NumBanks];
-        unsigned votes_taken = 0;
         for (unsigned bank = 0; bank < NumBanks; ++bank) {
-            indices[bank] = idx[bank][j];
-            if (indices[bank] != recompute(bank, j)) [[unlikely]] {
+            if (idx[bank][j] != recompute(bank, j)) [[unlikely]] {
                 noteIndexRepair();
             }
-            values[bank] = banks[bank].value(indices[bank]);
-            bank_predictions[bank] =
-                values[bank] >= banks[bank].threshold;
-            votes_taken += unsigned(bank_predictions[bank]);
-        }
-        const bool overall = votes_taken * 2 > NumBanks;
-        const bool overall_correct = overall == outcome;
-        const u8 saturated = static_cast<u8>(max * int(outcome));
-        for (unsigned bank = 0; bank < NumBanks; ++bank) {
-            const bool bank_correct =
-                bank_predictions[bank] == outcome;
-            const u8 value = values[bank];
-            const int skip_partial = int(partial) &
-                int(overall_correct) & int(!bank_correct);
-            const int skip_lazy = int(lazy) & int(bank_correct) &
-                int(value == saturated);
-            const int write = 1 & ~(skip_partial | skip_lazy);
-            const int up = int(outcome) & int(value < max);
-            const int down = int(!outcome) & int(value > 0);
-            banks[bank].at(indices[bank]) =
-                static_cast<u8>(value + write * (up - down));
-            bank_writes += u64(write);
-        }
-        mispredicts += u64(overall != outcome);
-        if (mask) {
-            mask[j] = u8(overall != outcome);
         }
     }
-    counters.conditionals += n;
-    counters.mispredicts += mispredicts;
-    bank_write_count += bank_writes;
-    return;
-#else
-    u8 *base[NumBanks];
-    for (unsigned bank = 0; bank < NumBanks; ++bank) {
-        base[bank] = banks[bank].values;
-    }
+#endif
+    u8 *const group = banks.bankView(0).values;
     u64 mis0 = 0;
     u64 mis1 = 0;
     u64 writes0 = 0;
     u64 writes1 = 0;
-    // One instantiation per mask request (tested once per call), so
-    // a mask-free replay runs the same spans as ever.
-    const auto run = [&]<bool WriteMask>() {
+    // One instantiation per counter width and mask request (tested
+    // once per call); the update policy is only which table is read.
+    const auto run = [&]<unsigned CounterBits, bool WriteMask>() {
+        const u16 *table =
+            skewedTransitionTable<NumBanks, CounterBits>(policy);
+#ifdef BPRED_CHECKED
+        const auto verify = [policy](const u8(&values)[NumBanks],
+                                     u8 outcome, unsigned entry) {
+            verifySkewedEntry<NumBanks, CounterBits>(
+                values, outcome != 0, entry, policy);
+        };
+#else
+        const auto verify = [](const u8(&)[NumBanks], u8, unsigned) {};
+#endif
         const auto span = [&](std::size_t begin, std::size_t end) {
-            if constexpr (NumBanks == 3) {
-                const auto run3 = [&](auto stride_const,
-                                      auto is_partial, auto is_lazy) {
-                    detail::resolveSkewed3Span<stride_const(),
-                                               is_partial(), is_lazy(),
-                                               WriteMask>(
-                        base, stride, idx, taken, begin, end, max,
-                        threshold, mis0, mis1, writes0, writes1, mask);
-                };
-                const auto policy = [&](auto stride_const) {
-                    const auto k3 =
-                        std::integral_constant<bool, true>();
-                    const auto k0 =
-                        std::integral_constant<bool, false>();
-                    if (lazy) {
-                        run3(stride_const, k3, k3);
-                    } else if (partial) {
-                        run3(stride_const, k3, k0);
-                    } else {
-                        run3(stride_const, k0, k0);
-                    }
-                };
-                if (stride == 3) {
-                    policy(std::integral_constant<unsigned, 3>());
-                } else if (stride == 1) {
-                    policy(std::integral_constant<unsigned, 1>());
-                } else {
-                    policy(std::integral_constant<unsigned, 0>());
-                }
-            } else if (stride == NumBanks) {
-                detail::resolveSkewedSpan<NumBanks, NumBanks,
-                                          WriteMask>(
-                    base, stride, idx, taken, begin, end, max,
-                    threshold, partial, lazy, mis0, mis1, writes0,
-                    writes1, mask);
-            } else if (stride == 1) {
-                detail::resolveSkewedSpan<NumBanks, 1, WriteMask>(
-                    base, stride, idx, taken, begin, end, max,
-                    threshold, partial, lazy, mis0, mis1, writes0,
-                    writes1, mask);
-            } else {
-                detail::resolveSkewedSpan<NumBanks, 0, WriteMask>(
-                    base, stride, idx, taken, begin, end, max,
-                    threshold, partial, lazy, mis0, mis1, writes0,
-                    writes1, mask);
-            }
+            detail::resolveSkewedTableSpan<NumBanks, CounterBits,
+                                           WriteMask>(
+                group, idx, taken, begin, end, table, mis0, mis1,
+                writes0, writes1, mask, verify);
         };
         if (!prefetch_counters) {
             span(0, n);
@@ -609,25 +664,28 @@ resolveSkewedBanks(SatCounterArray::View (&banks)[NumBanks],
             const std::size_t prefetch_end =
                 std::min(n, end + simdSubBatch);
             for (std::size_t j = end; j < prefetch_end; ++j) {
+#pragma GCC unroll 8
                 for (unsigned bank = 0; bank < NumBanks; ++bank) {
                     __builtin_prefetch(
-                        base[bank] +
-                            std::size_t(idx[bank][j]) * stride,
+                        group + std::size_t(idx[bank][j]) * NumBanks +
+                            bank,
                         1);
                 }
             }
             span(at, end);
         }
     };
-    if (mask) {
-        run.template operator()<true>();
-    } else {
-        run.template operator()<false>();
-    }
+    detail::withTableCounterBits<NumBanks>(
+        banks.width(), [&]<unsigned CounterBits>() {
+            if (mask) {
+                run.template operator()<CounterBits, true>();
+            } else {
+                run.template operator()<CounterBits, false>();
+            }
+        });
     counters.conditionals += n;
     counters.mispredicts += mis0 + mis1;
     bank_write_count += writes0 + writes1;
-#endif
 }
 
 } // namespace bpred

@@ -27,9 +27,11 @@ namespace
  * the skewing family admits — so the bank loops fully unroll and
  * the skewH/skewHInverse subexpressions the f0/f1/f2 functions
  * share are computed once per branch, not once per bank. step()
- * computes the same result as SkewedPredictor::updateUnprobed() —
- * the block-vs-scalar contract tests pin the two against each other
- * for every policy, indexing mode, and the enhanced variant.
+ * takes its vote and update from skewedVote(), the function the
+ * phase-split transition tables are generated from, and computes the
+ * same result as SkewedPredictor::updateUnprobed() — the
+ * block-vs-scalar contract tests pin the two against each other for
+ * every policy, indexing mode, and the enhanced variant.
  */
 template <unsigned NumBanks>
 struct SkewedBlockState
@@ -62,51 +64,26 @@ struct SkewedBlockState
     bool
     step(Addr pc, bool taken)
     {
-        unsigned votes_taken = 0;
         u64 indices[NumBanks];
         u8 values[NumBanks];
-        bool bank_predictions[NumBanks];
+#pragma GCC unroll 8
         for (unsigned bank = 0; bank < NumBanks; ++bank) {
             indices[bank] = bankIndexOf(bank, pc);
             values[bank] = banks[bank].value(indices[bank]);
-            bank_predictions[bank] =
-                values[bank] >= banks[bank].threshold;
-            votes_taken += unsigned(bank_predictions[bank]);
         }
-        const bool overall = votes_taken * 2 > NumBanks;
-        const bool overall_correct = overall == taken;
-
-        // The policy skips below are decided by data (the branch
-        // outcome and per-bank agreement), so they are computed as
-        // straight-line ALU arithmetic — bitwise bool combination,
-        // write-enable folded into the store multiplicatively — so
-        // the loop carries no data-dependent branch the host CPU
-        // could mispredict. A policy-skipped bank stores its old
-        // value back; bankWrites still counts exactly the updates
-        // the scalar updateUnprobed() performs.
-        const bool partial =
-            config.updatePolicy == UpdatePolicy::Partial ||
-            config.updatePolicy == UpdatePolicy::PartialLazy;
-        const bool lazy =
-            config.updatePolicy == UpdatePolicy::PartialLazy;
-        const u8 max = banks[0].max;
-        const u8 saturated = static_cast<u8>(max * int(taken));
+        // A policy-skipped bank stores its old value back; bankWrites
+        // still counts exactly the updates the scalar
+        // updateUnprobed() performs.
+        const SkewedVote<NumBanks> vote =
+            skewedVote(values, taken, banks[0].max, banks[0].threshold,
+                       config.updatePolicy);
+#pragma GCC unroll 8
         for (unsigned bank = 0; bank < NumBanks; ++bank) {
-            const bool bank_correct = bank_predictions[bank] == taken;
-            const u8 value = values[bank];
-            const int skip_partial = int(partial) &
-                int(overall_correct) & int(!bank_correct);
-            const int skip_lazy = int(lazy) & int(bank_correct) &
-                int(value == saturated);
-            const int write = 1 & ~(skip_partial | skip_lazy);
-            const int up = int(taken) & int(value < max);
-            const int down = int(!taken) & int(value > 0);
-            banks[bank].at(indices[bank]) =
-                static_cast<u8>(value + write * (up - down));
-            bankWrites += u64(write);
+            banks[bank].at(indices[bank]) = vote.next[bank];
         }
+        bankWrites += vote.writes;
         history.shiftIn(taken);
-        return overall;
+        return vote.prediction;
     }
 
     void unconditional(Addr) { history.shiftIn(true); }
@@ -235,6 +212,7 @@ SkewedPredictor::replayBlock(const BranchRecord *records,
         return;
     }
     const bool phase_split = scratch &&
+        skewedTableFits(config.numBanks, config.counterBits) &&
         simdSkewGeometryOk(config.bankIndexBits, config.historyBits) &&
         resolveSimdMode(scratch->mode) == SimdMode::Avx2;
     // Covers both gskewed and e-gskew (one kernel instantiation per
@@ -244,16 +222,12 @@ SkewedPredictor::replayBlock(const BranchRecord *records,
     // (skewed_kernel_simd.hh) precomputes every bank's indices for
     // the block with the vectorized f0..f4 kernels first — exact,
     // because history advances on outcomes, never predictions — and
-    // resolves fed by them with cross-bank prefetch.
+    // resolves each conditional with one transition-table lookup.
+    // Groups too wide for a table take the fused kernel.
     const auto run = [&]<unsigned NumBanks>() {
         if (phase_split) {
             const bool identical =
                 config.indexing == BankIndexing::IdenticalGshare;
-            const bool partial =
-                config.updatePolicy == UpdatePolicy::Partial ||
-                config.updatePolicy == UpdatePolicy::PartialLazy;
-            const bool lazy =
-                config.updatePolicy == UpdatePolicy::PartialLazy;
             // One u8 counter per entry per bank: the group's total
             // footprint decides whether the resolve pass prefetches.
             const bool prefetch = simdWantsCounterPrefetch(
@@ -290,17 +264,15 @@ SkewedPredictor::replayBlock(const BranchRecord *records,
                                 ? scratch->indices[0].data()
                                 : nullptr);
                     }
-                    SatCounterArray::View views[NumBanks];
                     const u32 *idx[NumBanks];
                     for (unsigned bank = 0; bank < NumBanks; ++bank) {
-                        views[bank] = banks.bankView(bank);
                         idx[bank] = identical
                             ? scratch->indices[0].data()
                             : scratch->indices[bank].data();
                     }
                     resolveSkewedBanks(
-                        views, idx, scratch->taken.data(),
-                        conditionals, partial, lazy, prefetch,
+                        banks, idx, scratch->taken.data(),
+                        conditionals, config.updatePolicy, prefetch,
                         counters, bankWriteCount, mask,
                         [&](unsigned bank, std::size_t j) -> u64 {
                             if (identical) {

@@ -15,6 +15,7 @@
 
 #include "aliasing/fa_lru_table.hh"
 #include "aliasing/tagged_table.hh"
+#include "core/skewed_kernel_simd.hh"
 #include "predictors/block_kernel_simd.hh"
 #include "predictors/history.hh"
 #include "predictors/info_vector.hh"
@@ -133,6 +134,41 @@ TEST(PhaseSplitDeathTest, IndexMismatchAborts)
                                     [](std::size_t) { return u64(7); }),
                  "precomputed index diverged");
     EXPECT_DEATH(noteIndexRepair(), "fill-kernel bug");
+}
+
+TEST(PhaseSplitDeathTest, SkewedResolveVerifiesEveryLookup)
+{
+    // The checked skewed resolve runs the transition-table span and
+    // verifies both its indices and each looked-up entry against
+    // skewedVote(). Either mismatch aborts.
+    SatCounterBankGroup banks(3, 16, 2, BankLayout::Interleaved);
+    const u32 b0[2] = {3, 5};
+    const u32 b1[2] = {4, 5};
+    const u32 b2[2] = {9, 1};
+    const u32 *const idx[3] = {b0, b1, b2};
+    const u8 taken[2] = {1, 0};
+    u8 mask[2] = {};
+    ReplayCounters counters;
+    u64 writes = 0;
+    const auto exact = [&](unsigned bank, std::size_t j) {
+        return u64(idx[bank][j]);
+    };
+    resolveSkewedBanks(banks, idx, taken, 2, UpdatePolicy::Total, false,
+                       counters, writes, mask, exact);
+    EXPECT_EQ(counters.conditionals, 2u);
+    EXPECT_EQ(u64(mask[0]) + mask[1], counters.mispredicts);
+    EXPECT_EQ(writes, 6u);
+    EXPECT_DEATH(resolveSkewedBanks(banks, idx, taken, 2,
+                                    UpdatePolicy::Total, false, counters,
+                                    writes, nullptr,
+                                    [](unsigned, std::size_t) {
+                                        return u64(7);
+                                    }),
+                 "precomputed index diverged");
+    const u8 values[3] = {0, 2, 3};
+    const auto verify = verifySkewedEntry<3, 2>;
+    EXPECT_DEATH(verify(values, true, 0, UpdatePolicy::Partial),
+                 "diverged from skewedVote");
 }
 
 TEST(CheckedAliasingTables, MisuseFailsLoudly)

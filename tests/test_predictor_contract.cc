@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/skewed_predictor.hh"
 #include "predictors/predictor.hh"
 #include "predictors/replay_scratch.hh"
 #include "sim/driver.hh"
@@ -552,6 +553,65 @@ TEST(ReplayBlockContract, SimdMatchesScalarAcrossBlockSizesAndModes)
                 EXPECT_EQ(want.mispredicts, got.mispredicts);
                 EXPECT_EQ(snapshotBytes(*reference),
                           snapshotBytes(*simd));
+            }
+        }
+    }
+
+    // Factory specs fix the counter width at 2 bits, so the other
+    // skewed geometries are built directly: transition-table widths
+    // (3 banks x 1..3 bits, 5 x 2, 1 x 4) and groups too wide for a
+    // table, which take the fused kernel (3 x 4, 5 x 3). The
+    // reference is the split update() path, which uses neither the
+    // tables nor skewedVote(). A 13-bit group crosses
+    // simdWantsCounterPrefetch, so the prefetching resolve runs too.
+    struct Geometry
+    {
+        unsigned banks;
+        unsigned counterBits;
+        UpdatePolicy policy;
+        bool enhanced;
+        unsigned indexBits;
+    };
+    const Geometry geometries[] = {
+        {3, 1, UpdatePolicy::Partial, false, 8},
+        {3, 2, UpdatePolicy::Partial, false, 8},
+        {3, 3, UpdatePolicy::Partial, false, 8},
+        {3, 3, UpdatePolicy::Total, false, 8},
+        {3, 3, UpdatePolicy::PartialLazy, false, 13},
+        {3, 4, UpdatePolicy::Partial, false, 8},
+        {5, 2, UpdatePolicy::PartialLazy, false, 8},
+        {5, 3, UpdatePolicy::Partial, false, 8},
+        {1, 4, UpdatePolicy::Partial, false, 8},
+        {3, 2, UpdatePolicy::Partial, true, 8},
+        {3, 3, UpdatePolicy::Partial, true, 8},
+    };
+    for (const Geometry &geometry : geometries) {
+        SkewedPredictor::Config config;
+        config.numBanks = geometry.banks;
+        config.bankIndexBits = geometry.indexBits;
+        config.historyBits = 6;
+        config.counterBits = geometry.counterBits;
+        config.updatePolicy = geometry.policy;
+        config.enhanced = geometry.enhanced;
+        SkewedPredictor reference(config);
+        const ReplayCounters want = replayScalar(reference, trace);
+        for (const std::size_t block : blockSizes) {
+            for (const SimdMode mode : modes) {
+                SkewedPredictor replayed(config);
+                SCOPED_TRACE(replayed.name() + " counter_bits=" +
+                             std::to_string(geometry.counterBits) +
+                             " block=" + std::to_string(block) +
+                             " mode=" +
+                             std::string(simdModeName(mode)));
+                ReplayScratch scratch;
+                scratch.mode = mode;
+                const ReplayCounters got =
+                    replayBlocksFixed(replayed, trace, block, &scratch);
+                EXPECT_EQ(want.conditionals, got.conditionals);
+                EXPECT_EQ(want.mispredicts, got.mispredicts);
+                EXPECT_EQ(reference.bankWrites(), replayed.bankWrites());
+                EXPECT_EQ(snapshotBytes(reference),
+                          snapshotBytes(replayed));
             }
         }
     }

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "core/skewed_kernel_simd.hh"
 #include "core/skewed_predictor.hh"
 #include "support/logging.hh"
 
@@ -218,6 +223,144 @@ TEST(SkewedPredictor, SingleBankDegeneratesToOneTable)
     }
     EXPECT_TRUE(predictor.predict(pc));
     EXPECT_EQ(predictor.totalEntries(), 64u);
+}
+
+/** The update policies as this test states them (see paperResolve). */
+enum class PaperPolicy
+{
+    Total,
+    Partial,
+    PartialLazy,
+};
+
+/** Every bank's next counter, the mispredict flag and the writes. */
+struct PaperResolve
+{
+    std::vector<unsigned> next;
+    bool mispredict;
+    unsigned writes;
+};
+
+/**
+ * One resolved conditional written straight from the paper's
+ * section 4, with nothing from the predictor code. Each bank is a
+ * @p counter_bits saturating counter that predicts taken in its
+ * upper half. The overall prediction is the majority of the bank
+ * predictions. Total update trains every bank toward the outcome.
+ * Partial update, when the overall prediction was correct, leaves
+ * the banks that predicted wrong alone; after a misprediction every
+ * bank trains. The lazy variant also skips rewriting a correct bank
+ * that is already saturated toward the outcome. Every bank the
+ * policy trains counts one write, even if it was saturated.
+ */
+PaperResolve
+paperResolve(const std::vector<unsigned> &counters, bool taken,
+             unsigned counter_bits, PaperPolicy policy)
+{
+    const unsigned top = (1u << counter_bits) - 1;
+    const unsigned upper_half = 1u << (counter_bits - 1);
+    std::size_t taken_votes = 0;
+    for (const unsigned counter : counters) {
+        taken_votes += counter >= upper_half ? 1 : 0;
+    }
+    const bool majority_taken = 2 * taken_votes > counters.size();
+    PaperResolve result{counters, majority_taken != taken, 0};
+    for (std::size_t bank = 0; bank < counters.size(); ++bank) {
+        const unsigned counter = counters[bank];
+        const bool bank_right = (counter >= upper_half) == taken;
+        if (policy != PaperPolicy::Total && majority_taken == taken &&
+            !bank_right) {
+            continue;
+        }
+        if (policy == PaperPolicy::PartialLazy && bank_right &&
+            counter == (taken ? top : 0u)) {
+            continue;
+        }
+        result.next[bank] = taken ? std::min(counter + 1, top)
+                                  : (counter == 0 ? 0 : counter - 1);
+        ++result.writes;
+    }
+    return result;
+}
+
+/**
+ * Compare every entry of one transition table with paperResolve().
+ * The key holds the outcome in bit 0 and bank b's counter at bit
+ * 1 + b * CounterBits; the entry holds bank b's next value at bit
+ * b * CounterBits, then the write count and the mispredict flag.
+ */
+template <unsigned NumBanks, unsigned CounterBits>
+void
+expectTableMatchesPaper(UpdatePolicy policy, PaperPolicy paper)
+{
+    const u16 *table =
+        skewedTransitionTable<NumBanks, CounterBits>(policy);
+    const unsigned top = (1u << CounterBits) - 1;
+    const unsigned keys = 1u << (NumBanks * CounterBits + 1);
+    unsigned mismatches = 0;
+    std::string first;
+    for (unsigned key = 0; key < keys; ++key) {
+        const bool taken = (key & 1) != 0;
+        std::vector<unsigned> counters(NumBanks);
+        for (unsigned bank = 0; bank < NumBanks; ++bank) {
+            counters[bank] = (key >> (1 + bank * CounterBits)) & top;
+        }
+        const PaperResolve want =
+            paperResolve(counters, taken, CounterBits, paper);
+        const unsigned entry = table[key];
+        bool same =
+            bool(entry >> skewedEntryMispredictShift) ==
+                want.mispredict &&
+            ((entry >> skewedEntryWritesShift) & 7) == want.writes;
+        for (unsigned bank = 0; bank < NumBanks; ++bank) {
+            same = same &&
+                ((entry >> (bank * CounterBits)) & top) ==
+                    want.next[bank];
+        }
+        if (!same && mismatches++ == 0) {
+            first = "key " + std::to_string(key) + " entry " +
+                std::to_string(entry);
+        }
+    }
+    EXPECT_EQ(mismatches, 0u)
+        << NumBanks << " banks x " << CounterBits << " bits, policy "
+        << int(paper) << ": first mismatch at " << first;
+}
+
+/**
+ * Check all three policies for every counter width from
+ * @p CounterBits up whose key fits; returns how many widths that is.
+ */
+template <unsigned NumBanks, unsigned CounterBits = 1>
+unsigned
+expectEveryFittingWidthMatchesPaper()
+{
+    if constexpr (CounterBits <= 8 &&
+                  skewedTableFits(NumBanks, CounterBits)) {
+        expectTableMatchesPaper<NumBanks, CounterBits>(
+            UpdatePolicy::Total, PaperPolicy::Total);
+        expectTableMatchesPaper<NumBanks, CounterBits>(
+            UpdatePolicy::Partial, PaperPolicy::Partial);
+        expectTableMatchesPaper<NumBanks, CounterBits>(
+            UpdatePolicy::PartialLazy, PaperPolicy::PartialLazy);
+        return 1 +
+            expectEveryFittingWidthMatchesPaper<NumBanks,
+                                                CounterBits + 1>();
+    } else {
+        return 0;
+    }
+}
+
+TEST(SkewedTransitionTable, EveryEntryMatchesThePaperPolicy)
+{
+    // A key is every bank's counter plus the outcome, at most 11
+    // bits: one bank of any width, three of up to 3 bits and five of
+    // up to 2 bits have tables.
+    EXPECT_EQ(expectEveryFittingWidthMatchesPaper<1>(), 8u);
+    EXPECT_EQ(expectEveryFittingWidthMatchesPaper<3>(), 3u);
+    EXPECT_EQ(expectEveryFittingWidthMatchesPaper<5>(), 2u);
+    EXPECT_FALSE(skewedTableFits(3, 4));
+    EXPECT_FALSE(skewedTableFits(5, 3));
 }
 
 } // namespace
