@@ -5,14 +5,14 @@
  * configuration, so per-event cost matters.
  *
  * Three sections:
- *  - "throughput": per scheme, the five replay kernels side by
- *    side — split predict()+update(), fused predictAndUpdate(),
- *    the per-block replayBlock() batch kernel, the phase-split
- *    SIMD path (replayBlock with an AVX2 ReplayScratch), and a
- *    4-member GangSession — in millions of records per second,
- *    each the median of several interleaved runs.
+ *  - "throughput": per scheme, the three replay kernels side by
+ *    side — the per-block replayBlock() batch kernel, the
+ *    phase-split SIMD path (replayBlock with an AVX2
+ *    ReplayScratch), and a 4-member GangSession — in millions of
+ *    records per second, each the median of several interleaved
+ *    runs.
  *  - "simd_identity": for every factory scheme, the phase-split
- *    path is replayed against the fused scalar reference and must
+ *    path is replayed against the scalar block kernel and must
  *    match tallies and saveState() bytes exactly; any divergence
  *    exits nonzero.
  *  - "gang_sweep": a Figure-5-shaped size sweep (many cells, one
@@ -27,7 +27,7 @@
  *    reported, not gated.
  *
  * With `--json <path>` both tables land in BENCH_perf.json, so CI
- * keeps a scalar/fused/block/gang throughput trajectory per scheme.
+ * keeps a block/simd/gang throughput trajectory per scheme.
  */
 
 #include "bench_common.hh"
@@ -108,58 +108,6 @@ mrps(double records, double seconds)
     return seconds > 0 ? records / seconds / 1e6 : 0.0;
 }
 
-/** Split predict()+update() — the pre-fusion reference. */
-double
-runSplit(const std::string &spec, const Trace &trace, int reps)
-{
-    auto predictor = makePredictor(spec);
-    u64 sink = 0;
-    const double seconds = secondsFor([&] {
-        for (int rep = 0; rep < reps; ++rep) {
-            for (const BranchRecord &record : trace) {
-                if (!record.conditional) {
-                    predictor->notifyUnconditional(record.pc);
-                    continue;
-                }
-                sink += predictor->predict(record.pc) ? 1 : 0;
-                predictor->update(record.pc, record.taken);
-            }
-        }
-    });
-    // Keep the predictions observable so the loop cannot be elided.
-    volatile u64 guard = sink;
-    (void)guard;
-    return mrps(double(trace.size()) * reps, seconds);
-}
-
-/** Fused predictAndUpdate() — one virtual call per branch. */
-double
-runFused(const std::string &spec, const Trace &trace, int reps)
-{
-    auto predictor = makePredictor(spec);
-    u64 sink = 0;
-    const double seconds = secondsFor([&] {
-        for (int rep = 0; rep < reps; ++rep) {
-            for (const BranchRecord &record : trace) {
-                if (!record.conditional) {
-                    predictor->notifyUnconditional(record.pc);
-                    continue;
-                }
-                sink += predictor
-                            ->predictAndUpdate(record.pc,
-                                               record.taken)
-                            .prediction
-                    ? 1
-                    : 0;
-            }
-        }
-    });
-    // Keep the predictions observable so the loop cannot be elided.
-    volatile u64 guard = sink;
-    (void)guard;
-    return mrps(double(trace.size()) * reps, seconds);
-}
-
 /** runBlock() outcome: throughput plus hardware counters. */
 struct BlockPerf
 {
@@ -213,7 +161,7 @@ medianBlockPerf(std::vector<BlockPerf> samples)
  * The phase-split vector path: replayBlock() with a ReplayScratch
  * requesting AVX2 dispatch — what SimSession passes down when
  * SimOptions::simd resolves to a vector mode. On a scalar-only
- * build (or a non-AVX2 host) this degrades to the fused kernel and
+ * build (or a non-AVX2 host) this degrades to the block kernel and
  * the simd/block column sits at ~1.
  */
 double
@@ -243,7 +191,7 @@ runSimd(const std::string &spec, const Trace &trace, int reps,
 
 /**
  * Byte-identity gate: replay @p trace blockwise through @p spec
- * twice — the fused scalar reference (null scratch) and the
+ * twice — the scalar block kernel (null scratch) and the
  * phase-split AVX2 path — and demand identical tallies and, where
  * snapshots are supported, identical saveState() bytes. Returns
  * false (and reports) on any divergence.
@@ -336,7 +284,7 @@ main(int argc, char **argv)
 
     init(argc, argv);
     banner("replay kernel throughput",
-           "Split vs fused vs per-block vs gang replay, and a "
+           "Per-block vs phase-split vs gang replay, and a "
            "fig5-shaped sweep per-cell vs ganged.");
 
     const Trace trace = makePerfTrace();
@@ -348,9 +296,9 @@ main(int argc, char **argv)
               << block << " records\n\n";
 
     const std::vector<std::string> specs = {
-        "bimodal:14",      "gshare:14:10", "gselect:14:10",
-        "hybrid:13:10",    "gskewed:3:12:10", "egskew:12:10",
-        "gskewed:5:12:10", "gskewed:3:12:10:total",
+        "bimodal:14",      "gshare:14:10",   "gselect:14:10",
+        "hybrid:13:10",    "hybrid:20:12",   "gskewed:3:12:10",
+        "egskew:12:10",    "gskewed:5:12:10", "gskewed:3:12:10:total",
     };
 
     // Every number is a median of timingRepetitions runs; the
@@ -367,23 +315,18 @@ main(int argc, char **argv)
     // IPC / MPKrec come from a perf_event group bracketing the
     // block kernel; unavailable counters (containers, non-Linux)
     // print "-" and are omitted from the JSON stats.
-    TextTable table({"scheme", "split Mrec/s", "fused Mrec/s",
-                     "block Mrec/s", "simd Mrec/s", "gang4 Mrec/s",
-                     "block/fused", "simd/block", "IPC",
+    TextTable table({"scheme", "block Mrec/s", "simd Mrec/s",
+                     "gang4 Mrec/s", "simd/block", "IPC",
                      "c-miss/Krec", "b-miss/Krec"});
     const double blockRecordsTotal = double(trace.size()) * reps;
     for (const std::string &spec : specs) {
         // Interleaved repetitions: one rep of every kernel per pass
         // (see timingRepetitions) so the medians compare like with
         // like under machine-wide throughput drift.
-        std::vector<double> splitSamples;
-        std::vector<double> fusedSamples;
         std::vector<BlockPerf> blockSamples;
         std::vector<double> simdSamples;
         std::vector<double> gangSamples;
         for (int i = 0; i < timingRepetitions; ++i) {
-            splitSamples.push_back(runSplit(spec, trace, reps));
-            fusedSamples.push_back(runFused(spec, trace, reps));
             blockSamples.push_back(
                 runBlock(spec, trace, reps, block));
             simdSamples.push_back(
@@ -391,19 +334,14 @@ main(int argc, char **argv)
             gangSamples.push_back(
                 runGang(spec, trace, reps, block));
         }
-        const double split = medianOfSamples(splitSamples);
-        const double fused = medianOfSamples(fusedSamples);
         const BlockPerf blocked = medianBlockPerf(blockSamples);
         const double simd = medianOfSamples(simdSamples);
         const double ganged = medianOfSamples(gangSamples);
         table.row()
             .cell(spec)
-            .cell(split, 1)
-            .cell(fused, 1)
             .cell(blocked.mrps, 1)
             .cell(simd, 1)
             .cell(ganged, 1)
-            .cell(fused > 0 ? blocked.mrps / fused : 0.0, 2)
             .cell(blocked.mrps > 0 ? simd / blocked.mrps : 0.0, 2);
         const PerfSample &sample = blocked.sample;
         if (sample.valid) {
@@ -436,7 +374,7 @@ main(int argc, char **argv)
 
     // Correctness gate for the phase-split path: every scheme the
     // factory can build must produce tallies and predictor state
-    // byte-identical to the fused scalar reference. A divergence
+    // byte-identical to the scalar block kernel. A divergence
     // fails the whole bench (nonzero exit), so CI catches a broken
     // vector kernel even when throughput looks healthy.
     bool simdIdentical = true;
@@ -520,10 +458,9 @@ main(int argc, char **argv)
     }
 
     expectation(
-        "block/fused >= 1 per scheme (devirtualized kernels never "
-        "lose); simd/block >= 1.5 on gshare and egskew at the "
-        "default block size when AVX2 dispatch is live, "
-        "byte-identically to the scalar path for every scheme; and "
+        "simd/block >= 1.5 on gshare and egskew at the default "
+        "block size when AVX2 dispatch is live, byte-identically to "
+        "the scalar block kernel for every scheme; and "
         "the ganged fig5-shaped sweep matches the per-cell block "
         "path bit-identically, at about the same speed (0.7-1.3x "
         "measured: this trace is cache-resident, so trace sharing "

@@ -12,7 +12,7 @@
  *    vector feeds every bank of a group.
  *  - The vote. skewedVote() is the one definition of the majority
  *    vote and the Total / Partial / PartialLazy update policies. The
- *    fused SkewedBlockState::step() calls it, and the transition
+ *    block kernel's SkewedBlockState::step() calls it, and the transition
  *    tables are generated from it.
  *  - The resolve. The vote couples the banks, so a group's whole
  *    per-record update is a function of a few bits. One lookup in a
@@ -31,7 +31,7 @@
  * (NumBanks * CounterBits + 1 <= 11), so a table is at most 4 KiB.
  * That covers 1, 3 and 5 banks of 2-bit counters, 3 banks of up to
  * 3-bit counters and one bank of any width. Wider groups take the
- * fused block kernel instead. There is one table per geometry and
+ * block kernel instead. There is one table per geometry and
  * policy. Each is generated at compile time, is read-only and is
  * shared by every predictor, so it costs no per-predictor memory
  * and no snapshot field.
@@ -353,7 +353,7 @@ struct SkewedVote
 /**
  * The skewed family's vote and update policy over one bank group's
  * counter @p values for a conditional resolving @p taken. It is the
- * one definition behind the fused SkewedBlockState::step() and the
+ * one definition behind SkewedBlockState::step() and the
  * transition tables below, so the two cannot drift; the split
  * SkewedPredictor::update() stays the independent reference. The
  * policy skips are data (the outcome and per-bank agreement), so
@@ -596,7 +596,7 @@ withTableCounterBits(unsigned counter_bits, Body &&body)
  * Phases 2+3 for the skewed family: resolve @p n precomputed
  * conditionals against the interleaved bank group @p banks, whose
  * geometry must have a transition table (skewedTableFits; wider
- * groups take the fused block kernel). When @p prefetch_counters is
+ * groups take the block kernel). When @p prefetch_counters is
  * set (simdWantsCounterPrefetch over the group's footprint), the
  * pass runs in sub-batches, prefetching every bank's counter line
  * for the next sub-batch first; L1-resident groups run one flat

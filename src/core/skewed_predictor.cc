@@ -29,7 +29,7 @@ namespace
  * share are computed once per branch, not once per bank. step()
  * takes its vote and update from skewedVote(), the function the
  * phase-split transition tables are generated from, and computes the
- * same result as SkewedPredictor::updateUnprobed() — the
+ * same result as the split SkewedPredictor::update() — the
  * block-vs-scalar contract tests pin the two against each other for
  * every policy, indexing mode, and the enhanced variant.
  */
@@ -72,8 +72,8 @@ struct SkewedBlockState
             values[bank] = banks[bank].value(indices[bank]);
         }
         // A policy-skipped bank stores its old value back; bankWrites
-        // still counts exactly the updates the scalar
-        // updateUnprobed() performs.
+        // still counts exactly the updates the split update()
+        // performs.
         const SkewedVote<NumBanks> vote =
             skewedVote(values, taken, banks[0].max, banks[0].threshold,
                        config.updatePolicy);
@@ -107,9 +107,7 @@ SkewedPredictor::validated(const Config &config)
               "skewing family (got " +
               std::to_string(config.numBanks) + ")");
     }
-    if (config.bankIndexBits < 1 || config.bankIndexBits > 28) {
-        fatal("gskewed: unreasonable bank index width");
-    }
+    checkedIndexBits("gskewed", config.bankIndexBits);
     if (config.counterBits < 1 || config.counterBits > 8) {
         fatal("gskewed: bad counter width");
     }
@@ -174,30 +172,68 @@ SkewedPredictor::predict(Addr pc)
 void
 SkewedPredictor::update(Addr pc, bool taken)
 {
-    // Dispatch before any work: the instrumented variant repeats the
-    // whole algorithm with event publishing, keeping the no-sink
-    // pass free of probe checks.
-    if (probeSink) [[unlikely]] {
-        updateProbed(pc, taken);
-        return;
+    // Compute per-bank indices and predictions with the pre-branch
+    // history (update() contract), then apply the update policy,
+    // publishing each decision when a probe is attached. This is the
+    // reference the block kernels' skewedVote() is pinned to; it
+    // shares none of their code.
+    unsigned votes_taken = 0;
+    u64 indices[maxSkewBanks];
+    bool bank_predictions[maxSkewBanks];
+    for (unsigned bank = 0; bank < config.numBanks; ++bank) {
+        indices[bank] = bankIndexOf(bank, pc);
+        bank_predictions[bank] =
+            banks.predictTaken(bank, indices[bank]);
+        if (bank_predictions[bank]) {
+            ++votes_taken;
+        }
     }
-    updateUnprobed(pc, taken);
-}
+    const bool overall = votes_taken * 2 > config.numBanks;
+    const bool overall_correct = overall == taken;
 
-Outcome
-SkewedPredictor::predictAndUpdate(Addr pc, bool taken)
-{
     if (probeSink) [[unlikely]] {
-        // Off the hot loop; reuse the split implementation so event
-        // order stays identical to predict()+update().
-        const bool prediction = predict(pc);
-        updateProbed(pc, taken);
-        return {prediction};
+        probeSink->onResolved({pc, overall, taken});
+        for (unsigned bank = 0; bank < config.numBanks; ++bank) {
+            probeSink->onBankVote(
+                {pc, bank, bank_predictions[bank], overall, taken});
+        }
     }
-    // One pass: updateUnprobed() already computes every bank index
-    // and vote, so the fused path skips predict()'s duplicate index
-    // computation and bank reads entirely.
-    return {updateUnprobed(pc, taken)};
+
+    const bool partial =
+        config.updatePolicy == UpdatePolicy::Partial ||
+        config.updatePolicy == UpdatePolicy::PartialLazy;
+    for (unsigned bank = 0; bank < config.numBanks; ++bank) {
+        const bool bank_correct = bank_predictions[bank] == taken;
+        if (partial && overall_correct && !bank_correct) {
+            // The bank disagreed but the vote was right: its entry
+            // likely serves another substream, so leave it alone.
+            if (probeSink) [[unlikely]] {
+                probeSink->onUpdateSkip(
+                    {bank, UpdateSkipEvent::Reason::PartialProtect});
+            }
+            continue;
+        }
+        const u8 before = banks.value(bank, indices[bank]);
+        if (config.updatePolicy == UpdatePolicy::PartialLazy &&
+            bank_correct &&
+            before == (taken ? u8(mask(config.counterBits)) : u8(0))) {
+            // Skip the write when the counter is already saturated
+            // toward the outcome; its value would not change.
+            if (probeSink) [[unlikely]] {
+                probeSink->onUpdateSkip(
+                    {bank, UpdateSkipEvent::Reason::LazySaturated});
+            }
+            continue;
+        }
+        banks.update(bank, indices[bank], taken);
+        if (probeSink && banks.value(bank, indices[bank]) != before)
+            [[unlikely]] {
+            probeSink->onCounterWrite(
+                {bank, before, banks.value(bank, indices[bank])});
+        }
+        ++bankWriteCount;
+    }
+    history.shiftIn(taken);
 }
 
 void
@@ -216,14 +252,14 @@ SkewedPredictor::replayBlock(const BranchRecord *records,
         simdSkewGeometryOk(config.bankIndexBits, config.historyBits) &&
         resolveSimdMode(scratch->mode) == SimdMode::Avx2;
     // Covers both gskewed and e-gskew (one kernel instantiation per
-    // bank count): the inlined fused step mirrors updateUnprobed(),
-    // so each bank index is computed once per branch and the loop
-    // carries no virtual calls at all. The phase-split variant
-    // (skewed_kernel_simd.hh) precomputes every bank's indices for
-    // the block with the vectorized f0..f4 kernels first — exact,
+    // bank count): the inlined block step computes each bank index
+    // once per branch and the loop carries no virtual calls at all.
+    // The phase-split variant (skewed_kernel_simd.hh) precomputes
+    // every bank's indices for the block with the vectorized f0..f4
+    // kernels first — exact,
     // because history advances on outcomes, never predictions — and
     // resolves each conditional with one transition-table lookup.
-    // Groups too wide for a table take the fused kernel.
+    // Groups too wide for a table take the block kernel.
     const auto run = [&]<unsigned NumBanks>() {
         if (phase_split) {
             const bool identical =
@@ -320,113 +356,6 @@ SkewedPredictor::replayBlock(const BranchRecord *records,
       default:
         panic("gskewed: bank count outside the skewing family");
     }
-}
-
-bool
-SkewedPredictor::updateUnprobed(Addr pc, bool taken)
-{
-    // Compute per-bank indices and predictions with the pre-branch
-    // history (update() contract), then apply the update policy.
-    unsigned votes_taken = 0;
-    u64 indices[maxSkewBanks];
-    bool bank_predictions[maxSkewBanks];
-    for (unsigned bank = 0; bank < config.numBanks; ++bank) {
-        indices[bank] = bankIndexOf(bank, pc);
-        bank_predictions[bank] =
-            banks.predictTaken(bank, indices[bank]);
-        if (bank_predictions[bank]) {
-            ++votes_taken;
-        }
-    }
-    const bool overall = votes_taken * 2 > config.numBanks;
-    const bool overall_correct = overall == taken;
-
-    const bool partial =
-        config.updatePolicy == UpdatePolicy::Partial ||
-        config.updatePolicy == UpdatePolicy::PartialLazy;
-    for (unsigned bank = 0; bank < config.numBanks; ++bank) {
-        const bool bank_correct = bank_predictions[bank] == taken;
-        if (partial && overall_correct && !bank_correct) {
-            // The bank disagreed but the vote was right: its entry
-            // likely serves another substream, so leave it alone.
-            continue;
-        }
-        if (config.updatePolicy == UpdatePolicy::PartialLazy &&
-            bank_correct) {
-            // Skip the write when the counter is already saturated
-            // toward the outcome; its value would not change.
-            const u8 value = banks.value(bank, indices[bank]);
-            const u8 saturated = taken
-                ? static_cast<u8>(mask(config.counterBits))
-                : u8(0);
-            if (value == saturated) {
-                continue;
-            }
-        }
-        banks.update(bank, indices[bank], taken);
-        ++bankWriteCount;
-    }
-    history.shiftIn(taken);
-    return overall;
-}
-
-void
-SkewedPredictor::updateProbed(Addr pc, bool taken)
-{
-    // Mirrors update() exactly, adding event publishing at each
-    // decision point. test_probe's SinkDoesNotChangePredictions
-    // guards the two paths against drifting apart.
-    unsigned votes_taken = 0;
-    u64 indices[maxSkewBanks];
-    bool bank_predictions[maxSkewBanks];
-    for (unsigned bank = 0; bank < config.numBanks; ++bank) {
-        indices[bank] = bankIndexOf(bank, pc);
-        bank_predictions[bank] =
-            banks.predictTaken(bank, indices[bank]);
-        if (bank_predictions[bank]) {
-            ++votes_taken;
-        }
-    }
-    const bool overall = votes_taken * 2 > config.numBanks;
-    const bool overall_correct = overall == taken;
-
-    probeSink->onResolved({pc, overall, taken});
-    for (unsigned bank = 0; bank < config.numBanks; ++bank) {
-        probeSink->onBankVote(
-            {pc, bank, bank_predictions[bank], overall, taken});
-    }
-
-    const bool partial =
-        config.updatePolicy == UpdatePolicy::Partial ||
-        config.updatePolicy == UpdatePolicy::PartialLazy;
-    for (unsigned bank = 0; bank < config.numBanks; ++bank) {
-        const bool bank_correct = bank_predictions[bank] == taken;
-        if (partial && overall_correct && !bank_correct) {
-            probeSink->onUpdateSkip(
-                {bank, UpdateSkipEvent::Reason::PartialProtect});
-            continue;
-        }
-        if (config.updatePolicy == UpdatePolicy::PartialLazy &&
-            bank_correct) {
-            const u8 value = banks.value(bank, indices[bank]);
-            const u8 saturated = taken
-                ? static_cast<u8>(mask(config.counterBits))
-                : u8(0);
-            if (value == saturated) {
-                probeSink->onUpdateSkip(
-                    {bank, UpdateSkipEvent::Reason::LazySaturated});
-                continue;
-            }
-        }
-        const u8 before = banks.value(bank, indices[bank]);
-        banks.update(bank, indices[bank], taken);
-        const u8 after = banks.value(bank, indices[bank]);
-        if (before != after) {
-            probeSink->onCounterWrite({bank, before, after});
-        }
-        ++bankWriteCount;
-    }
-    history.shiftIn(taken);
 }
 
 void

@@ -103,7 +103,6 @@ class SkewedPredictor : public Predictor
 
     bool predict(Addr pc) override;
     void update(Addr pc, bool taken) override;
-    Outcome predictAndUpdate(Addr pc, bool taken) override;
     void replayBlock(const BranchRecord *records, std::size_t count,
                      ReplayCounters &counters,
                      ReplayScratch *scratch) override;
@@ -148,18 +147,6 @@ class SkewedPredictor : public Predictor
     static const Config &validated(const Config &config);
 
     u64 bankIndexOf(unsigned bank, Addr pc) const;
-
-    /**
-     * The shared no-probe resolution pass: one index computation
-     * and at most one counter touch per bank, applying the update
-     * policy. Returns the pre-update majority prediction — so
-     * update() and the fused predictAndUpdate() cannot drift apart.
-     */
-    bool updateUnprobed(Addr pc, bool taken);
-
-    /** The whole update() when a probe is attached (kept out of the
-     * hot path so the uninstrumented loop carries no probe checks). */
-    void updateProbed(Addr pc, bool taken);
 
     Config config;
 

@@ -40,7 +40,8 @@ struct BimodalBlockState
 
 BimodalPredictor::BimodalPredictor(unsigned index_bits,
                                    unsigned counter_bits)
-    : table(u64(1) << index_bits, counter_bits),
+    : table(u64(1) << checkedIndexBits("bimodal", index_bits),
+            counter_bits),
       indexBits(index_bits)
 {
 }
@@ -60,31 +61,15 @@ BimodalPredictor::predict(Addr pc)
 void
 BimodalPredictor::update(Addr pc, bool taken)
 {
-    // Dispatch before any work so the no-sink path keeps nothing
-    // live across the probed helper's virtual sink calls (which
-    // would force a stack frame on the hot path).
-    if (probeSink) [[unlikely]] {
-        updateProbed(pc, taken);
-        return;
-    }
-    table.update(indexOf(pc), taken);
-}
-
-Outcome
-BimodalPredictor::predictAndUpdate(Addr pc, bool taken)
-{
-    if (probeSink) [[unlikely]] {
-        // The probed path is off the hot loop; reuse the split
-        // implementation so event order stays identical to
-        // predict()+update().
-        const bool prediction = predict(pc);
-        updateProbed(pc, taken);
-        return {prediction};
-    }
     const u64 index = indexOf(pc);
-    const bool prediction = table.predictTaken(index);
+    if (probeSink) [[unlikely]] {
+        probeSink->onResolved({pc, table.predictTaken(index), taken});
+    }
+    const u8 before = table.value(index);
     table.update(index, taken);
-    return {prediction};
+    if (probeSink && table.value(index) != before) [[unlikely]] {
+        probeSink->onCounterWrite({0, before, table.value(index)});
+    }
 }
 
 void
@@ -122,19 +107,6 @@ BimodalPredictor::replayBlock(const BranchRecord *records,
     }
     replayBlockWithState(BimodalBlockState{table.view(), indexBits},
                          records, count, counters, scratch);
-}
-
-void
-BimodalPredictor::updateProbed(Addr pc, bool taken)
-{
-    const u64 index = indexOf(pc);
-    probeSink->onResolved({pc, table.predictTaken(index), taken});
-    const u8 before = table.value(index);
-    table.update(index, taken);
-    const u8 after = table.value(index);
-    if (before != after) {
-        probeSink->onCounterWrite({0, before, after});
-    }
 }
 
 std::string

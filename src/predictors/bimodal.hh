@@ -22,14 +22,13 @@ class BimodalPredictor : public Predictor
 {
   public:
     /**
-     * @param index_bits log2 of the table size.
+     * @param index_bits log2 of the table size (1..maxIndexBits).
      * @param counter_bits Counter width (1 or 2 in the paper).
      */
     BimodalPredictor(unsigned index_bits, unsigned counter_bits = 2);
 
     bool predict(Addr pc) override;
     void update(Addr pc, bool taken) override;
-    Outcome predictAndUpdate(Addr pc, bool taken) override;
     void replayBlock(const BranchRecord *records, std::size_t count,
                      ReplayCounters &counters,
                      ReplayScratch *scratch) override;
@@ -42,10 +41,6 @@ class BimodalPredictor : public Predictor
 
   private:
     u64 indexOf(Addr pc) const;
-
-    /** The whole update() when a probe is attached (kept out of the
-     * hot path so the uninstrumented loop stays frameless). */
-    void updateProbed(Addr pc, bool taken);
 
     SatCounterArray table;
     unsigned indexBits;

@@ -14,22 +14,24 @@
  * member field to be re-loaded from memory after each branch.
  *
  * A BlockState provides:
- *   bool step(Addr pc, bool taken)  — the fused resolve, returning
- *                                     the pre-update prediction;
+ *   bool step(Addr pc, bool taken)  — predict and train in one
+ *                                     pass, returning the
+ *                                     pre-update prediction;
  *   void unconditional(Addr pc)     — the notifyUnconditional
  *                                     equivalent;
  *   void commit()                   — write mutated state back to
  *                                     the predictor.
- * step()/unconditional() must mirror the scalar fused path exactly;
- * test_predictor_contract pins block replay to the scalar loop for
- * every registered scheme.
+ * step()/unconditional() must mirror split predict()/update()
+ * exactly: that pair is each scheme's one reference definition, and
+ * the base Predictor::replayBlock() runs this kernel over it.
+ * test_predictor_contract pins every block replay to the split loop
+ * for every registered scheme.
  *
- * Overrides must run the kernel only on the no-probe path (a probed
- * predictor delegates to the scalar Predictor::replayBlock() so
- * event streams stay identical, mirroring the fused-path contract),
- * and must pass their ReplayScratch through — to the kernel and to
- * the delegated default alike — so a requested mispredict mask is
- * filled on every path.
+ * Overrides must run their own state only on the no-probe path (a
+ * probed predictor delegates to the base Predictor::replayBlock() so
+ * event streams come from update()), and must pass their
+ * ReplayScratch through — to the kernel and to the delegated default
+ * alike — so a requested mispredict mask is filled on every path.
  */
 
 #pragma once

@@ -3,7 +3,7 @@
  * The phase-split block replay kernels: vectorized index
  * computation, software prefetch, and a fed serial resolve.
  *
- * The fused block kernel (block_kernel.hh) interleaves index math,
+ * The block kernel (block_kernel.hh) interleaves index math,
  * counter access and history updates per branch. This header splits
  * each block into phases:
  *
@@ -32,9 +32,9 @@
  *
  * Dispatch: predictors enter these kernels only when the resolved
  * SimdMode (support/simd.hh) is a vector mode and the table geometry
- * fits 32-bit indices; otherwise they run the fused block kernel,
- * which stays the reference. Byte-identity between the two is pinned
- * by test_predictor_contract for every registered scheme.
+ * fits 32-bit indices; otherwise they run the block kernel.
+ * Byte-identity of both with the split predict()/update() reference
+ * is pinned by test_predictor_contract for every registered scheme.
  *
  * Intrinsics policy (enforced by bp_lint's simd-isolation rule):
  * <immintrin.h> and the _mm* intrinsics appear only in *_simd files,
@@ -122,7 +122,7 @@ counterTransitionLut(u8 max)
  * True when @p index_bits fits the u32 index arrays with headroom
  * for the vector kernels' 64-bit lane math. Wider tables (never seen
  * in practice — 2^31 two-bit counters is half a GiB per table) use
- * the fused block kernel.
+ * the block kernel.
  */
 constexpr bool
 simdIndexWidthOk(unsigned index_bits)
@@ -134,7 +134,7 @@ simdIndexWidthOk(unsigned index_bits)
  * Phase 0: compact the conditional branches of @p records into the
  * scratch SoA arrays (address, pre-branch history, outcome) with a
  * branchless cursor, advancing the history register exactly as the
- * fused kernel would (conditionals shift in their outcome,
+ * block kernel would (conditionals shift in their outcome,
  * unconditionals shift in taken). Returns the number of
  * conditionals; the post-block history lands in @p history_out.
  */

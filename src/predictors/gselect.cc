@@ -45,9 +45,10 @@ struct GSelectBlockState
 GSelectPredictor::GSelectPredictor(unsigned index_bits,
                                    unsigned history_bits,
                                    unsigned counter_bits)
-    : table(u64(1) << index_bits, counter_bits),
+    : table(u64(1) << checkedIndexBits("gselect", index_bits),
+            counter_bits),
       indexBits(index_bits),
-      historyBits_(history_bits)
+      historyBits_(checkedHistoryBits("gselect", history_bits))
 {
 }
 
@@ -68,16 +69,6 @@ GSelectPredictor::update(Addr pc, bool taken)
 {
     table.update(indexOf(pc), taken);
     history.shiftIn(taken);
-}
-
-Outcome
-GSelectPredictor::predictAndUpdate(Addr pc, bool taken)
-{
-    const u64 index = indexOf(pc);
-    const bool prediction = table.predictTaken(index);
-    table.update(index, taken);
-    history.shiftIn(taken);
-    return {prediction};
 }
 
 void

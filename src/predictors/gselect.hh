@@ -23,8 +23,8 @@ class GSelectPredictor : public Predictor
 {
   public:
     /**
-     * @param index_bits log2 of the table size.
-     * @param history_bits Global-history length k.
+     * @param index_bits log2 of the table size (1..maxIndexBits).
+     * @param history_bits Global-history length k (at most 64).
      * @param counter_bits Counter width (1 or 2).
      */
     GSelectPredictor(unsigned index_bits, unsigned history_bits,
@@ -32,7 +32,6 @@ class GSelectPredictor : public Predictor
 
     bool predict(Addr pc) override;
     void update(Addr pc, bool taken) override;
-    Outcome predictAndUpdate(Addr pc, bool taken) override;
     void replayBlock(const BranchRecord *records, std::size_t count,
                      ReplayCounters &counters,
                      ReplayScratch *scratch) override;

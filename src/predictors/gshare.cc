@@ -48,9 +48,10 @@ struct GShareBlockState
 GSharePredictor::GSharePredictor(unsigned index_bits,
                                  unsigned history_bits,
                                  unsigned counter_bits)
-    : table(u64(1) << index_bits, counter_bits),
+    : table(u64(1) << checkedIndexBits("gshare", index_bits),
+            counter_bits),
       indexBits(index_bits),
-      historyBits_(history_bits)
+      historyBits_(checkedHistoryBits("gshare", history_bits))
 {
 }
 
@@ -69,33 +70,16 @@ GSharePredictor::predict(Addr pc)
 void
 GSharePredictor::update(Addr pc, bool taken)
 {
-    // Dispatch before any work so the no-sink path keeps nothing
-    // live across a call with unknown clobbers (the probed helper's
-    // virtual sink calls) — that would force a stack frame on the
-    // hot path.
-    if (probeSink) [[unlikely]] {
-        updateProbed(pc, taken);
-        return;
-    }
-    table.update(indexOf(pc), taken);
-    history.shiftIn(taken);
-}
-
-Outcome
-GSharePredictor::predictAndUpdate(Addr pc, bool taken)
-{
-    if (probeSink) [[unlikely]] {
-        // Off the hot loop; reuse the split implementation so event
-        // order stays identical to predict()+update().
-        const bool prediction = predict(pc);
-        updateProbed(pc, taken);
-        return {prediction};
-    }
     const u64 index = indexOf(pc);
-    const bool prediction = table.predictTaken(index);
+    if (probeSink) [[unlikely]] {
+        probeSink->onResolved({pc, table.predictTaken(index), taken});
+    }
+    const u8 before = table.value(index);
     table.update(index, taken);
+    if (probeSink && table.value(index) != before) [[unlikely]] {
+        probeSink->onCounterWrite({0, before, table.value(index)});
+    }
     history.shiftIn(taken);
-    return {prediction};
 }
 
 void
@@ -140,20 +124,6 @@ GSharePredictor::replayBlock(const BranchRecord *records,
         GShareBlockState{table.view(), history, historyBits_, indexBits,
                          &history},
         records, count, counters, scratch);
-}
-
-void
-GSharePredictor::updateProbed(Addr pc, bool taken)
-{
-    const u64 index = indexOf(pc);
-    probeSink->onResolved({pc, table.predictTaken(index), taken});
-    const u8 before = table.value(index);
-    table.update(index, taken);
-    const u8 after = table.value(index);
-    if (before != after) {
-        probeSink->onCounterWrite({0, before, after});
-    }
-    history.shiftIn(taken);
 }
 
 void

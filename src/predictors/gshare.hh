@@ -22,8 +22,8 @@ class GSharePredictor : public Predictor
 {
   public:
     /**
-     * @param index_bits log2 of the table size.
-     * @param history_bits Global-history length k.
+     * @param index_bits log2 of the table size (1..maxIndexBits).
+     * @param history_bits Global-history length k (at most 64).
      * @param counter_bits Counter width (1 or 2).
      */
     GSharePredictor(unsigned index_bits, unsigned history_bits,
@@ -31,7 +31,6 @@ class GSharePredictor : public Predictor
 
     bool predict(Addr pc) override;
     void update(Addr pc, bool taken) override;
-    Outcome predictAndUpdate(Addr pc, bool taken) override;
     void replayBlock(const BranchRecord *records, std::size_t count,
                      ReplayCounters &counters,
                      ReplayScratch *scratch) override;
@@ -48,10 +47,6 @@ class GSharePredictor : public Predictor
 
   private:
     u64 indexOf(Addr pc) const;
-
-    /** The whole update() when a probe is attached (kept out of the
-     * hot path so the uninstrumented loop stays frameless). */
-    void updateProbed(Addr pc, bool taken);
 
     SatCounterArray table;
     GlobalHistory history;

@@ -19,14 +19,6 @@ constexpr u8 snapshotVersion = 1;
 
 } // namespace
 
-Outcome
-Predictor::predictAndUpdate(Addr pc, bool taken)
-{
-    const bool prediction = predict(pc);
-    update(pc, taken);
-    return {prediction};
-}
-
 void
 Predictor::notifyUnconditional(Addr)
 {
@@ -36,25 +28,48 @@ void
 Predictor::replayBlock(const BranchRecord *records, std::size_t count,
                        ReplayCounters &counters, ReplayScratch *scratch)
 {
-    // Scalar reference path: one virtual fused step per branch.
+    // The reference path: split predict()/update() per branch.
     // Overrides delegate here while a probe is attached, so this
     // loop defines the observable behaviour of every block replay.
-    struct VirtualStepState
+    struct SplitStepState
     {
         Predictor *predictor;
 
         bool
         step(Addr pc, bool taken)
         {
-            return predictor->predictAndUpdate(pc, taken).prediction;
+            const bool prediction = predictor->predict(pc);
+            predictor->update(pc, taken);
+            return prediction;
         }
 
         void unconditional(Addr pc) { predictor->notifyUnconditional(pc); }
 
         void commit() {}
     };
-    replayBlockWithState(VirtualStepState{this}, records, count,
+    replayBlockWithState(SplitStepState{this}, records, count,
                          counters, scratch);
+}
+
+unsigned
+checkedIndexBits(std::string_view scheme, unsigned bits)
+{
+    if (bits < 1 || bits > maxIndexBits) {
+        fatal(std::string(scheme) + ": index width " +
+              std::to_string(bits) + " outside 1.." +
+              std::to_string(maxIndexBits));
+    }
+    return bits;
+}
+
+unsigned
+checkedHistoryBits(std::string_view scheme, unsigned bits)
+{
+    if (bits > 64) {
+        fatal(std::string(scheme) + ": history length " +
+              std::to_string(bits) + " over 64");
+    }
+    return bits;
 }
 
 void

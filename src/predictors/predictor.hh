@@ -22,13 +22,6 @@ class ByteWriter;
 class ProbeSink;
 struct ReplayScratch;
 
-/** Result of a fused predict-and-train step (predictAndUpdate()). */
-struct Outcome
-{
-    /** The direction predicted before the tables trained. */
-    bool prediction = false;
-};
-
 /**
  * Tallies accumulated by replayBlock(): everything the simulation
  * loop needs per block. Per-branch attribution (top sites, site
@@ -47,15 +40,15 @@ struct ReplayCounters
  * Abstract conditional-branch direction predictor.
  *
  * Contract: for every *conditional* branch, in trace order, the
- * simulation driver either calls predict(pc) followed by
- * update(pc, taken), or the fused predictAndUpdate(pc, taken) —
- * the two forms must be observably identical (same predictions,
- * same state evolution, same probe events). It calls
- * notifyUnconditional(pc) for every unconditional branch.
- * update() must train with the machine state as it was at
- * predict() time (i.e. the pre-branch global history) and only then
- * advance that state. Predictors that keep global history shift
- * unconditional branches in as taken, as the paper does.
+ * simulation driver calls predict(pc) followed by update(pc, taken),
+ * or hands a whole block to replayBlock(), which must be observably
+ * identical to that split loop (same predictions, same state
+ * evolution, same probe events). It calls notifyUnconditional(pc)
+ * for every unconditional branch. update() must train with the
+ * machine state as it was at predict() time (i.e. the pre-branch
+ * global history) and only then advance that state. Predictors that
+ * keep global history shift unconditional branches in as taken, as
+ * the paper does.
  */
 class Predictor
 {
@@ -72,17 +65,6 @@ class Predictor
     virtual void update(Addr pc, bool taken) = 0;
 
     /**
-     * Fused predict + update: resolve the conditional branch at
-     * @p pc with outcome @p taken and return the direction that
-     * would have been predicted beforehand. Must be equivalent to
-     * predict(pc) followed by update(pc, taken); the default does
-     * exactly that. Hot predictors override it to compute each
-     * table index once and touch each counter once — the
-     * simulation driver's fast path (see sim/driver.hh).
-     */
-    virtual Outcome predictAndUpdate(Addr pc, bool taken);
-
-    /**
      * Observe an unconditional branch at @p pc. Default: no effect.
      * Global-history predictors shift in a taken outcome.
      */
@@ -90,17 +72,17 @@ class Predictor
 
     /**
      * Resolve a whole block of records in trace order — conditional
-     * branches through the fused step, unconditional ones through
-     * notifyUnconditional() — adding the block's conditional and
-     * misprediction counts to @p counters.
+     * branches as predict() then update(), unconditional ones
+     * through notifyUnconditional() — adding the block's conditional
+     * and misprediction counts to @p counters.
      *
-     * Must be observably identical to looping predictAndUpdate()
-     * over the block; the base default does exactly that. Hot
-     * schemes override it with a devirtualized kernel (see
+     * The base default is exactly that split loop, so it defines
+     * the observable behaviour of every block replay. Hot schemes
+     * override it with a devirtualized kernel (see
      * predictors/block_kernel.hh) so the inner loop costs one
-     * virtual dispatch per block instead of one per branch — the
+     * virtual dispatch per block instead of two per branch — the
      * gang replay engine's fast path (sim/gang.hh). Overrides must
-     * delegate to this scalar default while a probe is attached so
+     * delegate to this default while a probe is attached so
      * telemetry event streams stay bit-identical.
      *
      * @p scratch, when non-null, lends the session's SoA staging
@@ -108,10 +90,10 @@ class Predictor
      * requested SimdMode: schemes with a phase-split kernel may then
      * precompute the block's table indices with the vectorized
      * index pass and resolve fed by them — still byte-identical to
-     * the fused path. A null scratch always runs the fused/scalar
-     * reference kernels. When the scratch's recordMispredicts is
-     * set, every implementation — including this default and the
-     * probed delegation to it — also writes one mispredict byte per
+     * the split loop. A null scratch always runs the scalar block
+     * kernels. When the scratch's recordMispredicts is set, every
+     * implementation — including this default and the probed
+     * delegation to it — also writes one mispredict byte per
      * conditional record into the scratch, in trace order.
      */
     virtual void replayBlock(const BranchRecord *records,
@@ -192,6 +174,22 @@ class Predictor
      */
     ProbeSink *probeSink = nullptr;
 };
+
+/** Widest counter-table index a constructor accepts (2^28 entries). */
+constexpr unsigned maxIndexBits = 28;
+
+/**
+ * @p bits, checked as a table index width for @p scheme: fatal()
+ * outside 1..maxIndexBits. Runs in constructors' initializer lists,
+ * before any table is sized from it.
+ */
+unsigned checkedIndexBits(std::string_view scheme, unsigned bits);
+
+/**
+ * @p bits, checked as a global-history length for @p scheme: fatal()
+ * over 64, the width of the history register.
+ */
+unsigned checkedHistoryBits(std::string_view scheme, unsigned bits);
 
 /*
  * savePredictorState()/loadPredictorState() take snapshot bytes or a

@@ -47,9 +47,9 @@ constexpr unsigned maxReplayIndexSets = 5;
  * The SoA staging buffers for one block replay, plus the dispatch
  * mode the owning session resolved. Predictors receiving a scratch
  * run the phase-split kernels when resolveSimdMode(mode) selects a
- * vector implementation, and fall back to the fused block kernel
+ * vector implementation, and fall back to the block kernel
  * otherwise — so a null scratch (the default) or SimdMode::Scalar
- * both mean "the reference block path".
+ * both mean "the scalar block kernel".
  */
 struct ReplayScratch
 {

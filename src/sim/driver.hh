@@ -103,8 +103,8 @@ struct SimOptions
      * Index/hash kernel dispatch for the block replay path (see
      * support/simd.hh): Auto defers to the BPRED_SIMD environment
      * variable and then the CPU probe; Avx2 requests the phase-split
-     * vector kernels; Scalar pins the fused block kernel — the
-     * reference the vector path is byte-identical to. Ignored while
+     * vector kernels; Scalar pins the scalar block kernel, which the
+     * vector path is byte-identical to. Ignored while
      * a probe is attached (probed replay runs the scalar default
      * Predictor::replayBlock()).
      */
@@ -170,11 +170,11 @@ struct SimResult
 };
 
 /**
- * Run @p predictor over @p trace from a cold start: resolve every
- * conditional branch through the fused predictAndUpdate() fast
- * path (contract-equivalent to predict() + update()), notify on
- * every unconditional branch, and count mispredictions — honouring
- * every knob in @p options.
+ * Run @p predictor over @p trace from a cold start: resolve the
+ * trace through the predictor's replayBlock() kernels (observably
+ * identical to predict() + update() per conditional branch and
+ * notifyUnconditional() per unconditional one), and count
+ * mispredictions — honouring every knob in @p options.
  *
  * The predictor is NOT reset first; callers reusing a predictor
  * across traces should call reset() themselves (warm-start studies

@@ -7,7 +7,7 @@
  * every table access in range, every skewing-hash output within its
  * bank, every history width representable, every snapshot frame
  * read exactly. Those checks must cost nothing in release builds —
- * the fused predict/update path is the throughput product — so they
+ * the block replay kernels are the throughput product — so they
  * compile away unless the tree is configured with
  * `-DBPRED_CHECKED=ON` (which defines the BPRED_CHECKED macro).
  *

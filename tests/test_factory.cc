@@ -94,6 +94,17 @@ TEST(Factory, RejectsBadNumbers)
     EXPECT_THROW(makePredictor("gshare:abc:4"), FatalError);
     EXPECT_THROW(makePredictor("bimodal:99999999999"), FatalError);
     EXPECT_THROW(makePredictor("falru:0:4"), FatalError);
+    // Index widths outside 1..28 and history lengths over 64: the
+    // single-table constructors and the hybrid's chooser refuse
+    // them instead of shifting past a u64 or masking silently.
+    for (const char *spec :
+         {"gshare:64:12", "gshare:0:4", "gshare:29:4", "gshare:12:70",
+          "gshare:12:65", "bimodal:64", "bimodal:0", "gselect:64:4",
+          "gselect:0:4", "gselect:12:65", "hybrid:64:12",
+          "hybrid:0:4"}) {
+        EXPECT_THROW(makePredictor(spec), FatalError) << spec;
+    }
+    EXPECT_NO_THROW(makePredictor("gshare:12:64"));
 }
 
 TEST(Factory, RejectsBadPolicy)

@@ -11,6 +11,7 @@
 #include "predictors/gshare.hh"
 #include "predictors/hybrid.hh"
 #include "predictors/static_pred.hh"
+#include "support/logging.hh"
 
 namespace bpred
 {
@@ -62,6 +63,17 @@ TEST(Hybrid, BeatsWorseComponentAlone)
         hybrid.update(pc, true);
     }
     EXPECT_TRUE(hybrid.predict(pc));
+}
+
+TEST(Hybrid, RejectsBadChooserWidth)
+{
+    for (const unsigned bits : {0u, 29u, 64u}) {
+        EXPECT_THROW(HybridPredictor(std::make_unique<StaticPredictor>(),
+                                     std::make_unique<StaticPredictor>(),
+                                     bits),
+                     FatalError)
+            << bits;
+    }
 }
 
 TEST(Hybrid, StorageSumsComponentsAndChooser)

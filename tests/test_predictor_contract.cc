@@ -8,13 +8,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/skewed_predictor.hh"
+#include "predictors/bimodal.hh"
+#include "predictors/gselect.hh"
+#include "predictors/gshare.hh"
+#include "predictors/hybrid.hh"
 #include "predictors/predictor.hh"
 #include "predictors/replay_scratch.hh"
+#include "predictors/static_pred.hh"
 #include "sim/driver.hh"
 #include "sim/factory.hh"
 #include "support/probe.hh"
@@ -173,65 +179,6 @@ TEST_P(PredictorContract, StorageBitsStable)
     }
 }
 
-TEST_P(PredictorContract, FusedPredictAndUpdateMatchesSplit)
-{
-    // predictAndUpdate() must be observably identical to
-    // predict() followed by update(): same prediction at every
-    // step, which also pins the trained state to the same
-    // trajectory.
-    auto split = makePredictor(GetParam());
-    auto fused = makePredictor(GetParam());
-    const Trace trace = contractTrace(8);
-    u64 step = 0;
-    for (const BranchRecord &record : trace) {
-        if (!record.conditional) {
-            split->notifyUnconditional(record.pc);
-            fused->notifyUnconditional(record.pc);
-            continue;
-        }
-        const bool expected = split->predict(record.pc);
-        split->update(record.pc, record.taken);
-        const bool got =
-            fused->predictAndUpdate(record.pc, record.taken)
-                .prediction;
-        ASSERT_EQ(expected, got) << "at step " << step;
-        ++step;
-    }
-}
-
-TEST_P(PredictorContract, FusedMatchesSplitWithProbeAttached)
-{
-    // With a telemetry sink attached, the fused path must emit
-    // exactly the same event stream as the split path, not just
-    // the same predictions.
-    auto split = makePredictor(GetParam());
-    auto fused = makePredictor(GetParam());
-    CountingProbe splitProbe;
-    CountingProbe fusedProbe;
-    split->attachProbe(&splitProbe);
-    fused->attachProbe(&fusedProbe);
-    const Trace trace = contractTrace(9);
-    u64 step = 0;
-    for (const BranchRecord &record : trace) {
-        if (!record.conditional) {
-            split->notifyUnconditional(record.pc);
-            fused->notifyUnconditional(record.pc);
-            continue;
-        }
-        const bool expected = split->predict(record.pc);
-        split->update(record.pc, record.taken);
-        const bool got =
-            fused->predictAndUpdate(record.pc, record.taken)
-                .prediction;
-        ASSERT_EQ(expected, got) << "at step " << step;
-        if (++step > 4000) {
-            break;
-        }
-    }
-    EXPECT_EQ(splitProbe.registry().toJson().dump(2),
-              fusedProbe.registry().toJson().dump(2));
-}
-
 TEST_P(PredictorContract, WarmupNeverHurtsDeterminism)
 {
     auto predictor = makePredictor(GetParam());
@@ -245,8 +192,8 @@ TEST_P(PredictorContract, WarmupNeverHurtsDeterminism)
 }
 
 /**
- * Replay @p trace through @p predictor's scalar fused loop — the
- * reference semantics replayBlock() must reproduce.
+ * Replay @p trace through @p predictor's split predict()/update()
+ * loop — the reference semantics replayBlock() must reproduce.
  */
 ReplayCounters
 replayScalar(Predictor &predictor, const Trace &trace)
@@ -257,9 +204,8 @@ replayScalar(Predictor &predictor, const Trace &trace)
             predictor.notifyUnconditional(record.pc);
             continue;
         }
-        const bool prediction =
-            predictor.predictAndUpdate(record.pc, record.taken)
-                .prediction;
+        const bool prediction = predictor.predict(record.pc);
+        predictor.update(record.pc, record.taken);
         ++counters.conditionals;
         counters.mispredicts += u64(prediction != record.taken);
     }
@@ -290,9 +236,8 @@ replayBlocks(Predictor &predictor, const Trace &trace)
 TEST(ReplayBlockContract, BlockMatchesScalarForEveryScheme)
 {
     // Every scheme the factory knows: same tallies from the block
-    // kernel as from the scalar fused loop, and — checked by a
-    // second fused pass over fresh records — the same trained
-    // state afterwards.
+    // kernel as from the split loop, and — checked by a second split
+    // pass over fresh records — the same trained state afterwards.
     const Trace trace = contractTrace(10);
     const Trace check = contractTrace(11);
     for (const SchemeInfo &scheme : listSchemes()) {
@@ -311,12 +256,10 @@ TEST(ReplayBlockContract, BlockMatchesScalarForEveryScheme)
                 block->notifyUnconditional(record.pc);
                 continue;
             }
-            const bool expected =
-                scalar->predictAndUpdate(record.pc, record.taken)
-                    .prediction;
-            const bool actual =
-                block->predictAndUpdate(record.pc, record.taken)
-                    .prediction;
+            const bool expected = scalar->predict(record.pc);
+            scalar->update(record.pc, record.taken);
+            const bool actual = block->predict(record.pc);
+            block->update(record.pc, record.taken);
             ASSERT_EQ(expected, actual)
                 << "trained state diverged by step " << step;
             if (++step > 4000) {
@@ -353,8 +296,7 @@ TEST(ReplayBlockContract, ProbedBlockMatchesScalarEventStream)
  * The session reference: a split predict()/update() loop over
  * @p trace that honours warmup, flush, windows and top sites the way
  * SimSession's block path must — one conditional at a time, top-K
- * sites added in trace order. Stronger than comparing against a
- * fused loop, which shares the block kernels' step code.
+ * sites added in trace order.
  */
 SimResult
 referenceSession(Predictor &predictor, const Trace &trace,
@@ -494,7 +436,7 @@ TEST(ReplayBlockContract, ProbedSessionFillsMispredictMask)
 
 /**
  * Replay @p trace through replayBlock() in fixed @p block_records
- * chunks, passing @p scratch down (null = fused reference kernel).
+ * chunks, passing @p scratch down (null = the scalar block kernel).
  */
 ReplayCounters
 replayBlocksFixed(Predictor &predictor, const Trace &trace,
@@ -525,8 +467,8 @@ snapshotBytes(const Predictor &predictor)
 
 TEST(ReplayBlockContract, SimdMatchesScalarAcrossBlockSizesAndModes)
 {
-    // The phase-split path must be byte-identical to the fused
-    // reference for every scheme, at every block size (including
+    // The phase-split path must be byte-identical to the scalar
+    // block kernel for every scheme, at every block size (including
     // size 1, where the vector fill degenerates to its scalar tail)
     // and under both dispatch modes — Scalar exercises the
     // bit-identical fallback kernels, Avx2 the vector fills where
@@ -560,7 +502,7 @@ TEST(ReplayBlockContract, SimdMatchesScalarAcrossBlockSizesAndModes)
     // Factory specs fix the counter width at 2 bits, so the other
     // skewed geometries are built directly: transition-table widths
     // (3 banks x 1..3 bits, 5 x 2, 1 x 4) and groups too wide for a
-    // table, which take the fused kernel (3 x 4, 5 x 3). The
+    // table, which take the block kernel (3 x 4, 5 x 3). The
     // reference is the split update() path, which uses neither the
     // tables nor skewedVote(). A 13-bit group crosses
     // simdWantsCounterPrefetch, so the prefetching resolve runs too.
@@ -619,8 +561,8 @@ TEST(ReplayBlockContract, SimdMatchesScalarAcrossBlockSizesAndModes)
 
 TEST(ReplayBlockContract, MispredictMaskMatchesSplitReference)
 {
-    // Every replayBlock() implementation — fused, phase-split and
-    // the scalar default — must write one mask byte per conditional
+    // Every replayBlock() implementation — block kernel, phase-split
+    // and the split default — must write one mask byte per conditional
     // of the call, in trace order, equal to the split reference's
     // per-branch outcome; and must leave the mask alone unless
     // asked.
@@ -631,8 +573,9 @@ TEST(ReplayBlockContract, MispredictMaskMatchesSplitReference)
     for (const SchemeInfo &scheme : listSchemes()) {
         specs.push_back(scheme.example);
     }
-    // A chooser past simdWantsCounterPrefetch(): the hybrid's
-    // chooser-only phase-split walk.
+    // A hybrid whose component tables cross
+    // simdWantsCounterPrefetch(): their prefetching resolves run
+    // inside the hybrid's own scratch.
     specs.push_back("hybrid:15:12");
     for (const std::string &spec : specs) {
         std::vector<u8> want;
@@ -686,6 +629,130 @@ TEST(ReplayBlockContract, MispredictMaskMatchesSplitReference)
                     [](u8 byte) { return byte == 0xa5; }));
                 ASSERT_EQ(want, got);
             }
+        }
+    }
+}
+
+/** Per-conditional mispredict bytes of a split predict()/update() walk. */
+std::vector<u8>
+splitMispredicts(Predictor &predictor, const Trace &trace)
+{
+    std::vector<u8> wrong;
+    for (const BranchRecord &record : trace) {
+        if (!record.conditional) {
+            predictor.notifyUnconditional(record.pc);
+            continue;
+        }
+        const bool prediction = predictor.predict(record.pc);
+        predictor.update(record.pc, record.taken);
+        wrong.push_back(u8(prediction != record.taken));
+    }
+    return wrong;
+}
+
+TEST(ReplayBlockContract, HybridOverComponentPairsMatchesSplit)
+{
+    // The hybrid replays each component through the component's own
+    // replayBlock() and then walks the chooser over their mispredict
+    // masks. Pin that to split predict()/update() over component
+    // pairs the factory never builds: a static component beside a
+    // phase-split skewed group, gselect beside e-gskew, and a nested
+    // hybrid whose component owns a scratch of its own. Uneven
+    // blocks put boundaries everywhere; each pair runs under both
+    // dispatch modes and with no scratch at all.
+    struct Pair
+    {
+        std::function<std::unique_ptr<Predictor>()> first;
+        std::function<std::unique_ptr<Predictor>()> second;
+        unsigned chooserBits;
+    };
+    const auto staticNotTaken = [] {
+        return std::make_unique<StaticPredictor>(false);
+    };
+    const auto gskewed = [] {
+        return std::make_unique<SkewedPredictor>(3, 8, 6);
+    };
+    const auto gselect = [] {
+        return std::make_unique<GSelectPredictor>(8, 4);
+    };
+    const auto egskew = [] {
+        return std::make_unique<SkewedPredictor>(makeEnhancedConfig(8, 6));
+    };
+    const auto bimodal = [] {
+        return std::make_unique<BimodalPredictor>(8);
+    };
+    const auto nested = [] {
+        return std::make_unique<HybridPredictor>(
+            std::make_unique<GSharePredictor>(8, 6),
+            std::make_unique<BimodalPredictor>(8), 7);
+    };
+    const Pair pairs[] = {
+        {staticNotTaken, gskewed, 8},
+        {gselect, egskew, 8},
+        {bimodal, nested, 7},
+    };
+    const auto build = [](const Pair &pair) {
+        return std::make_unique<HybridPredictor>(pair.first(),
+                                                 pair.second(),
+                                                 pair.chooserBits);
+    };
+
+    const Trace trace = contractTrace(18);
+    const std::vector<SimdMode> modes = {SimdMode::Scalar,
+                                         SimdMode::Avx2};
+    for (const Pair &pair : pairs) {
+        auto reference = build(pair);
+        const std::vector<u8> want = splitMispredicts(*reference, trace);
+        const std::string want_state = snapshotBytes(*reference);
+        ASSERT_FALSE(want_state.empty());
+        // Standalone copies of the components train exactly as the
+        // hybrid's do: the mask must be the hybrid's, not theirs.
+        auto first = pair.first();
+        auto second = pair.second();
+        EXPECT_NE(want, splitMispredicts(*first, trace));
+        EXPECT_NE(want, splitMispredicts(*second, trace));
+        const u64 want_mispredicts =
+            u64(std::count(want.begin(), want.end(), u8(1)));
+
+        // Null scratch: tallies and state only.
+        {
+            auto hybrid = build(pair);
+            SCOPED_TRACE(hybrid->name() + " scratch=null");
+            const ReplayCounters got = replayBlocks(*hybrid, trace);
+            EXPECT_EQ(got.conditionals, u64(want.size()));
+            EXPECT_EQ(got.mispredicts, want_mispredicts);
+            EXPECT_EQ(snapshotBytes(*hybrid), want_state);
+        }
+        for (const SimdMode mode : modes) {
+            auto hybrid = build(pair);
+            SCOPED_TRACE(hybrid->name() + " mode=" +
+                         std::string(simdModeName(mode)));
+            ReplayScratch scratch;
+            scratch.mode = mode;
+            scratch.recordMispredicts = true;
+            ReplayCounters counters;
+            std::vector<u8> got;
+            const BranchRecord *records = trace.records().data();
+            std::size_t at = 0;
+            std::size_t chunk = 1;
+            while (at < trace.size()) {
+                const std::size_t n =
+                    std::min(chunk, trace.size() - at);
+                const u64 before = counters.conditionals;
+                scratch.ensureMispredicts(n);
+                hybrid->replayBlock(records + at, n, counters,
+                                    &scratch);
+                got.insert(got.end(), scratch.mispredicted.begin(),
+                           scratch.mispredicted.begin() +
+                               std::ptrdiff_t(counters.conditionals -
+                                              before));
+                at += n;
+                chunk = chunk * 2 + 1;
+            }
+            EXPECT_EQ(counters.conditionals, u64(want.size()));
+            EXPECT_EQ(counters.mispredicts, want_mispredicts);
+            EXPECT_EQ(got, want);
+            EXPECT_EQ(snapshotBytes(*hybrid), want_state);
         }
     }
 }

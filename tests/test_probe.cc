@@ -60,10 +60,15 @@ TEST(Probe, SinkDoesNotChangePredictions)
 {
     // The zero-overhead contract's correctness half: attaching a
     // sink must not perturb any instrumented predictor's behaviour.
+    // The probed run steps the split update() (with its event
+    // publishing) and the bare run the block kernels, so equal
+    // tallies and snapshot bytes pin each scheme's one update() to
+    // its kernel.
     const Trace trace = mixedTrace();
     const std::vector<std::string> specs = {
-        "bimodal:8",       "gshare:8:6",   "agree:8:6:8",
-        "hybrid:8:6",      "gskewed:3:7:6", "egskew:7:6",
+        "bimodal:8",     "gshare:8:6",          "gselect:8:6",
+        "agree:8:6:8",   "hybrid:8:6",          "gskewed:3:7:6",
+        "egskew:7:6",    "gskewed:3:7:6:total", "gskewed:3:7:6:partial-lazy",
     };
     for (const std::string &spec : specs) {
         auto plain = makePredictor(spec);
@@ -78,6 +83,11 @@ TEST(Probe, SinkDoesNotChangePredictions)
             << spec;
         EXPECT_EQ(instrumented.conditionals, bare.conditionals)
             << spec;
+        std::string bare_state;
+        std::string probed_state;
+        savePredictorState(*plain, bare_state);
+        savePredictorState(*probed, probed_state);
+        EXPECT_EQ(probed_state, bare_state) << spec;
     }
 }
 

@@ -286,8 +286,10 @@ TEST(TenantCache, CapacityOneThrashStaysExact)
         for (int i = 0; i < 5; ++i) {
             const Addr pc = 0x100 + 4 * rng.uniformInt(50);
             const bool taken = rng.chance(0.7);
-            pooled.predictAndUpdate(pc, taken);
-            reference.predictAndUpdate(pc, taken);
+            pooled.predict(pc);
+            pooled.update(pc, taken);
+            reference.predict(pc);
+            reference.update(pc, taken);
         }
     }
 
@@ -334,8 +336,9 @@ TEST(TenantCache, RejectsCorruptAndTruncatedCheckpoints)
     Predictor &predictor = cache.acquire(5);
     Rng rng(7);
     for (int i = 0; i < 500; ++i) {
-        predictor.predictAndUpdate(0x200 + 4 * rng.uniformInt(40),
-                                   rng.chance(0.6));
+        const Addr pc = 0x200 + 4 * rng.uniformInt(40);
+        predictor.predict(pc);
+        predictor.update(pc, rng.chance(0.6));
     }
     const std::string good = cache.exportTenant(5);
 
@@ -389,8 +392,10 @@ TEST(TenantCache, SpillsCheckpointsToDisk)
     for (int i = 0; i < 300; ++i) {
         const Addr pc = 0x300 + 4 * rng.uniformInt(60);
         const bool taken = rng.chance(0.55);
-        pooled.predictAndUpdate(pc, taken);
-        dedicated->predictAndUpdate(pc, taken);
+        pooled.predict(pc);
+        pooled.update(pc, taken);
+        dedicated->predict(pc);
+        dedicated->update(pc, taken);
     }
 
     cache.acquire(43); // evicts 42 to disk
@@ -429,8 +434,10 @@ TEST(TenantCache, CorruptSpillFileLeavesCacheUnchanged)
         for (int i = 0; i < 200; ++i) {
             const Addr pc = 0x500 + 4 * rng.uniformInt(80);
             const bool taken = rng.chance(0.6);
-            pooled.predictAndUpdate(pc, taken);
-            reference->predictAndUpdate(pc, taken);
+            pooled.predict(pc);
+            pooled.update(pc, taken);
+            reference->predict(pc);
+            reference->update(pc, taken);
         }
         return pooled;
     };
