@@ -1,5 +1,6 @@
 #include "bench_common.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -413,6 +414,13 @@ mispredictPercent(const std::string &spec, const Trace &trace)
 {
     auto predictor = makePredictor(spec);
     return simulate(*predictor, trace).mispredictPercent();
+}
+
+double
+median(std::vector<double> samples)
+{
+    std::sort(samples.begin(), samples.end());
+    return samples[samples.size() / 2];
 }
 
 } // namespace bpred::bench

@@ -136,5 +136,11 @@ int finish();
 /** Misprediction percentage of spec-built predictor over trace. */
 double mispredictPercent(const std::string &spec, const Trace &trace);
 
+/**
+ * Median of timing samples (the upper middle one for an even
+ * count). @p samples must not be empty.
+ */
+double median(std::vector<double> samples);
+
 } // namespace bpred::bench
 

@@ -67,14 +67,6 @@ using Clock = std::chrono::steady_clock;
  */
 constexpr int timingRepetitions = 5;
 
-/** Median of collected throughput samples. */
-double
-medianOfSamples(std::vector<double> samples)
-{
-    std::sort(samples.begin(), samples.end());
-    return samples[samples.size() / 2];
-}
-
 Trace
 makePerfTrace()
 {
@@ -335,8 +327,8 @@ main(int argc, char **argv)
                 runGang(spec, trace, reps, block));
         }
         const BlockPerf blocked = medianBlockPerf(blockSamples);
-        const double simd = medianOfSamples(simdSamples);
-        const double ganged = medianOfSamples(gangSamples);
+        const double simd = bench::median(simdSamples);
+        const double ganged = bench::median(gangSamples);
         table.row()
             .cell(spec)
             .cell(blocked.mrps, 1)

@@ -1,16 +1,20 @@
 /**
  * @file
- * Trace-ingest throughput: istream vs mmap vs mmap+fast-decode.
+ * Trace-ingest throughput: the istream comparator vs BPT1 images.
  *
  * The gang/SIMD replay engine consumes records faster than the
  * original istream-based BPT1 decoder produced them, which made
- * ingestion the pipeline's bottleneck. This bench measures the
- * three ingest paths over one BPT1 file (default ~8M records,
- * honouring BPRED_TRACE_SCALE and `--records`):
+ * ingestion the pipeline's bottleneck. This bench measures three
+ * ingest paths over one BPT1 file (default ~8M records, honouring
+ * BPRED_TRACE_SCALE and `--records`):
  *
- *   istream    BinaryTraceSource — bulk slab reads, per-byte decode
- *   mmap       MmapTraceSource, per-record reference decoder
- *   mmap+fast  MmapTraceSource, sub-batch bulk decoder (the default)
+ *   istream    the old streaming reader, kept here as the fixed
+ *              comparator: ifstream reads into a 64 KiB slab, then
+ *              the checked per-record bpt::readRecord
+ *   read       an MmapTraceSource over the file read whole, the
+ *              image openTraceSource falls back to when the file
+ *              cannot be mapped (the read itself is in its open)
+ *   mmap+fast  an MmapTraceSource over the mmap'd file, the default
  *
  * plus, informationally, the materializing adapters that
  * loadRealTrace() runs on the same records written as .bpt.gz,
@@ -26,10 +30,10 @@
  *    is large enough to time meaningfully (>= 4M records);
  *    informational below that.
  *
- * `--json` reports records/s per path (`ingest_records_per_s_*`,
- * including `_gz`, `_text`, `_cbp` and `_text_gz`), the
- * fast/istream ratio and peak RSS (memmeter), so CI trends ingest
- * performance run-to-run.
+ * `--json` reports records/s per path (`ingest_records_per_s_*`:
+ * `_istream`, `_read` and `_mmap_fast`, then `_gz`, `_text`, `_cbp`
+ * and `_text_gz`), the fast/istream ratio and peak RSS (memmeter),
+ * so CI trends ingest performance run-to-run.
  */
 
 #include <algorithm>
@@ -52,6 +56,7 @@
 #include "support/parse.hh"
 #include "support/serialize.hh"
 #include "trace/adapters.hh"
+#include "trace/bpt_format.hh"
 #include "trace/mmap_source.hh"
 #include "trace/trace_io.hh"
 #include "workloads/presets.hh"
@@ -115,12 +120,93 @@ drainTimed(TraceSource &source, AlignedVector<BranchRecord> &block)
         .count();
 }
 
-double
-median(std::vector<double> values)
+/**
+ * The streaming BPT1 reader the images replaced, kept as the fixed
+ * comparator for the 2x gate: ifstream reads into a 64 KiB slab,
+ * the checked per-record bpt::readRecord decodes from it, and a
+ * record cut by the slab's end is compacted to the front before the
+ * next read.
+ */
+class SlabStreamSource : public TraceSource
 {
-    std::sort(values.begin(), values.end());
-    return values[values.size() / 2];
-}
+  public:
+    explicit SlabStreamSource(const std::string &path)
+        : is(path, std::ios::binary), slab(slabBytes)
+    {
+        if (!is) {
+            fatal("bench: cannot open '" + path + "'");
+        }
+        refill();
+        // Header: magic, name length, name, record count.
+        const u8 *bytes = reinterpret_cast<const u8 *>(slab.data());
+        if (slabEnd < sizeof(bpt::magic) ||
+            !std::equal(bpt::magic, bpt::magic + sizeof(bpt::magic),
+                        slab.data())) {
+            fatal("bench: '" + path + "' is not a BPT1 trace");
+        }
+        std::size_t at = sizeof(bpt::magic);
+        const u64 name_bytes = bpt::readVarint(bytes, slabEnd, at);
+        if (name_bytes > bpt::maxNameBytes || slabEnd - at < name_bytes) {
+            fatal("bench: bad BPT1 name in '" + path + "'");
+        }
+        name_.assign(slab.data() + at, name_bytes);
+        at += name_bytes;
+        remaining = bpt::readVarint(bytes, slabEnd, at);
+        slabAt = at;
+    }
+
+    const std::string &name() const override { return name_; }
+
+    std::size_t
+    pull(BranchRecord *out, std::size_t max) override
+    {
+        const std::size_t produced =
+            static_cast<std::size_t>(std::min<u64>(max, remaining));
+        std::size_t done = 0;
+        while (done < produced) {
+            const std::size_t consumed =
+                bpt::readRecord(slab.data() + slabAt, slabEnd - slabAt,
+                                out[done], lastPc);
+            if (consumed == 0) {
+                refill();
+                continue;
+            }
+            slabAt += consumed;
+            ++done;
+        }
+        remaining -= produced;
+        return produced;
+    }
+
+  private:
+    static constexpr std::size_t slabBytes = 64 * 1024;
+
+    /** Slide the partial record to the front; top up in one read. */
+    void
+    refill()
+    {
+        const std::size_t leftover = slabEnd - slabAt;
+        std::copy(slab.data() + slabAt, slab.data() + slabEnd,
+                  slab.data());
+        slabAt = 0;
+        slabEnd = leftover;
+        is.read(slab.data() + slabEnd,
+                static_cast<std::streamsize>(slab.size() - slabEnd));
+        const std::size_t got = static_cast<std::size_t>(is.gcount());
+        if (got == 0) {
+            fatal("bench: truncated BPT1 record");
+        }
+        slabEnd += got;
+    }
+
+    std::ifstream is;
+    std::string name_;
+    u64 remaining = 0;
+    Addr lastPc = 0;
+    AlignedVector<char> slab;
+    std::size_t slabAt = 0;
+    std::size_t slabEnd = 0;
+};
 
 /** One sim identity probe: tallies plus snapshot bytes. */
 struct SimFingerprint
@@ -212,12 +298,12 @@ main(int argc, char **argv)
     };
     const std::vector<Path> paths = {
         {"istream",
-         [&]() { return std::make_unique<BinaryTraceSource>(path); }},
-        {"mmap",
+         [&]() { return std::make_unique<SlabStreamSource>(path); }},
+        {"read",
          [&]() {
-             auto source = std::make_unique<MmapTraceSource>(path);
-             source->setFastDecode(false);
-             return source;
+             std::ifstream is(path, std::ios::binary);
+             return std::make_unique<MmapTraceSource>(
+                 MappedTrace::fromBytes(readAllBytes(is)));
          }},
         {"mmap+fast",
          [&]() { return std::make_unique<MmapTraceSource>(path); }},
@@ -257,7 +343,7 @@ main(int argc, char **argv)
     std::vector<double> rate(paths.size(), 0.0);
     for (std::size_t p = 0; p < paths.size(); ++p) {
         rate[p] = static_cast<double>(drained_records) /
-            median(seconds[p]);
+            bench::median(seconds[p]);
     }
     const double ratio_fast = rate[2] / rate[0];
 
@@ -274,7 +360,7 @@ main(int argc, char **argv)
 
     // Materializing adapter paths, informational only: the text
     // scanner over native .txt (and .txt.gz) and over CBP text, and
-    // gz inflate + bulk decode over .bpt.gz. Each must decode
+    // gz inflate + image decode over .bpt.gz. Each must decode
     // exactly the original records; CBP text has no unconditional
     // branches, so it must decode them all as conditional.
     std::vector<BranchRecord> cbp_records;
@@ -334,7 +420,7 @@ main(int argc, char **argv)
             }
         }
         const double file_rate = static_cast<double>(trace.size()) /
-            median(file_seconds);
+            bench::median(file_seconds);
         materialized_table.row().cell(file.label).cell(file_rate / 1e6, 2);
         bench::recordReportField(file.key, file_rate);
         std::filesystem::remove(file.file);
@@ -365,7 +451,7 @@ main(int argc, char **argv)
     bench::recordReportField("ingest_records", u64(drained_records));
     bench::recordReportField("ingest_file_bytes", file_bytes);
     bench::recordReportField("ingest_records_per_s_istream", rate[0]);
-    bench::recordReportField("ingest_records_per_s_mmap", rate[1]);
+    bench::recordReportField("ingest_records_per_s_read", rate[1]);
     bench::recordReportField("ingest_records_per_s_mmap_fast",
                              rate[2]);
     bench::recordReportField("ingest_fast_over_istream", ratio_fast);

@@ -10,7 +10,8 @@ FaLruPredictor::FaLruPredictor(u64 capacity, unsigned history_bits,
                                unsigned counter_bits)
     : table(capacity),
       prototype(counter_bits),
-      historyBits(history_bits),
+      historyBits(
+          checkedHistoryBits("falru", history_bits, maxKeyHistoryBits)),
       counterBits(counter_bits)
 {
 }

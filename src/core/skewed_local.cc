@@ -17,10 +17,10 @@ SkewedLocalPredictor::SkewedLocalPredictor(unsigned bht_index_bits,
                                            unsigned bank_index_bits,
                                            UpdatePolicy policy,
                                            unsigned counter_bits)
-    : historyTable(u64(1) << bht_index_bits, 0),
+    : historyTable(u64(1) << checkedIndexBits("pskew", bht_index_bits), 0),
       bhtIndexBits(bht_index_bits),
       localHistoryBits(local_history_bits),
-      bankIndexBits(bank_index_bits),
+      bankIndexBits(checkedIndexBits("pskew", bank_index_bits)),
       updatePolicy(policy)
 {
     if (num_banks % 2 == 0 || num_banks == 0 ||

@@ -20,13 +20,15 @@ AgreePredictor::AgreePredictor(unsigned index_bits,
                                unsigned history_bits,
                                unsigned bias_index_bits,
                                unsigned counter_bits)
-    : agreeTable(u64(1) << index_bits, counter_bits,
+    : agreeTable(u64(1) << checkedIndexBits("agree", index_bits),
+                 counter_bits,
                  // Initialize weakly "agree": cold branches follow
                  // their bias, the design's whole premise.
                  static_cast<u8>(u8(1) << (counter_bits - 1))),
-      biasTable(u64(1) << bias_index_bits, biasUnset),
+      biasTable(u64(1) << checkedIndexBits("agree", bias_index_bits),
+                biasUnset),
       indexBits(index_bits),
-      historyBits(history_bits),
+      historyBits(checkedHistoryBits("agree", history_bits)),
       biasIndexBits(bias_index_bits)
 {
 }

@@ -11,14 +11,17 @@ BiModePredictor::BiModePredictor(unsigned direction_index_bits,
                                  unsigned history_bits,
                                  unsigned choice_index_bits,
                                  unsigned counter_bits)
-    : takenTable(u64(1) << direction_index_bits, counter_bits,
+    : takenTable(u64(1) << checkedIndexBits("bimode",
+                                            direction_index_bits),
+                 counter_bits,
                  // Direction tables start leaning their way.
                  static_cast<u8>(mask(counter_bits))),
       notTakenTable(u64(1) << direction_index_bits, counter_bits, 0),
-      choiceTable(u64(1) << choice_index_bits, counter_bits,
+      choiceTable(u64(1) << checkedIndexBits("bimode", choice_index_bits),
+                  counter_bits,
                   static_cast<u8>(u8(1) << (counter_bits - 1))),
       directionIndexBits(direction_index_bits),
-      historyBits(history_bits),
+      historyBits(checkedHistoryBits("bimode", history_bits)),
       choiceIndexBits(choice_index_bits)
 {
 }

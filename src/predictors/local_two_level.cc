@@ -1,7 +1,5 @@
 #include "predictors/local_two_level.hh"
 
-#include <cassert>
-
 #include "predictors/info_vector.hh"
 #include "support/logging.hh"
 #include "support/serialize.hh"
@@ -10,15 +8,31 @@
 namespace bpred
 {
 
+namespace
+{
+
+/** A local history length, checked: histories are held in a u16. */
+unsigned
+checkedLocalHistoryBits(unsigned bits)
+{
+    if (bits < 1 || bits > 16) {
+        fatal("pag: local history length " + std::to_string(bits) +
+              " outside 1..16");
+    }
+    return bits;
+}
+
+} // namespace
+
 LocalTwoLevelPredictor::LocalTwoLevelPredictor(unsigned bht_index_bits,
                                                unsigned local_history_bits,
                                                unsigned counter_bits)
-    : historyTable(u64(1) << bht_index_bits, 0),
-      patternTable(u64(1) << local_history_bits, counter_bits),
+    : historyTable(u64(1) << checkedIndexBits("pag", bht_index_bits), 0),
+      patternTable(u64(1) << checkedLocalHistoryBits(local_history_bits),
+                   counter_bits),
       bhtIndexBits(bht_index_bits),
       localHistoryBits(local_history_bits)
 {
-    assert(local_history_bits >= 1 && local_history_bits <= 16);
 }
 
 u64

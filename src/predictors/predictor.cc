@@ -63,11 +63,13 @@ checkedIndexBits(std::string_view scheme, unsigned bits)
 }
 
 unsigned
-checkedHistoryBits(std::string_view scheme, unsigned bits)
+checkedHistoryBits(std::string_view scheme, unsigned bits,
+                   unsigned max_bits)
 {
-    if (bits > 64) {
+    if (bits > max_bits) {
         fatal(std::string(scheme) + ": history length " +
-              std::to_string(bits) + " over 64");
+              std::to_string(bits) + " over " +
+              std::to_string(max_bits));
     }
     return bits;
 }

@@ -186,10 +186,20 @@ constexpr unsigned maxIndexBits = 28;
 unsigned checkedIndexBits(std::string_view scheme, unsigned bits);
 
 /**
- * @p bits, checked as a global-history length for @p scheme: fatal()
- * over 64, the width of the history register.
+ * Longest history an information-vector key (predictors/
+ * info_vector.hh) holds: past it the history shifts the address out
+ * of the 64-bit key.
  */
-unsigned checkedHistoryBits(std::string_view scheme, unsigned bits);
+constexpr unsigned maxKeyHistoryBits = 44;
+
+/**
+ * @p bits, checked as a global-history length for @p scheme: fatal()
+ * over @p max_bits, by default 64, the width of the history
+ * register. Schemes keyed by the information vector pass
+ * maxKeyHistoryBits.
+ */
+unsigned checkedHistoryBits(std::string_view scheme, unsigned bits,
+                            unsigned max_bits = 64);
 
 /*
  * savePredictorState()/loadPredictorState() take snapshot bytes or a

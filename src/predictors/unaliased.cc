@@ -13,7 +13,9 @@ namespace bpred
 
 UnaliasedPredictor::UnaliasedPredictor(unsigned history_bits,
                                        unsigned counter_bits)
-    : historyBits(history_bits), counterBits(counter_bits)
+    : historyBits(checkedHistoryBits("unaliased", history_bits,
+                                     maxKeyHistoryBits)),
+      counterBits(counter_bits)
 {
 }
 

@@ -12,12 +12,12 @@ YagsPredictor::YagsPredictor(unsigned cache_index_bits,
                              unsigned history_bits,
                              unsigned choice_index_bits,
                              unsigned tag_bits)
-    : takenCache(u64(1) << cache_index_bits),
+    : takenCache(u64(1) << checkedIndexBits("yags", cache_index_bits)),
       notTakenCache(u64(1) << cache_index_bits),
-      choiceTable(u64(1) << choice_index_bits, 2,
-                  2 /* weakly taken */),
+      choiceTable(u64(1) << checkedIndexBits("yags", choice_index_bits),
+                  2, 2 /* weakly taken */),
       cacheIndexBits(cache_index_bits),
-      historyBits(history_bits),
+      historyBits(checkedHistoryBits("yags", history_bits)),
       choiceIndexBits(choice_index_bits),
       tagBits(tag_bits)
 {

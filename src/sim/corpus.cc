@@ -13,7 +13,6 @@
 #include "support/site_table.hh"
 #include "support/tracing.hh"
 #include "trace/adapters.hh"
-#include "trace/mmap_source.hh"
 
 namespace bpred
 {
@@ -28,14 +27,6 @@ formatPc(Addr pc)
     std::snprintf(buffer, sizeof(buffer), "0x%llx",
                   static_cast<unsigned long long>(pc));
     return buffer;
-}
-
-bool
-endsWith(const std::string &text, const std::string &suffix)
-{
-    return text.size() >= suffix.size() &&
-        text.compare(text.size() - suffix.size(), suffix.size(),
-                     suffix) == 0;
 }
 
 Predictability
@@ -104,23 +95,6 @@ classify(const SiteTable &tally, const CorpusOptions &opt)
     return classes;
 }
 
-/** Open one corpus file, reporting which ingest path it took. */
-std::unique_ptr<TraceSource>
-openFile(const std::string &path, std::string &kind)
-{
-    if (endsWith(path, ".bpt")) {
-        if (auto mapped = MappedTrace::tryOpen(path)) {
-            kind = "mmap";
-            return std::make_unique<MmapTraceSource>(
-                std::move(mapped));
-        }
-        kind = "stream";
-        return std::make_unique<BinaryTraceSource>(path);
-    }
-    kind = "memory";
-    return std::make_unique<OwnedTraceSource>(loadRealTrace(path));
-}
-
 CorpusFileResult
 runFile(const std::string &path, const std::string &file_name,
         const CorpusOptions &opt)
@@ -130,7 +104,7 @@ runFile(const std::string &path, const std::string &file_name,
     result.file = file_name;
     try {
         std::unique_ptr<TraceSource> source =
-            openFile(path, result.ingest);
+            openCorpusSource(path, result.ingest);
         result.traceName = source->name();
 
         std::vector<std::unique_ptr<Predictor>> predictors;

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <fstream>
 
-#include "support/aligned.hh"
 #include "support/logging.hh"
 #include "support/tracing.hh"
-#include "trace/bpt_format.hh"
 #include "trace/mmap_source.hh"
 #include "trace/trace_io.hh"
 
@@ -81,47 +79,6 @@ inflateFile(const std::string &path)
 #endif
 }
 
-/**
- * Decode a whole BPT1 image already in memory (an inflated .gz):
- * the same shared header validator and bulk decoder the mmap path
- * uses, just with a materialized destination.
- */
-Trace
-decodeBptImage(const std::string &image, const std::string &path)
-{
-    const u8 *data = reinterpret_cast<const u8 *>(image.data());
-    std::size_t header_bytes = 0;
-    const bpt::Header header =
-        bpt::readHeader(data, image.size(), header_bytes);
-
-    Trace trace(header.name);
-    // bp_lint: allow(reserve-untrusted): readHeader() above bounded
-    // the count by the inflated image's real byte length.
-    trace.reserve(static_cast<std::size_t>(header.count));
-
-    const u8 *payload = data + header_bytes;
-    std::size_t size = image.size() - header_bytes;
-    AlignedVector<BranchRecord> buffer(64 * 1024);
-    Addr last_pc = 0;
-    u64 remaining = header.count;
-    while (remaining > 0) {
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<u64>(buffer.size(), remaining));
-        std::size_t consumed = 0;
-        TRACE_SCOPE("ingest", "decode-batch", want, header.count - remaining);
-        const std::size_t got = bpt::decodeRecords(
-            payload, size, buffer.data(), want, last_pc, consumed);
-        if (got < want) {
-            fatal("trace: truncated record in '" + path + "'");
-        }
-        trace.append(buffer.data(), got);
-        payload += consumed;
-        size -= consumed;
-        remaining -= got;
-    }
-    return trace;
-}
-
 std::string
 readWholeFile(const std::string &path)
 {
@@ -131,6 +88,25 @@ readWholeFile(const std::string &path)
         fatal("trace: cannot open '" + path + "' for reading");
     }
     return readAllBytes(is);
+}
+
+/** .bpt or .bpt.gz: BPT1 bytes, decoded through an image. */
+bool
+isBinaryTraceName(const std::string &path)
+{
+    return endsWith(path, ".bpt") || endsWith(path, ".bpt.gz");
+}
+
+/** Parse a .txt/.trace file, inflating it first when gzipped. */
+Trace
+loadTextTrace(const std::string &path)
+{
+    if (!isTraceFileName(path)) {
+        fatal("trace: unsupported trace file '" + path + "'");
+    }
+    return parseTextTrace(endsWith(path, ".gz") ? inflateFile(path)
+                                                : readWholeFile(path),
+                          traceNameFromPath(path));
 }
 
 } // namespace
@@ -192,40 +168,35 @@ readCbpTextTrace(std::istream &is, const std::string &name)
 Trace
 loadRealTrace(const std::string &path)
 {
-    if (!isTraceFileName(path)) {
-        fatal("trace: unsupported trace file '" + path + "'");
+    if (isBinaryTraceName(path)) {
+        return drainSource(*openCorpusSource(path));
     }
-    const std::string name = traceNameFromPath(path);
-    if (endsWith(path, ".bpt.gz")) {
-        Trace trace = decodeBptImage(inflateFile(path), path);
-        return trace;
-    }
-    if (endsWith(path, ".bpt")) {
-        return loadBinaryTrace(path);
-    }
-    return parseTextTrace(endsWith(path, ".gz") ? inflateFile(path)
-                                                : readWholeFile(path),
-                          name);
+    return loadTextTrace(path);
 }
 
-std::size_t
-OwnedTraceSource::pull(BranchRecord *out, std::size_t max)
+std::unique_ptr<TraceSource>
+openCorpusSource(const std::string &path, std::string &ingest)
 {
-    const std::size_t available = trace_.size() - next;
-    const std::size_t produced = std::min(max, available);
-    const BranchRecord *begin = trace_.records().data() + next;
-    std::copy(begin, begin + produced, out);
-    next += produced;
-    return produced;
+    if (endsWith(path, ".bpt")) {
+        auto image = MappedTrace::open(path);
+        ingest = image->origin() == MappedTrace::Origin::mapped
+            ? "mmap"
+            : "stream";
+        return std::make_unique<MmapTraceSource>(std::move(image));
+    }
+    ingest = "memory";
+    if (isBinaryTraceName(path)) {
+        return std::make_unique<MmapTraceSource>(
+            MappedTrace::fromBytes(inflateFile(path)));
+    }
+    return std::make_unique<MemoryTraceSource>(loadTextTrace(path));
 }
 
 std::unique_ptr<TraceSource>
 openCorpusSource(const std::string &path)
 {
-    if (endsWith(path, ".bpt")) {
-        return openTraceSource(path);
-    }
-    return std::make_unique<OwnedTraceSource>(loadRealTrace(path));
+    std::string ingest;
+    return openCorpusSource(path, ingest);
 }
 
 } // namespace bpred

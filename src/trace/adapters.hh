@@ -7,12 +7,12 @@
  * runner treats a directory of mixed real and synthetic traces
  * uniformly:
  *
- *   .bpt      BPT1 binary (mmap'd when possible)
- *   .bpt.gz   gzipped BPT1 (inflated, then the same shared header
- *             validator + bulk decoder as the mmap path)
- *   .txt      text: either our "C|U <hexpc> T|N" format or the
+ *   .bpt      BPT1 binary (mmap'd when possible, else read whole)
+ *   .bpt.gz   gzipped BPT1 (inflated into an in-memory image, then
+ *             the same header validator and decoder as .bpt)
+ *   .txt / .trace   text: either our "C|U <hexpc> T|N" format or the
  *             CBP-style "<pc> <dir>" format, auto-detected
- *   .txt.gz / .gz   gzipped text, same auto-detection
+ *   .txt.gz / .trace.gz   gzipped text, same auto-detection
  *
  * gz support depends on zlib (BPRED_HAVE_ZLIB, probed by CMake);
  * without it the gz paths fail with a clear fatal() instead of a
@@ -65,30 +65,22 @@ Trace readCbpTextTrace(std::istream &is, const std::string &name);
 Trace loadRealTrace(const std::string &path);
 
 /**
- * A TraceSource owning its materialized Trace — how text and gz
- * inputs (which cannot be decoded incrementally from disk) enter
- * the streaming pipeline.
- */
-class OwnedTraceSource : public TraceSource
-{
-  public:
-    explicit OwnedTraceSource(Trace trace) : trace_(std::move(trace)) {}
-
-    const std::string &name() const override { return trace_.name(); }
-    std::size_t pull(BranchRecord *out, std::size_t max) override;
-    u64 sizeHint() const override { return trace_.size() - next; }
-
-  private:
-    Trace trace_;
-    std::size_t next = 0;
-};
-
-/**
- * Open @p path for streaming: zero-copy mmap (with stream fallback)
- * for .bpt, materialized OwnedTraceSource for everything else.
+ * Open @p path for streaming, dispatching on the extension: a .bpt
+ * is imaged by MappedTrace::open (mmap'd, or read whole when it
+ * cannot be mapped), a .bpt.gz is inflated and imaged in memory,
+ * and text is parsed whole into a MemoryTraceSource. Every BPT1
+ * form is decoded by the same MmapTraceSource.
+ *
+ * @param ingest Out: the path the bytes took, as the corpus report
+ *        names it: "mmap", "stream" (a .bpt read whole) or "memory"
+ *        (inflated or parsed in memory).
  *
  * @throws FatalError on unsupported or malformed files.
  */
+std::unique_ptr<TraceSource> openCorpusSource(const std::string &path,
+                                              std::string &ingest);
+
+/** openCorpusSource() without the ingest label. */
 std::unique_ptr<TraceSource> openCorpusSource(const std::string &path);
 
 } // namespace bpred

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <istream>
 #include <ostream>
 
-#include "support/check.hh"
 #include "support/logging.hh"
 
 namespace bpred::bpt
@@ -20,27 +18,6 @@ writeVarint(std::ostream &os, u64 value)
         value >>= 7;
     }
     os.put(static_cast<char>(value));
-}
-
-u64
-readVarint(std::istream &is)
-{
-    u64 value = 0;
-    unsigned shift = 0;
-    for (;;) {
-        const int byte = is.get();
-        if (byte == std::char_traits<char>::eof()) {
-            fatal("trace: truncated varint");
-        }
-        if (shift >= 64) {
-            fatal("trace: varint overflow");
-        }
-        value |= (static_cast<u64>(byte) & 0x7f) << shift;
-        if ((byte & 0x80) == 0) {
-            return value;
-        }
-        shift += 7;
-    }
 }
 
 u64
@@ -86,83 +63,22 @@ writeHeader(std::ostream &os, const std::string &name, u64 count)
     writeVarint(os, count);
 }
 
-void
-checkNameLength(u64 name_len)
-{
-    if (name_len > maxNameBytes) {
-        fatal("trace: unreasonable name length");
-    }
-}
-
-void
-validateHeader(Header &header, const PayloadBounds &payload)
-{
-    if (!payload.known) {
-        return;
-    }
-    if (header.count > payload.bytes / 2) {
-        fatal("trace: header declares " +
-              std::to_string(header.count) + " records but only " +
-              std::to_string(payload.bytes) + " bytes follow");
-    }
-    header.lengthValidated = true;
-}
-
-Header
-readHeader(std::istream &is)
-{
-    char stored_magic[4] = {};
-    is.read(stored_magic, sizeof(stored_magic));
-    if (!is || !std::equal(stored_magic, stored_magic + 4, magic)) {
-        fatal("trace: bad magic (not a BPT1 trace)");
-    }
-
-    Header header;
-    const u64 name_len = readVarint(is);
-    checkNameLength(name_len);
-    header.name.assign(static_cast<std::size_t>(name_len), '\0');
-    is.read(header.name.data(),
-            static_cast<std::streamsize>(name_len));
-    if (!is) {
-        fatal("trace: truncated name");
-    }
-    BP_CHECK(is.gcount() == static_cast<std::streamsize>(name_len),
-             "header name read is not the declared length");
-
-    header.count = readVarint(is);
-
-    // Seekable streams know the payload length, so the shared bound
-    // applies; pipes stay unvalidated and rely on per-record checks.
-    PayloadBounds payload;
-    const std::istream::pos_type pos = is.tellg();
-    if (pos != std::istream::pos_type(-1)) {
-        is.seekg(0, std::ios::end);
-        const std::istream::pos_type end = is.tellg();
-        is.seekg(pos);
-        if (is && end != std::istream::pos_type(-1) && end >= pos) {
-            payload.bytes = static_cast<u64>(end - pos);
-            payload.known = true;
-        }
-    }
-    validateHeader(header, payload);
-    return header;
-}
-
 Header
 readHeader(const u8 *data, std::size_t size,
            std::size_t &header_bytes)
 {
-    std::size_t at = 0;
     if (size < sizeof(magic) ||
         !std::equal(magic, magic + sizeof(magic),
                     reinterpret_cast<const char *>(data))) {
         fatal("trace: bad magic (not a BPT1 trace)");
     }
-    at = sizeof(magic);
+    std::size_t at = sizeof(magic);
 
     Header header;
     const u64 name_len = readVarint(data, size, at);
-    checkNameLength(name_len);
+    if (name_len > maxNameBytes) {
+        fatal("trace: unreasonable name length");
+    }
     if (size - at < name_len) {
         fatal("trace: truncated name");
     }
@@ -171,7 +87,12 @@ readHeader(const u8 *data, std::size_t size,
     at += static_cast<std::size_t>(name_len);
 
     header.count = readVarint(data, size, at);
-    validateHeader(header, {size - at, true});
+    const std::size_t payload_bytes = size - at;
+    if (header.count > payload_bytes / 2) {
+        fatal("trace: header declares " +
+              std::to_string(header.count) + " records but only " +
+              std::to_string(payload_bytes) + " bytes follow");
+    }
     header_bytes = at;
     return header;
 }
@@ -193,25 +114,6 @@ writeRecord(std::ostream &os, const BranchRecord &record,
     last_pc = record.pc;
 }
 
-BranchRecord
-readRecord(std::istream &is, Addr &last_pc)
-{
-    const int flags = is.get();
-    if (flags == std::char_traits<char>::eof()) {
-        fatal("trace: truncated record");
-    }
-    if ((flags & ~0x3) != 0) {
-        fatal("trace: bad record flags");
-    }
-    // Mirror of writeRecord(): apply the delta with u64 wrap-around
-    // arithmetic. An i64 add here is UB exactly when the encoder's
-    // i64 subtract would have been, and a hostile trace can pick
-    // deltas that overflow regardless of what the encoder produces.
-    const i64 delta = zigZagDecode(readVarint(is));
-    last_pc += static_cast<Addr>(delta);
-    return {last_pc, (flags & 1) != 0, (flags & 2) != 0};
-}
-
 std::size_t
 readRecord(const char *data, std::size_t size, BranchRecord &out,
            Addr &last_pc)
@@ -229,7 +131,7 @@ readRecord(const char *data, std::size_t size, BranchRecord &out,
     for (;; ++at) {
         // Overflow is checked before the length, so a hostile
         // over-long varint is fatal even when the buffer ends on
-        // its 11th byte — a refill could never resolve it.
+        // its 11th byte, never mistaken for a short buffer.
         if (shift >= 64) {
             fatal("trace: varint overflow");
         }
@@ -243,6 +145,10 @@ readRecord(const char *data, std::size_t size, BranchRecord &out,
         }
         shift += 7;
     }
+    // Mirror of writeRecord(): apply the delta with u64 wrap-around
+    // arithmetic. An i64 add here is UB exactly when the encoder's
+    // i64 subtract would have been, and a hostile trace can pick
+    // deltas that overflow regardless of what the encoder produces.
     last_pc += static_cast<Addr>(zigZagDecode(value));
     out = {last_pc, (flags & 1) != 0, (flags & 2) != 0};
     return at + 1;
@@ -299,7 +205,7 @@ decodeOneUnchecked(const u8 *p, BranchRecord &out, Addr &last_pc)
             }
         }
     }
-    // Same u64 wrap-around delta arithmetic as the istream decoder;
+    // Same u64 wrap-around delta arithmetic as the checked decoder;
     // see readRecord() for why i64 addition would be UB here.
     last_pc += static_cast<Addr>(zigZagDecode(value));
     out = {last_pc, (flags & 1) != 0, (flags & 2) != 0};

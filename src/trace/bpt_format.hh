@@ -1,7 +1,8 @@
 /**
  * @file
- * Internal BPT1 wire-format primitives, shared by the batch
- * serializer (trace_io) and the incremental decoder (stream).
+ * Internal BPT1 wire-format primitives: the writer trace_io uses,
+ * and the header reader and record decoder behind every BPT1 image
+ * (trace/mmap_source.hh).
  *
  * Layout: 4-byte magic "BPT1", varint name length, name bytes,
  * varint record count, then per record a flag byte (bit 0 = taken,
@@ -29,9 +30,6 @@ inline constexpr char magic[4] = {'B', 'P', 'T', '1'};
 /** Emit a LEB128 varint. */
 void writeVarint(std::ostream &os, u64 value);
 
-/** Decode a LEB128 varint. @throws FatalError on truncation. */
-u64 readVarint(std::istream &is);
-
 /**
  * Decode a LEB128 varint from an in-memory buffer, advancing @p at.
  *
@@ -44,21 +42,16 @@ u64 readVarint(const u8 *data, std::size_t size, std::size_t &at);
 u64 zigZagEncode(i64 value);
 i64 zigZagDecode(u64 value);
 
-/** The decoded BPT1 stream header. */
+/** The decoded, validated BPT1 header. */
 struct Header
 {
     std::string name;
 
-    /** Declared record count. */
-    u64 count = 0;
-
     /**
-     * True when the stream was seekable and @p count was verified
-     * to fit in the remaining byte length. When false (pipes,
-     * non-seekable sources) callers must bound allocations
-     * themselves and rely on per-record truncation checks.
+     * Declared record count, already checked against the payload
+     * length, so it may size an allocation.
      */
-    bool lengthValidated = false;
+    u64 count = 0;
 };
 
 /** Write magic, name and record count. */
@@ -68,50 +61,13 @@ void writeHeader(std::ostream &os, const std::string &name, u64 count);
 inline constexpr u64 maxNameBytes = 4096;
 
 /**
- * How many payload bytes follow a header, when the source knows.
- * Streams that cannot seek leave @p known false; mmap and in-memory
- * readers always know exactly.
- */
-struct PayloadBounds
-{
-    u64 bytes = 0;
-    bool known = false;
-};
-
-/**
- * Reject a declared name length before it sizes an allocation.
- *
- * @throws FatalError when @p name_len exceeds maxNameBytes.
- */
-void checkNameLength(u64 name_len);
-
-/**
- * The one bounds rule every header path shares (istream, mmap and
- * gz/adapter readers all funnel through here, so the limits cannot
- * drift apart): every record costs at least two bytes (flag byte
- * plus one varint byte), so a known payload length bounds the
- * declared count by half its bytes. Sets @p header.lengthValidated
- * when @p payload is known.
- *
- * @throws FatalError when the declared count exceeds the bound.
- */
-void validateHeader(Header &header, const PayloadBounds &payload);
-
-/**
- * Read and validate magic, name and record count. On seekable
- * streams the declared count is checked against the remaining byte
- * length (every record occupies at least two bytes), so a corrupt
- * or hostile header cannot induce an absurd allocation downstream.
- *
- * @throws FatalError on bad magic, an unreasonable name, or a
- *         record count exceeding the stream size.
- */
-Header readHeader(std::istream &is);
-
-/**
- * Read and validate a header from an in-memory buffer (an mmap'd
- * file or an inflated .gz). The payload length is always known
- * here, so the returned header is always lengthValidated.
+ * Read and validate the header of a whole BPT1 image in memory: the
+ * one header reader, so its bounds cannot drift between ingest
+ * paths. A name longer than maxNameBytes is rejected before it sizes
+ * anything, and every record costs at least two bytes (flag byte
+ * plus one varint byte), so a declared count above half the payload
+ * length is provably corrupt and rejected before anyone allocates
+ * by it.
  *
  * @param header_bytes Out: bytes the header occupied; the payload
  *        starts at data + header_bytes.
@@ -130,14 +86,6 @@ void writeRecord(std::ostream &os, const BranchRecord &record,
                  Addr &last_pc);
 
 /**
- * Decode one record, resolving the PC delta against @p last_pc
- * (updated in place).
- *
- * @throws FatalError on truncation or bad flags.
- */
-BranchRecord readRecord(std::istream &is, Addr &last_pc);
-
-/**
  * Upper bound on one encoded record: a flag byte plus a 10-byte
  * varint (readVarint rejects an 11th continuation byte as
  * overflow). Any buffer holding at least this many bytes always
@@ -146,14 +94,13 @@ BranchRecord readRecord(std::istream &is, Addr &last_pc);
 inline constexpr std::size_t maxRecordBytes = 11;
 
 /**
- * Decode one record from an in-memory buffer — the bulk-refill
- * counterpart of the istream overload, so streaming decoders can
- * read the file in block-sized slabs instead of byte-at-a-time
- * stream gets.
+ * Decode one record from an in-memory buffer, checking every byte:
+ * the reference decoder, which decodeRecords() below runs on its
+ * ragged tail and tests use as the oracle.
  *
  * @return Bytes consumed (record written to @p out, @p last_pc
  *         advanced), or 0 when the buffer ends mid-record with
- *         nothing modified — refill and retry.
+ *         nothing modified.
  *
  * @throws FatalError on bad flags or varint overflow.
  */
@@ -161,19 +108,20 @@ std::size_t readRecord(const char *data, std::size_t size,
                        BranchRecord &out, Addr &last_pc);
 
 /**
- * Bulk-decode up to @p max records from @p data — the hot path for
- * mmap'd traces. Instead of a per-byte bounds check, the buffer is
- * carved into sub-batches of records whose worst-case encoded size
- * (maxRecordBytes each) provably fits in the remaining span, and
- * the sub-batch body decodes with unchecked loads; the ragged tail
- * falls back to the checked readRecord() above. Wire semantics are
- * bit-identical to the incremental decoder: same flag validation,
- * same varint overflow rule, same u64 wrap-around delta arithmetic.
+ * Bulk-decode up to @p max records from @p data: the one record
+ * loop behind every BPT1 ingest path. Instead of a per-byte bounds
+ * check, the buffer is carved into sub-batches of records whose
+ * worst-case encoded size (maxRecordBytes each) provably fits in
+ * the remaining span, and the sub-batch body decodes with
+ * unchecked loads; the ragged tail falls back to the checked
+ * readRecord() above. Wire semantics are bit-identical to that
+ * checked decoder: same flag validation, same varint overflow rule,
+ * same u64 wrap-around delta arithmetic.
  *
  * @param consumed Out: bytes consumed from @p data.
  * @return Records decoded; less than @p max only when the buffer
  *         ends (possibly mid-record — the partial record is not
- *         consumed, mirroring readRecord()'s refill contract).
+ *         consumed, mirroring readRecord()'s contract).
  *
  * @throws FatalError on bad flags or varint overflow.
  */

@@ -1,10 +1,12 @@
 #include "trace/mmap_source.hh"
 
 #include <algorithm>
+#include <fstream>
 
 #include "support/logging.hh"
 #include "support/tracing.hh"
 #include "trace/bpt_format.hh"
+#include "trace/trace_io.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define BPRED_HAVE_MMAP 1
@@ -25,20 +27,29 @@ mmapSupported()
     return BPRED_HAVE_MMAP != 0;
 }
 
-#if BPRED_HAVE_MMAP
-
 namespace
 {
 
-/** Map @p path read-only; nullptr + size 0 when any syscall fails. */
+/**
+ * Map @p path read-only; nullptr when it is not a non-empty regular
+ * file or any syscall fails. Anything else (a FIFO above all) is
+ * never opened here, so the whole-file read that follows is its
+ * only reader.
+ */
 const u8 *
 mapFile(const std::string &path, std::size_t &bytes)
 {
+#if BPRED_HAVE_MMAP
+    TRACE_SCOPE("ingest", "mmap-map");
+    struct stat st = {};
+    if (::stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode) ||
+        st.st_size <= 0) {
+        return nullptr;
+    }
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) {
         return nullptr;
     }
-    struct stat st = {};
     if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode) ||
         st.st_size <= 0) {
         ::close(fd);
@@ -64,82 +75,95 @@ mapFile(const std::string &path, std::size_t &bytes)
     ::madvise(base, size, MADV_WILLNEED);
     bytes = size;
     return static_cast<const u8 *>(base);
+#else
+    (void)path;
+    (void)bytes;
+    return nullptr;
+#endif
 }
 
 } // namespace
 
 MappedTrace::~MappedTrace()
 {
-    if (data_ != nullptr) {
+#if BPRED_HAVE_MMAP
+    if (origin_ == Origin::mapped) {
         ::munmap(const_cast<u8 *>(data_), bytes_);
     }
-}
-
-std::shared_ptr<const MappedTrace>
-MappedTrace::tryOpen(const std::string &path)
-{
-    TRACE_SCOPE("ingest", "mmap-map");
-    std::size_t bytes = 0;
-    const u8 *data = mapFile(path, bytes);
-    if (data == nullptr) {
-        return nullptr;
-    }
-    // Own the pages before parsing, so a fatal header error still
-    // unmaps on unwind. The constructor is private, which rules out
-    // make_shared; ownership lands in the shared_ptr on this line.
-    // bp_lint: allow(banned-identifier): private-ctor make_shared
-    auto mapped = std::shared_ptr<MappedTrace>(new MappedTrace());
-    mapped->data_ = data;
-    mapped->bytes_ = bytes;
-    mapped->path_ = path;
-
-    std::size_t header_bytes = 0;
-    const bpt::Header header =
-        bpt::readHeader(data, bytes, header_bytes);
-    mapped->payloadOffset = header_bytes;
-    mapped->name_ = header.name;
-    mapped->count_ = header.count;
-    return mapped;
-}
-
-#else // !BPRED_HAVE_MMAP
-
-MappedTrace::~MappedTrace() = default;
-
-std::shared_ptr<const MappedTrace>
-MappedTrace::tryOpen(const std::string &)
-{
-    return nullptr;
-}
-
 #endif
+}
+
+void
+MappedTrace::parseHeader()
+{
+    const bpt::Header header =
+        bpt::readHeader(data_, bytes_, payloadOffset);
+    name_ = header.name;
+    count_ = header.count;
+}
+
+std::shared_ptr<const MappedTrace>
+MappedTrace::adopt(std::string bytes, Origin origin)
+{
+    // The constructor is private, which rules out make_shared.
+    // bp_lint: allow(banned-identifier): private-ctor make_shared
+    auto image = std::shared_ptr<MappedTrace>(new MappedTrace());
+    image->owned_ = std::move(bytes);
+    image->data_ = reinterpret_cast<const u8 *>(image->owned_.data());
+    image->bytes_ = image->owned_.size();
+    image->origin_ = origin;
+    image->parseHeader();
+    return image;
+}
+
+std::shared_ptr<const MappedTrace>
+MappedTrace::fromBytes(std::string bytes)
+{
+    return adopt(std::move(bytes), Origin::memory);
+}
+
+std::shared_ptr<const MappedTrace>
+MappedTrace::open(const std::string &path)
+{
+    std::size_t bytes = 0;
+    if (const u8 *data = mapFile(path, bytes)) {
+        // Own the pages before parsing, so a fatal header error
+        // still unmaps on unwind.
+        // bp_lint: allow(banned-identifier): private-ctor make_shared
+        auto image = std::shared_ptr<MappedTrace>(new MappedTrace());
+        image->data_ = data;
+        image->bytes_ = bytes;
+        image->origin_ = Origin::mapped;
+        image->parseHeader();
+        return image;
+    }
+    TRACE_SCOPE("ingest", "read-file");
+    std::ifstream is(path, std::ios::binary);
+    if (!is) {
+        fatal("trace: cannot open '" + path + "' for reading");
+    }
+    return adopt(readAllBytes(is), Origin::read);
+}
 
 MmapTraceSource::MmapTraceSource(
-    std::shared_ptr<const MappedTrace> mapped)
-    : mapped_(std::move(mapped))
+    std::shared_ptr<const MappedTrace> image)
+    : image_(std::move(image))
 {
-    if (!mapped_) {
-        fatal("trace: MmapTraceSource given a null mapping");
+    if (!image_) {
+        fatal("trace: MmapTraceSource given a null image");
     }
-    remaining_ = mapped_->count();
+    remaining_ = image_->count();
 }
 
 MmapTraceSource::MmapTraceSource(const std::string &path)
-    : MmapTraceSource(
-          [&path]() {
-              auto mapped = MappedTrace::tryOpen(path);
-              if (!mapped) {
-                  fatal("trace: cannot mmap '" + path + "'");
-              }
-              return mapped;
-          }())
+    : MmapTraceSource(MappedTrace::open(path))
 {
 }
 
 const std::string &
 MmapTraceSource::name() const
 {
-    return mapped_->name();
+    return image_->name();
 }
 
 std::size_t
@@ -151,27 +175,10 @@ MmapTraceSource::pull(BranchRecord *out, std::size_t max)
         return 0;
     }
     TRACE_SCOPE("ingest", "decode-batch", produced, at);
-    const u8 *data = mapped_->payload() + at;
-    const std::size_t size = mapped_->payloadBytes() - at;
-    std::size_t done = 0;
     std::size_t consumed = 0;
-    if (fastDecode) {
-        done = bpt::decodeRecords(data, size, out, produced, lastPc,
-                                  consumed);
-    } else {
-        // Reference path: the same per-record decoder the stream
-        // slab uses, kept for byte-identity comparisons.
-        while (done < produced) {
-            const std::size_t step = bpt::readRecord(
-                reinterpret_cast<const char *>(data) + consumed,
-                size - consumed, out[done], lastPc);
-            if (step == 0) {
-                break;
-            }
-            consumed += step;
-            ++done;
-        }
-    }
+    const std::size_t done = bpt::decodeRecords(
+        image_->payload() + at, image_->payloadBytes() - at, out,
+        produced, lastPc, consumed);
     if (done < produced) {
         // The validated header promised more records than the
         // payload actually encodes.
@@ -185,10 +192,7 @@ MmapTraceSource::pull(BranchRecord *out, std::size_t max)
 std::unique_ptr<TraceSource>
 openTraceSource(const std::string &path)
 {
-    if (auto mapped = MappedTrace::tryOpen(path)) {
-        return std::make_unique<MmapTraceSource>(std::move(mapped));
-    }
-    return std::make_unique<BinaryTraceSource>(path);
+    return std::make_unique<MmapTraceSource>(path);
 }
 
 } // namespace bpred

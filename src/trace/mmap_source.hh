@@ -1,19 +1,18 @@
 /**
  * @file
- * Zero-copy BPT1 trace ingestion via mmap.
+ * BPT1 trace images and the one cursor that decodes them.
  *
- * A MappedTrace maps a trace file read-only, validates the header
- * once against the true byte length, and exposes the payload span.
- * The mapping is immutable and shareable: a whole SweepRunner pool
- * or gang replays one file through shared_ptr views instead of N
- * private Trace copies. MmapTraceSource decodes straight out of the
- * mapping into the caller's block scratch — no intermediate slab,
- * no stream reads — using the sub-batch bulk decoder
- * (bpt::decodeRecords) by default.
- *
- * mmap is POSIX-only; openTraceSource() falls back to the portable
- * BinaryTraceSource when mapping is unavailable, so callers never
- * need to branch on the platform themselves.
+ * Every binary ingest path ends here. A MappedTrace holds the bytes
+ * of one whole BPT1 trace, got one of three ways: mmap'd from a
+ * file, read whole when the file cannot be mapped (a FIFO, an empty
+ * file, a non-POSIX build), or handed over already in memory (an
+ * inflated .bpt.gz, a drained istream). Its header is validated
+ * once, against the true byte length, when the image is made. The
+ * image is immutable and shareable: a whole SweepRunner pool or gang
+ * replays one file through shared_ptr views instead of N private
+ * Trace copies. MmapTraceSource is the cursor: it decodes straight
+ * out of the image into the caller's pull() buffer with
+ * bpt::decodeRecords, the only BPT1 record loop.
  */
 
 #pragma once
@@ -30,36 +29,54 @@ namespace bpred
 bool mmapSupported();
 
 /**
- * A read-only, header-validated mapping of one BPT1 trace file.
+ * One immutable, header-validated BPT1 image: an mmap'd file or an
+ * owned byte string.
  *
- * Immutable after open, so any number of threads may decode from
- * the same mapping concurrently (each MmapTraceSource keeps its own
- * cursor). The underlying pages are advised for sequential access
- * and prefetched (madvise SEQUENTIAL + WILLNEED).
+ * Any number of threads may decode from the same image concurrently
+ * (each MmapTraceSource keeps its own cursor). Mapped pages are
+ * prefaulted where the platform allows and advised for sequential
+ * access (madvise SEQUENTIAL + WILLNEED).
  */
 class MappedTrace
 {
   public:
+    /** Where an image's bytes came from. */
+    enum class Origin
+    {
+        /** mmap'd from a regular file. */
+        mapped,
+        /** Read whole from a file that could not be mapped. */
+        read,
+        /** Handed over in memory (fromBytes()). */
+        memory,
+    };
+
     MappedTrace(const MappedTrace &) = delete;
     MappedTrace &operator=(const MappedTrace &) = delete;
     ~MappedTrace();
 
     /**
-     * Map @p path. Returns nullptr when the mmap mechanism itself
-     * is unavailable (non-POSIX build, or open/fstat/mmap failed) —
-     * callers fall back to stream ingestion and surface any real
-     * file error there.
+     * Image the trace file at @p path: mmap it, or read it whole
+     * when it cannot be mapped (not a regular file, empty, no mmap
+     * in this build, or a failed syscall).
      *
-     * @throws FatalError when the file maps but its header is
-     *         malformed: bad magic, unreasonable name, or a record
-     *         count the byte length cannot hold. The byte length is
-     *         captured once at map time and every later access is
-     *         bounded by it, so a well-formed open can never fault
-     *         past the mapping (SIGBUS) on a file that is not being
+     * @throws FatalError when the file cannot be opened, or when its
+     *         header is malformed: bad magic, unreasonable name, or
+     *         a record count the byte length cannot hold. The byte
+     *         length is captured once and every later access is
+     *         bounded by it, so a well-formed image can never fault
+     *         past a mapping (SIGBUS) on a file that is not being
      *         truncated underneath us.
      */
     static std::shared_ptr<const MappedTrace>
-    tryOpen(const std::string &path);
+    open(const std::string &path);
+
+    /**
+     * Image @p bytes, a whole BPT1 trace already in memory.
+     *
+     * @throws FatalError when the header is malformed.
+     */
+    static std::shared_ptr<const MappedTrace> fromBytes(std::string bytes);
 
     /** Benchmark name from the validated header. */
     const std::string &name() const { return name_; }
@@ -73,77 +90,71 @@ class MappedTrace
     /** Payload length in bytes. */
     std::size_t payloadBytes() const { return bytes_ - payloadOffset; }
 
-    /** Whole-file length in bytes. */
-    std::size_t fileBytes() const { return bytes_; }
-
-    /** The path the mapping came from. */
-    const std::string &path() const { return path_; }
+    /** How the bytes were obtained. */
+    Origin origin() const { return origin_; }
 
   private:
     MappedTrace() = default;
 
+    /** Own @p bytes and validate the header over them. */
+    static std::shared_ptr<const MappedTrace> adopt(std::string bytes,
+                                                    Origin origin);
+
+    /** Validate the header of the bytes already in place. */
+    void parseHeader();
+
     const u8 *data_ = nullptr;
     std::size_t bytes_ = 0;
+    Origin origin_ = Origin::memory;
+    /** The bytes, unless origin_ is mapped. */
+    std::string owned_;
     std::size_t payloadOffset = 0;
     std::string name_;
     u64 count_ = 0;
-    std::string path_;
 };
 
 /**
- * A TraceSource that decodes records directly from a shared
- * MappedTrace into the caller's pull() buffer. Cheap to construct
- * (no allocation beyond the name handle), so gang members and sweep
- * workers each take their own source over one shared mapping.
+ * The TraceSource over a MappedTrace: decodes records directly from
+ * the shared image into the caller's pull() buffer. Cheap to
+ * construct (no allocation beyond the image handle), so gang members
+ * and sweep workers each take their own source over one image.
  */
 class MmapTraceSource : public TraceSource
 {
   public:
-    /** Stream from an already-open mapping (shared, never copied). */
-    explicit MmapTraceSource(std::shared_ptr<const MappedTrace> mapped);
+    /** Stream from an already-made image (shared, never copied). */
+    explicit MmapTraceSource(std::shared_ptr<const MappedTrace> image);
 
     /**
-     * Map @p path and stream from it.
+     * Image @p path (MappedTrace::open) and stream from it.
      *
-     * @throws FatalError when mmap is unavailable for @p path or
-     *         the header is malformed.
+     * @throws FatalError when the file cannot be opened or the
+     *         header is malformed.
      */
     explicit MmapTraceSource(const std::string &path);
 
     const std::string &name() const override;
+
+    /** @throws FatalError on a corrupt or truncated record. */
     std::size_t pull(BranchRecord *out, std::size_t max) override;
 
-    /** Always validated: the mapping checked count at open time. */
+    /** Always validated: the image checked the count when made. */
     u64 sizeHint() const override { return remaining_; }
 
     /** Records not yet pulled. */
     u64 remaining() const { return remaining_; }
 
-    /**
-     * Pin the per-record reference decoder instead of the sub-batch
-     * bulk decoder. Benches and byte-identity tests use this to
-     * compare the two paths; real consumers keep the default.
-     */
-    void setFastDecode(bool fast) { fastDecode = fast; }
-
-    /** The shared mapping this source reads. */
-    const std::shared_ptr<const MappedTrace> &mapping() const
-    {
-        return mapped_;
-    }
-
   private:
-    std::shared_ptr<const MappedTrace> mapped_;
+    std::shared_ptr<const MappedTrace> image_;
     std::size_t at = 0;
     u64 remaining_ = 0;
     Addr lastPc = 0;
-    bool fastDecode = true;
 };
 
 /**
- * Open @p path for streaming ingestion, preferring the zero-copy
- * mmap path and falling back to BinaryTraceSource when mapping is
- * unavailable. Malformed content is fatal either way.
+ * Open the BPT1 file at @p path for streaming: an MmapTraceSource
+ * over MappedTrace::open(), so the file is mmap'd when it can be and
+ * read whole when it cannot. Malformed content is fatal either way.
  */
 std::unique_ptr<TraceSource> openTraceSource(const std::string &path);
 

@@ -1,11 +1,10 @@
 #include "trace/stream.hh"
 
 #include <algorithm>
-#include <vector>
 
+#include "support/aligned.hh"
 #include "support/check.hh"
 #include "support/logging.hh"
-#include "trace/bpt_format.hh"
 
 namespace bpred
 {
@@ -13,110 +12,14 @@ namespace bpred
 std::size_t
 MemoryTraceSource::pull(BranchRecord *out, std::size_t max)
 {
-    BP_DCHECK(next <= trace_.size(),
+    BP_DCHECK(next <= trace_->size(),
               "trace cursor ran past the end");
-    const std::size_t available = trace_.size() - next;
+    const std::size_t available = trace_->size() - next;
     const std::size_t produced = std::min(max, available);
-    const BranchRecord *begin = trace_.records().data() + next;
+    const BranchRecord *begin = trace_->records().data() + next;
     std::copy(begin, begin + produced, out);
     next += produced;
     return produced;
-}
-
-BinaryTraceSource::BinaryTraceSource(std::istream &is)
-    : stream(&is), scratch(defaultScratchBytes)
-{
-    BP_DCHECK(isCacheAligned(scratch.data()),
-              "trace: decode scratch not cache aligned");
-    const bpt::Header header = bpt::readHeader(*stream);
-    name_ = header.name;
-    remaining_ = header.count;
-    lengthValidated = header.lengthValidated;
-}
-
-BinaryTraceSource::BinaryTraceSource(const std::string &path)
-    : owned(std::make_unique<std::ifstream>(path, std::ios::binary)),
-      stream(owned.get()), scratch(defaultScratchBytes)
-{
-    if (!*owned) {
-        fatal("trace: cannot open '" + path + "' for reading");
-    }
-    BP_DCHECK(isCacheAligned(scratch.data()),
-              "trace: decode scratch not cache aligned");
-    const bpt::Header header = bpt::readHeader(*stream);
-    name_ = header.name;
-    remaining_ = header.count;
-    lengthValidated = header.lengthValidated;
-}
-
-u64
-BinaryTraceSource::sizeHint() const
-{
-    return lengthValidated ? remaining_ : 0;
-}
-
-void
-BinaryTraceSource::setScratchBytes(std::size_t bytes)
-{
-    const std::size_t leftover = scratchEnd - scratchAt;
-    const std::size_t capacity =
-        std::max({bytes, leftover, bpt::maxRecordBytes});
-    AlignedVector<char> next(capacity);
-    std::copy(scratch.data() + scratchAt,
-              scratch.data() + scratchEnd, next.data());
-    scratch = std::move(next);
-    scratchAt = 0;
-    scratchEnd = leftover;
-    BP_DCHECK(isCacheAligned(scratch.data()),
-              "trace: decode scratch not cache aligned");
-}
-
-std::size_t
-BinaryTraceSource::pull(BranchRecord *out, std::size_t max)
-{
-    const std::size_t produced = static_cast<std::size_t>(
-        std::min<u64>(max, remaining_));
-    // Decode from the long-lived scratch slab: the stream is read
-    // in bulk slab-sized gulps, never byte-at-a-time, and no
-    // per-pull allocation happens after construction.
-    std::size_t done = 0;
-    while (done < produced) {
-        const std::size_t consumed = bpt::readRecord(
-            scratch.data() + scratchAt, scratchEnd - scratchAt,
-            out[done], lastPc);
-        if (consumed == 0) {
-            refill();
-            continue;
-        }
-        scratchAt += consumed;
-        ++done;
-    }
-    remaining_ -= produced;
-    return produced;
-}
-
-void
-BinaryTraceSource::refill()
-{
-    // Slide the partial record to the front and top up with one
-    // bulk read. The scratch always holds at least maxRecordBytes,
-    // so a record that still does not resolve after a successful
-    // refill can only mean real truncation — detected below when
-    // the stream has nothing left to give.
-    const std::size_t leftover = scratchEnd - scratchAt;
-    std::copy(scratch.data() + scratchAt,
-              scratch.data() + scratchEnd, scratch.data());
-    scratchAt = 0;
-    scratchEnd = leftover;
-    stream->read(scratch.data() + scratchEnd,
-                 static_cast<std::streamsize>(scratch.size() -
-                                              scratchEnd));
-    const std::size_t got =
-        static_cast<std::size_t>(stream->gcount());
-    if (got == 0) {
-        fatal("trace: truncated record");
-    }
-    scratchEnd += got;
 }
 
 Trace
@@ -128,9 +31,9 @@ drainSource(TraceSource &source, std::size_t chunk_records)
     Trace trace(source.name());
     if (const u64 hint = source.sizeHint()) {
         // bp_lint: allow(reserve-untrusted): sizeHint() contractually
-        // reports only validated counts (BinaryTraceSource returns 0
-        // unless readHeader() bounded the declared count by the
-        // stream length), so this cannot amplify a corrupt header.
+        // reports only validated counts (a BPT1 image's count was
+        // bounded by its byte length when the image was made), so
+        // this cannot amplify a corrupt header.
         trace.reserve(static_cast<std::size_t>(hint));
     }
     AlignedVector<BranchRecord> buffer(chunk_records);

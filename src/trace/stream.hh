@@ -4,20 +4,19 @@
  *
  * A TraceSource delivers a branch trace in bounded-memory chunks, so
  * a SimSession (sim/session.hh) can consume traces far larger than
- * memory — decoded incrementally from a BPT1 file, generated on the
- * fly (workloads/stream_source.hh), or served from an in-memory
- * Trace for the batch path. Sources are single-pass unless they
- * document otherwise.
+ * memory. There are three kinds: MemoryTraceSource below, over an
+ * in-memory Trace (the batch path and parsed text); MmapTraceSource
+ * (trace/mmap_source.hh), which decodes a BPT1 image record block by
+ * record block; and WorkloadStream (workloads/stream_source.hh),
+ * which generates records on the fly. Sources are single-pass unless
+ * they document otherwise.
  */
 
 #pragma once
 
-#include <fstream>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "support/aligned.hh"
 #include "trace/trace.hh"
 
 namespace bpred
@@ -51,92 +50,34 @@ class TraceSource
 };
 
 /**
- * A TraceSource view over an in-memory Trace (not owned; must
- * outlive the source). Supports rewind(), so one materialized trace
- * can feed many streaming runs.
+ * A TraceSource over an in-memory Trace, either borrowed (the Trace
+ * must outlive the source) or owned (how text inputs, which are
+ * parsed whole, enter the streaming pipeline). Supports rewind(), so
+ * one materialized trace can feed many streaming runs.
  */
 class MemoryTraceSource : public TraceSource
 {
   public:
-    explicit MemoryTraceSource(const Trace &trace) : trace_(trace) {}
+    /** Borrow @p trace. */
+    explicit MemoryTraceSource(const Trace &trace) : trace_(&trace) {}
 
-    const std::string &name() const override { return trace_.name(); }
+    /** Own @p trace. */
+    explicit MemoryTraceSource(Trace &&trace)
+        : owned(std::make_unique<const Trace>(std::move(trace))),
+          trace_(owned.get())
+    {}
+
+    const std::string &name() const override { return trace_->name(); }
     std::size_t pull(BranchRecord *out, std::size_t max) override;
-    u64 sizeHint() const override { return trace_.size() - next; }
+    u64 sizeHint() const override { return trace_->size() - next; }
 
     /** Restart the stream from the first record. */
     void rewind() { next = 0; }
 
   private:
-    const Trace &trace_;
+    std::unique_ptr<const Trace> owned;
+    const Trace *trace_;
     std::size_t next = 0;
-};
-
-/**
- * Incremental BPT1 decoder: reads the header eagerly (validating
- * the declared record count against the stream length, see
- * trace/bpt_format.hh) and decodes records on demand, so a
- * multi-gigabyte trace file is simulated without ever being
- * materialized.
- */
-class BinaryTraceSource : public TraceSource
-{
-  public:
-    /**
-     * Stream from @p is (not owned; must outlive the source and be
-     * positioned at the BPT1 magic).
-     *
-     * @throws FatalError on a malformed header.
-     */
-    explicit BinaryTraceSource(std::istream &is);
-
-    /**
-     * Open @p path and stream from it (the file handle is owned).
-     *
-     * @throws FatalError when the file cannot be opened or the
-     *         header is malformed.
-     */
-    explicit BinaryTraceSource(const std::string &path);
-
-    const std::string &name() const override { return name_; }
-    std::size_t pull(BranchRecord *out, std::size_t max) override;
-
-    /**
-     * The remaining record count, but only once readHeader() has
-     * verified the declared count against the stream length — a
-     * bare wire count must not size downstream allocations.
-     */
-    u64 sizeHint() const override;
-
-    /** Records not yet pulled. */
-    u64 remaining() const { return remaining_; }
-
-    /**
-     * Resize the decode scratch buffer (clamped to at least one
-     * maximal record plus any bytes already buffered). Exposed so
-     * tests can force refills to land mid-record; real consumers
-     * keep the default slab.
-     */
-    void setScratchBytes(std::size_t bytes);
-
-  private:
-    /** Raw bytes buffered per bulk read (~64 KiB slab). */
-    static constexpr std::size_t defaultScratchBytes = 64 * 1024;
-
-    /** Compact the partial record and top the scratch up. */
-    void refill();
-
-    std::unique_ptr<std::ifstream> owned;
-    std::istream *stream;
-    std::string name_;
-    u64 remaining_ = 0;
-    Addr lastPc = 0;
-    bool lengthValidated = false;
-
-    /** Cache-line aligned so bulk decode reads start on a line. */
-    AlignedVector<char> scratch;
-    std::size_t scratchAt = 0;
-    std::size_t scratchEnd = 0;
 };
 
 /**

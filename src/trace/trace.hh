@@ -63,11 +63,11 @@ class Trace
 
     /**
      * Pre-allocate for @p n records. Callers sizing this from a
-     * decoded header must validate first (readHeader() bounds the
-     * declared count by the stream length).
+     * decoded header must validate first (bpt::readHeader() bounds
+     * the declared count by the image's byte length).
      */
     // bp_lint: allow(reserve-untrusted): pass-through API; decode
-    // paths validate before calling (see readBinaryTrace()).
+    // paths validate before calling (see drainSource()).
     void reserve(std::size_t n) { records_.reserve(n); }
 
     /**

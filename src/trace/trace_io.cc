@@ -11,6 +11,7 @@
 #include "support/logging.hh"
 #include "support/tracing.hh"
 #include "trace/bpt_format.hh"
+#include "trace/mmap_source.hh"
 
 namespace bpred
 {
@@ -31,24 +32,8 @@ writeBinaryTrace(std::ostream &os, const Trace &trace)
 Trace
 readBinaryTrace(std::istream &is)
 {
-    const bpt::Header header = bpt::readHeader(is);
-    Trace trace(header.name);
-    // readHeader() verified the count against the stream length on
-    // seekable input, so reserving it is safe; on non-seekable
-    // streams cap the up-front reservation and let the per-record
-    // reads hit the truncation check naturally.
-    const u64 reservation = header.lengthValidated
-        ? header.count
-        : std::min<u64>(header.count, u64(1) << 20);
-    // bp_lint: allow(reserve-untrusted): capped above by the
-    // validated stream length or the 1M fallback.
-    trace.reserve(static_cast<std::size_t>(reservation));
-
-    Addr last_pc = 0;
-    for (u64 i = 0; i < header.count; ++i) {
-        trace.append(bpt::readRecord(is, last_pc));
-    }
-    return trace;
+    MmapTraceSource source(MappedTrace::fromBytes(readAllBytes(is)));
+    return drainSource(source);
 }
 
 void
@@ -67,11 +52,8 @@ saveBinaryTrace(const std::string &path, const Trace &trace)
 Trace
 loadBinaryTrace(const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        fatal("trace: cannot open '" + path + "' for reading");
-    }
-    return readBinaryTrace(is);
+    MmapTraceSource source(path);
+    return drainSource(source);
 }
 
 void

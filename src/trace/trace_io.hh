@@ -28,7 +28,9 @@ namespace bpred
 void writeBinaryTrace(std::ostream &os, const Trace &trace);
 
 /**
- * Deserialize a binary "BPT1" trace.
+ * Deserialize a binary "BPT1" trace: read @p is to its end, then
+ * drain an image over those bytes (trace/mmap_source.hh). Bytes
+ * after the declared records are ignored.
  *
  * @throws FatalError on malformed input.
  */
@@ -37,7 +39,12 @@ Trace readBinaryTrace(std::istream &is);
 /** Write @p trace as binary to @p path. @throws FatalError on I/O error. */
 void saveBinaryTrace(const std::string &path, const Trace &trace);
 
-/** Read a binary trace from @p path. @throws FatalError on error. */
+/**
+ * Read a binary trace from @p path: a drain of openTraceSource()'s
+ * image, mmap'd when the file can be.
+ *
+ * @throws FatalError on error.
+ */
 Trace loadBinaryTrace(const std::string &path);
 
 /** Serialize @p trace in the text format. */

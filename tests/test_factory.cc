@@ -94,17 +94,26 @@ TEST(Factory, RejectsBadNumbers)
     EXPECT_THROW(makePredictor("gshare:abc:4"), FatalError);
     EXPECT_THROW(makePredictor("bimodal:99999999999"), FatalError);
     EXPECT_THROW(makePredictor("falru:0:4"), FatalError);
-    // Index widths outside 1..28 and history lengths over 64: the
-    // single-table constructors and the hybrid's chooser refuse
-    // them instead of shifting past a u64 or masking silently.
+    // Index widths outside 1..28, history lengths over 64 and, for
+    // the schemes keyed by the information vector, over 44: every
+    // constructor refuses them instead of shifting past a u64 (a
+    // crash for the table widths) or masking silently.
     for (const char *spec :
          {"gshare:64:12", "gshare:0:4", "gshare:29:4", "gshare:12:70",
           "gshare:12:65", "bimodal:64", "bimodal:0", "gselect:64:4",
           "gselect:0:4", "gselect:12:65", "hybrid:64:12",
-          "hybrid:0:4"}) {
+          "hybrid:0:4", "agree:64:12:12", "agree:14:10:64",
+          "agree:14:70:12", "bimode:64:10:12", "bimode:13:10:64",
+          "bimode:13:70:12", "pag:64:8", "pag:0:8", "pag:10:17",
+          "pag:10:0", "yags:64:8:11", "yags:10:8:64", "yags:10:70:11",
+          "pskew:64:8:3:12", "pskew:10:8:3:64", "pskew:10:8:3:0",
+          "unaliased:70", "unaliased:45", "unaliased:64",
+          "falru:4096:70", "falru:4096:45"}) {
         EXPECT_THROW(makePredictor(spec), FatalError) << spec;
     }
     EXPECT_NO_THROW(makePredictor("gshare:12:64"));
+    EXPECT_NO_THROW(makePredictor("pag:10:16"));
+    EXPECT_NO_THROW(makePredictor("unaliased:44"));
 }
 
 TEST(Factory, RejectsBadPolicy)

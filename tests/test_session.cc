@@ -14,6 +14,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <unistd.h>
 #include <utility>
 #include <vector>
 
@@ -26,6 +27,8 @@
 #include "support/logging.hh"
 #include "support/probe.hh"
 #include "support/rng.hh"
+#include "trace/adapters.hh"
+#include "trace/mmap_source.hh"
 #include "trace/stream.hh"
 #include "trace/trace_io.hh"
 #include "workloads/process_mix.hh"
@@ -232,7 +235,7 @@ TEST(TraceSources, BinaryStreamMatchesMemory)
     std::stringstream encoded;
     writeBinaryTrace(encoded, trace);
 
-    BinaryTraceSource source(encoded);
+    MmapTraceSource source(MappedTrace::fromBytes(encoded.str()));
     EXPECT_EQ(source.name(), trace.name());
     EXPECT_EQ(source.remaining(), trace.size());
 
@@ -258,49 +261,39 @@ TEST(TraceSources, DrainRebuildsTheTrace)
     }
 }
 
-TEST(TraceSources, ScratchRefillBoundariesAreInvisible)
-{
-    // The binary source decodes from one reused scratch buffer.
-    // Shrinking it to barely more than one wire record forces a
-    // refill (and a partial-record compaction) every few records;
-    // the decoded stream must not change. Guards the chunk-boundary
-    // handling in BinaryTraceSource::pull()/refill().
-    const Trace trace = sessionTrace(7, 8000);
-    std::stringstream encoded;
-    writeBinaryTrace(encoded, trace);
-
-    for (const std::size_t scratch :
-         {std::size_t(1), std::size_t(13), std::size_t(64),
-          std::size_t(4096)}) {
-        encoded.clear();
-        encoded.seekg(0);
-        BinaryTraceSource source(encoded);
-        source.setScratchBytes(scratch);
-        const Trace drained = drainSource(source, 239);
-        ASSERT_EQ(drained.size(), trace.size())
-            << "scratch " << scratch;
-        for (std::size_t i = 0; i < trace.size(); ++i) {
-            ASSERT_EQ(drained[i], trace[i])
-                << "scratch " << scratch << " record " << i;
-        }
-    }
-}
-
 TEST(TraceSources, SizeHintOnlyWhenLengthValidated)
 {
     // drainSource() pre-reserves from sizeHint(), which must report
-    // a validated count for seekable binary streams and the exact
-    // remainder for memory sources.
+    // only validated counts: the exact remainder for memory sources,
+    // and for every binary source the header's record count, which
+    // the image checked against its byte length when it was made.
     const Trace trace = sessionTrace(8, 300);
     MemoryTraceSource memory(trace);
     EXPECT_EQ(memory.sizeHint(), trace.size());
 
     std::stringstream encoded;
     writeBinaryTrace(encoded, trace);
-    BinaryTraceSource binary(encoded);
-    // A stringstream is seekable, so the header's record count is
-    // validated against the stream length.
-    EXPECT_EQ(binary.sizeHint(), trace.size());
+    MmapTraceSource in_memory(MappedTrace::fromBytes(encoded.str()));
+    EXPECT_EQ(in_memory.sizeHint(), trace.size());
+
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("bpred_size_hint_" + std::to_string(::getpid()) + ".bpt"))
+            .string();
+    saveBinaryTrace(path, trace);
+    const std::unique_ptr<TraceSource> from_file = openTraceSource(path);
+    EXPECT_EQ(from_file->sizeHint(), trace.size());
+    std::vector<BranchRecord> block(100);
+    ASSERT_EQ(from_file->pull(block.data(), block.size()), 100u);
+    EXPECT_EQ(from_file->sizeHint(), trace.size() - 100);
+    std::filesystem::remove(path);
+    if (gzSupported()) {
+        const std::string gz = path + ".gz";
+        ASSERT_TRUE(writeGzFile(gz, encoded.str()));
+        const std::unique_ptr<TraceSource> from_gz = openCorpusSource(gz);
+        EXPECT_EQ(from_gz->sizeHint(), trace.size());
+        std::filesystem::remove(gz);
+    }
 }
 
 TEST(TraceSources, WorkloadStreamMatchesGenerateWorkload)

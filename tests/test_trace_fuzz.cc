@@ -3,6 +3,12 @@
  * Fuzz-style robustness tests for trace deserialization: malformed
  * input must raise FatalError (or parse), never crash or hang.
  *
+ * The BPT1 half mutates multi-KB images, large enough to reach the
+ * bulk decoder's unchecked fast region, and feeds each input through
+ * every binary route: readBinaryTrace over an istream, a .bpt file
+ * and the same bytes as .bpt.gz. Every route must agree with the
+ * checked per-record decoder: the same records, or a FatalError.
+ *
  * The text half is differential. The line-at-a-time getline +
  * istringstream + stoull parsers the span scanner replaced live on
  * below as oracles, and seeded random and mutated inputs in both
@@ -14,13 +20,18 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <optional>
 #include <sstream>
+#include <unistd.h>
+#include <vector>
 
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "trace/adapters.hh"
+#include "trace/bpt_format.hh"
 #include "trace/trace_io.hh"
 
 namespace bpred
@@ -583,6 +594,299 @@ TEST(TextWriter, GoldenAgainstStreamWriter)
         ASSERT_EQ(fast.str(), reference.str()) << records << " records";
         EXPECT_EQ(parseTextTrace(fast.str(), "").records(),
                   trace.records());
+    }
+}
+
+// ------------------------------------------------ BPT1 image mutation
+
+/**
+ * A BPT1 image of @p records records: mostly one-byte deltas, so
+ * long runs take the decoder's four-record quad path, with two-byte,
+ * long and full-width (10-byte varint) deltas mixed in.
+ */
+std::string
+fuzzImage(u64 seed, std::size_t records)
+{
+    Trace trace("fuzz-" + std::to_string(seed));
+    Rng rng(seed);
+    Addr pc = 0x40'0000;
+    for (std::size_t i = 0; i < records; ++i) {
+        const u64 pick = rng.uniformInt(100);
+        if (pick < 75) {
+            pc += 4 * rng.uniformInt(15) - 28;
+        } else if (pick < 90) {
+            pc += 4 * rng.uniformInt(4000);
+        } else if (pick < 97) {
+            pc -= rng.uniformInt(u64(1) << 40);
+        } else {
+            pc = rng.next();
+        }
+        if (rng.chance(0.15)) {
+            trace.appendUnconditional(pc);
+        } else {
+            trace.appendConditional(pc, rng.chance(0.6));
+        }
+    }
+    std::ostringstream os;
+    writeBinaryTrace(os, trace);
+    return os.str();
+}
+
+/** Re-emit @p image with its header's record count replaced. */
+std::string
+withCount(const std::string &image, u64 count)
+{
+    const u8 *data = reinterpret_cast<const u8 *>(image.data());
+    std::size_t at = sizeof(bpt::magic);
+    const u64 name_bytes = bpt::readVarint(data, image.size(), at);
+    const std::string name = image.substr(at, name_bytes);
+    at += name_bytes;
+    bpt::readVarint(data, image.size(), at);
+    std::ostringstream os;
+    bpt::writeHeader(os, name, count);
+    os << image.substr(at);
+    return os.str();
+}
+
+/** The records @p image declares, decoded unmutated. */
+u64
+declaredCount(const std::string &image)
+{
+    std::size_t at = 0;
+    return bpt::readHeader(reinterpret_cast<const u8 *>(image.data()),
+                           image.size(), at)
+        .count;
+}
+
+/** Where each record of the well-formed @p image starts. */
+std::vector<std::size_t>
+recordOffsets(const std::string &image)
+{
+    std::size_t at = 0;
+    const bpt::Header header = bpt::readHeader(
+        reinterpret_cast<const u8 *>(image.data()), image.size(), at);
+    std::vector<std::size_t> offsets;
+    BranchRecord record;
+    Addr last_pc = 0;
+    for (u64 i = 0; i < header.count; ++i) {
+        offsets.push_back(at);
+        at += bpt::readRecord(image.data() + at, image.size() - at,
+                              record, last_pc);
+    }
+    return offsets;
+}
+
+/**
+ * One seeded mutation of @p image, whose records start at
+ * @p records: one to three byte rewrites, inserts or deletes
+ * anywhere; one to three single-bit flips in records' flag or first
+ * varint bytes, which is how one bad flag bit (bits 2-7 must be
+ * clear) or a stray continuation bit reaches the decoder's fast
+ * region; a truncation; or a header record-count edit.
+ */
+std::string
+mutateImage(const std::string &image,
+            const std::vector<std::size_t> &records, Rng &rng)
+{
+    std::string bytes = image;
+    const int edits = 1 + static_cast<int>(rng.uniformInt(3));
+    switch (rng.uniformInt(6)) {
+    case 0:
+    case 1:
+        for (int e = 0; e < edits; ++e) {
+            const std::size_t at = rng.uniformInt(bytes.size());
+            const char byte = static_cast<char>(rng.uniformInt(256));
+            switch (rng.uniformInt(3)) {
+            case 0: bytes[at] = byte; break;
+            case 1: bytes.insert(at, 1, byte); break;
+            default: bytes.erase(at, 1); break;
+            }
+        }
+        return bytes;
+    case 2:
+    case 3:
+        for (int e = 0; e < edits; ++e) {
+            const std::size_t at =
+                records[rng.uniformInt(records.size())] +
+                rng.uniformInt(2);
+            bytes[at] ^= static_cast<char>(1 << rng.uniformInt(8));
+        }
+        return bytes;
+    case 4:
+        bytes.resize(rng.uniformInt(bytes.size()));
+        return bytes;
+    default: {
+        const u64 count = declaredCount(image);
+        const u64 counts[] = {0,         count - 1, count + 1,
+                              count + 2, count + 64, count * 2,
+                              count / 2, ~u64(0),   rng.next()};
+        return withCount(image,
+                         counts[rng.uniformInt(std::size(counts))]);
+    }
+    }
+}
+
+/** Records decoded, or nullopt when decoding raised FatalError. */
+using Decoded = std::optional<std::vector<BranchRecord>>;
+
+/** The oracle: the header reader and the checked record decoder. */
+Decoded
+oracleDecode(const std::string &bytes)
+{
+    try {
+        std::size_t at = 0;
+        const bpt::Header header = bpt::readHeader(
+            reinterpret_cast<const u8 *>(bytes.data()), bytes.size(), at);
+        std::vector<BranchRecord> records(
+            static_cast<std::size_t>(header.count));
+        Addr last_pc = 0;
+        for (BranchRecord &record : records) {
+            const std::size_t step = bpt::readRecord(
+                bytes.data() + at, bytes.size() - at, record, last_pc);
+            if (step == 0) {
+                return std::nullopt;
+            }
+            at += step;
+        }
+        return records;
+    } catch (const FatalError &) {
+        return std::nullopt;
+    }
+}
+
+/** Run @p load; any exception but FatalError escapes the test. */
+template <typename Load>
+Decoded
+attempt(Load load)
+{
+    try {
+        return load().records();
+    } catch (const FatalError &) {
+        return std::nullopt;
+    }
+}
+
+/** Scratch files for the file routes, removed on destruction. */
+class FuzzFiles
+{
+  public:
+    FuzzFiles()
+        : dir(std::filesystem::temp_directory_path() /
+              ("bpred_fuzz_" + std::to_string(::getpid())))
+    {
+        std::filesystem::create_directories(dir);
+    }
+
+    ~FuzzFiles() { std::filesystem::remove_all(dir); }
+
+    std::string
+    path(const std::string &name) const
+    {
+        return (dir / name).string();
+    }
+
+    std::string
+    write(const std::string &name, const std::string &bytes) const
+    {
+        const std::string file = path(name);
+        std::ofstream os(file, std::ios::binary | std::ios::trunc);
+        os.write(bytes.data(),
+                 static_cast<std::streamsize>(bytes.size()));
+        EXPECT_TRUE(os.good()) << file;
+        return file;
+    }
+
+  private:
+    std::filesystem::path dir;
+};
+
+/** Drain the corpus source for @p path. */
+Trace
+loadViaCorpusSource(const std::string &path)
+{
+    return drainSource(*openCorpusSource(path));
+}
+
+TEST(TraceFuzz, MutatedImagesDecodeAlikeOnEveryRoute)
+{
+    FuzzFiles files;
+    const bool gz = gzSupported();
+    Rng rng(0xb971);
+    u64 decoded = 0;
+    u64 rejected = 0;
+    for (const u64 seed : {u64(11), u64(12), u64(13)}) {
+        const std::string image =
+            fuzzImage(seed, 1500 + 1000 * std::size_t(seed % 3));
+        ASSERT_GT(image.size(), 2048u);
+        const std::vector<std::size_t> records = recordOffsets(image);
+        for (int trial = 0; trial < 200; ++trial) {
+            const std::string input =
+                trial == 0 ? image : mutateImage(image, records, rng);
+            SCOPED_TRACE("seed " + std::to_string(seed) + " trial " +
+                         std::to_string(trial));
+            const Decoded want = oracleDecode(input);
+            (want ? decoded : rejected) += 1;
+
+            std::istringstream stream(input);
+            EXPECT_EQ(attempt([&] { return readBinaryTrace(stream); }),
+                      want)
+                << "readBinaryTrace";
+            const std::string bpt = files.write("input.bpt", input);
+            EXPECT_EQ(attempt([&] { return loadViaCorpusSource(bpt); }),
+                      want)
+                << ".bpt";
+            if (gz) {
+                const std::string bpt_gz = files.path("input.bpt.gz");
+                ASSERT_TRUE(writeGzFile(bpt_gz, input));
+                EXPECT_EQ(
+                    attempt([&] { return loadViaCorpusSource(bpt_gz); }),
+                    want)
+                    << ".bpt.gz";
+            }
+        }
+    }
+    // Both outcomes must be well represented, or the mutations are
+    // too mild (or too wild) to test anything.
+    EXPECT_GT(decoded, 60u);
+    EXPECT_GT(rejected, 200u);
+}
+
+TEST(TraceFuzz, MutatedGzipStreamsDecodeOrFail)
+{
+    if (!gzSupported()) {
+        GTEST_SKIP() << "built without zlib";
+    }
+    FuzzFiles files;
+    const std::string image = fuzzImage(21, 3000);
+    const std::vector<BranchRecord> original = *oracleDecode(image);
+    std::string compressed;
+    {
+        const std::string clean = files.path("clean.bpt.gz");
+        ASSERT_TRUE(writeGzFile(clean, image));
+        std::ifstream is(clean, std::ios::binary);
+        compressed = readAllBytes(is);
+    }
+    Rng rng(0x92f1);
+    for (int trial = 0; trial < 150; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        std::string bytes = compressed;
+        const std::size_t at = rng.uniformInt(bytes.size());
+        const char byte = static_cast<char>(1 + rng.uniformInt(255));
+        switch (rng.uniformInt(4)) {
+        case 0: bytes[at] = static_cast<char>(bytes[at] ^ byte); break;
+        case 1: bytes.insert(at, 1, byte); break;
+        case 2: bytes.erase(at, 1); break;
+        default: bytes.resize(at); break;
+        }
+        const std::string path = files.write("mutated.bpt.gz", bytes);
+        // The gzip CRC and length trailer catch any change to the
+        // inflated bytes, so a stream either fails cleanly or still
+        // inflates to the original image.
+        const Decoded got =
+            attempt([&] { return loadViaCorpusSource(path); });
+        if (got) {
+            EXPECT_EQ(*got, original);
+        }
     }
 }
 

@@ -1,10 +1,11 @@
 /**
  * @file
- * Zero-copy ingest pipeline tests: the bulk BPT1 decoder against
- * the reference per-byte decoder, mmap sources against stream
- * sources (per-scheme byte identity), corruption rejection, shared
- * mappings across threads, the real-trace adapters, and corpus
- * runner determinism across thread counts.
+ * Ingest pipeline tests: the bulk BPT1 decoder against the checked
+ * per-record decoder, every byte route into a BPT1 image (mmap, the
+ * whole-file read, gz) against the in-memory trace (per-scheme byte
+ * identity), corruption rejection, shared images across threads,
+ * the real-trace adapters, and corpus runner determinism across
+ * thread counts.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <sys/stat.h>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -133,6 +135,29 @@ makeSampleTrace(std::size_t records, u64 seed)
     return trace;
 }
 
+/**
+ * The oracle: the header reader, then the checked per-record
+ * decoder one record at a time.
+ */
+std::vector<BranchRecord>
+scalarDecode(const std::string &bytes)
+{
+    const u8 *data = reinterpret_cast<const u8 *>(bytes.data());
+    std::size_t at = 0;
+    const bpt::Header header =
+        bpt::readHeader(data, bytes.size(), at);
+    std::vector<BranchRecord> out(
+        static_cast<std::size_t>(header.count));
+    Addr last_pc = 0;
+    for (BranchRecord &record : out) {
+        const std::size_t step = bpt::readRecord(
+            bytes.data() + at, bytes.size() - at, record, last_pc);
+        EXPECT_NE(step, 0u) << "truncated oracle input";
+        at += step;
+    }
+    return out;
+}
+
 /** Decode the payload of @p bytes with the bulk decoder. */
 std::vector<BranchRecord>
 bulkDecode(const std::string &bytes, std::size_t chunk)
@@ -169,15 +194,9 @@ TEST(BulkDecode, MatchesReferenceOnEdgeDeltas)
     const Trace trace = makeEdgeTrace();
     const std::string bytes = bptBytes(trace);
 
-    // The istream reference decoder is ground truth.
-    std::istringstream is(bytes);
-    const bpt::Header header = bpt::readHeader(is);
-    ASSERT_EQ(header.count, trace.size());
-    Addr ref_pc = 0;
-    std::vector<BranchRecord> reference;
-    for (u64 i = 0; i < header.count; ++i) {
-        reference.push_back(bpt::readRecord(is, ref_pc));
-    }
+    // The checked per-record decoder is ground truth.
+    const std::vector<BranchRecord> reference = scalarDecode(bytes);
+    ASSERT_EQ(reference, trace.records());
 
     // Chunk sizes straddle the quad width and the sub-batch/tail
     // boundary logic.
@@ -198,14 +217,11 @@ TEST(BulkDecode, MatchesReferenceOnEdgeDeltas)
 TEST(BulkDecode, MatchesReferenceOnRandomTrace)
 {
     const std::string bytes = bptBytes(makeSampleTrace(5000, 7));
-    std::istringstream is(bytes);
-    const bpt::Header header = bpt::readHeader(is);
-    Addr ref_pc = 0;
+    const std::vector<BranchRecord> reference = scalarDecode(bytes);
     const std::vector<BranchRecord> bulk = bulkDecode(bytes, 256);
-    ASSERT_EQ(bulk.size(), header.count);
-    for (u64 i = 0; i < header.count; ++i) {
-        ASSERT_EQ(bulk[i], bpt::readRecord(is, ref_pc))
-            << "record " << i;
+    ASSERT_EQ(bulk.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+        ASSERT_EQ(bulk[i], reference[i]) << "record " << i;
     }
 }
 
@@ -232,39 +248,121 @@ fingerprint(const std::string &spec, TraceSource &source)
     return print;
 }
 
-TEST(MmapSource, ByteIdenticalToStreamForEveryScheme)
+/**
+ * A FIFO at @p path serving @p bytes to one reader, so a file that
+ * cannot be mapped takes the whole-file read. The writer blocks in
+ * open until the reader arrives; the destructor joins it, so the
+ * FIFO must be read exactly once.
+ */
+class FifoWriter
 {
-    if (!mmapSupported()) {
-        GTEST_SKIP() << "no mmap on this platform";
+  public:
+    FifoWriter(const std::string &path, std::string bytes)
+    {
+        if (::mkfifo(path.c_str(), 0600) != 0) {
+            ADD_FAILURE() << "mkfifo " << path;
+            return;
+        }
+        writer = std::thread([path, bytes = std::move(bytes)]() {
+            std::ofstream os(path, std::ios::binary);
+            os.write(bytes.data(),
+                     static_cast<std::streamsize>(bytes.size()));
+        });
     }
-    ScratchDir dir("schemes");
-    const std::string path = dir.file("trace.bpt");
-    saveBinaryTrace(path, makeIbsTrace("real_gcc", 0.01));
 
-    for (const SchemeInfo &scheme : listSchemes()) {
-        BinaryTraceSource stream(path);
-        const Fingerprint via_stream =
-            fingerprint(scheme.example, stream);
+    FifoWriter(const FifoWriter &) = delete;
+    FifoWriter &operator=(const FifoWriter &) = delete;
 
-        MmapTraceSource fast(path);
-        const Fingerprint via_fast =
-            fingerprint(scheme.example, fast);
-
-        MmapTraceSource slow(path);
-        slow.setFastDecode(false);
-        const Fingerprint via_slow =
-            fingerprint(scheme.example, slow);
-
-        EXPECT_GT(via_stream.conditionals, 0u) << scheme.example;
-        for (const Fingerprint *other : {&via_fast, &via_slow}) {
-            EXPECT_EQ(via_stream.conditionals, other->conditionals)
-                << scheme.example;
-            EXPECT_EQ(via_stream.mispredicts, other->mispredicts)
-                << scheme.example;
-            EXPECT_EQ(via_stream.snapshot, other->snapshot)
-                << scheme.example;
+    ~FifoWriter()
+    {
+        if (writer.joinable()) {
+            writer.join();
         }
     }
+
+  private:
+    std::thread writer;
+};
+
+TEST(MmapSource, ByteIdenticalToMemoryForEveryScheme)
+{
+    if (!mmapSupported()) {
+        GTEST_SKIP() << "no mmap or FIFOs on this platform";
+    }
+    ScratchDir dir("schemes");
+    const Trace trace = makeIbsTrace("real_gcc", 0.01);
+    const std::string bytes = bptBytes(trace);
+    const std::string path = dir.file("trace.bpt");
+    writeFile(path, bytes);
+    const std::string gz_path = dir.file("trace.bpt.gz");
+    const bool gz = writeGzFile(gz_path, bytes);
+
+    // One image per file route, shared by every scheme below.
+    const std::shared_ptr<const MappedTrace> mapped =
+        MappedTrace::open(path);
+    ASSERT_EQ(mapped->origin(), MappedTrace::Origin::mapped);
+    std::shared_ptr<const MappedTrace> read;
+    {
+        const std::string fifo = dir.file("fifo.bpt");
+        FifoWriter writer(fifo, bytes);
+        read = MappedTrace::open(fifo);
+    }
+    ASSERT_EQ(read->origin(), MappedTrace::Origin::read);
+
+    for (const SchemeInfo &scheme : listSchemes()) {
+        MemoryTraceSource memory(trace);
+        const Fingerprint want = fingerprint(scheme.example, memory);
+        EXPECT_GT(want.conditionals, 0u) << scheme.example;
+
+        std::vector<std::pair<const char *, Fingerprint>> routes;
+        MmapTraceSource via_mmap(mapped);
+        routes.emplace_back("mmap", fingerprint(scheme.example, via_mmap));
+        MmapTraceSource via_read(read);
+        routes.emplace_back("read", fingerprint(scheme.example, via_read));
+        if (gz) {
+            std::string ingest;
+            const std::unique_ptr<TraceSource> via_gz =
+                openCorpusSource(gz_path, ingest);
+            EXPECT_EQ(ingest, "memory");
+            routes.emplace_back("gz", fingerprint(scheme.example, *via_gz));
+        }
+        for (const auto &[route, got] : routes) {
+            EXPECT_EQ(want.conditionals, got.conditionals)
+                << scheme.example << " via " << route;
+            EXPECT_EQ(want.mispredicts, got.mispredicts)
+                << scheme.example << " via " << route;
+            EXPECT_EQ(want.snapshot, got.snapshot)
+                << scheme.example << " via " << route;
+        }
+    }
+}
+
+TEST(MmapSource, UnmappableFilesAreReadWhole)
+{
+    if (!mmapSupported()) {
+        GTEST_SKIP() << "no mmap or FIFOs on this platform";
+    }
+    ScratchDir dir("unmappable");
+    const Trace trace = makeSampleTrace(3000, 13);
+
+    // A FIFO cannot be mapped: it is read to its end instead, and
+    // the corpus labels it "stream".
+    const std::string fifo = dir.file("pipe.bpt");
+    std::string ingest;
+    Trace drained;
+    {
+        FifoWriter writer(fifo, bptBytes(trace));
+        drained = drainSource(*openCorpusSource(fifo, ingest));
+    }
+    EXPECT_EQ(ingest, "stream");
+    EXPECT_EQ(drained.name(), trace.name());
+    EXPECT_EQ(drained.records(), trace.records());
+
+    // An empty file cannot be mapped either; read whole, it has no
+    // magic.
+    const std::string empty = dir.file("empty.bpt");
+    writeFile(empty, "");
+    EXPECT_THROW(MappedTrace::open(empty), FatalError);
 }
 
 TEST(MmapSource, SharedMappingAcrossThreads)
@@ -278,8 +376,8 @@ TEST(MmapSource, SharedMappingAcrossThreads)
     saveBinaryTrace(path, trace);
 
     const std::shared_ptr<const MappedTrace> mapped =
-        MappedTrace::tryOpen(path);
-    ASSERT_NE(mapped, nullptr);
+        MappedTrace::open(path);
+    ASSERT_EQ(mapped->origin(), MappedTrace::Origin::mapped);
     EXPECT_EQ(mapped->count(), trace.size());
 
     // Four workers drain four independent sources over ONE mapping;
@@ -323,7 +421,7 @@ TEST(MmapSource, RejectsCorruptHeaders)
     // Bad magic.
     const std::string bad_magic = dir.file("magic.bpt");
     writeFile(bad_magic, "NOPE____definitely not a trace");
-    EXPECT_THROW(MappedTrace::tryOpen(bad_magic), FatalError);
+    EXPECT_THROW(MappedTrace::open(bad_magic), FatalError);
 
     // Unreasonable name length.
     {
@@ -332,7 +430,7 @@ TEST(MmapSource, RejectsCorruptHeaders)
         bpt::writeVarint(os, u64(1) << 40);
         const std::string path = dir.file("name.bpt");
         writeFile(path, os.str());
-        EXPECT_THROW(MappedTrace::tryOpen(path), FatalError);
+        EXPECT_THROW(MappedTrace::open(path), FatalError);
     }
 
     // Header declares far more records than the payload can hold:
@@ -344,11 +442,11 @@ TEST(MmapSource, RejectsCorruptHeaders)
         os.put('\0');
         const std::string path = dir.file("count.bpt");
         writeFile(path, os.str());
-        EXPECT_THROW(MappedTrace::tryOpen(path), FatalError);
+        EXPECT_THROW(MappedTrace::open(path), FatalError);
     }
 
-    // A missing file is a fallback (nullptr), not a throw.
-    EXPECT_EQ(MappedTrace::tryOpen(dir.file("absent.bpt")), nullptr);
+    // A missing file can be neither mapped nor read.
+    EXPECT_THROW(MappedTrace::open(dir.file("absent.bpt")), FatalError);
 }
 
 /** Map @p payload under a valid header and drain it. */
@@ -506,7 +604,7 @@ TEST(Adapters, GzRoundTrip)
     ScratchDir dir("gz");
     const Trace original = makeSampleTrace(3000, 5);
 
-    // .bpt.gz: inflate + shared header validation + bulk decode.
+    // .bpt.gz: inflate, then an image like any .bpt.
     const std::string gz_bpt = dir.file("trace.bpt.gz");
     ASSERT_TRUE(writeGzFile(gz_bpt, bptBytes(original)));
     const Trace inflated = loadRealTrace(gz_bpt);
@@ -727,16 +825,30 @@ TEST(Corpus, CorruptFileIsIsolated)
     ScratchDir dir("isolate");
     saveBinaryTrace(dir.file("good.bpt"), makeSampleTrace(4000, 31));
     writeFile(dir.file("bad.bpt"), "BPT1 this is not really a trace");
+    // A gz member whose header is sound but whose last record is
+    // cut short: it fails mid-replay, not at open.
+    std::string truncated = bptBytes(makeSampleTrace(4000, 32));
+    truncated.pop_back();
+    const bool gz = writeGzFile(dir.file("bad.bpt.gz"), truncated);
 
     CorpusOptions options;
     options.specs = {"gshare:10:8"};
     const CorpusReport report = runCorpus(dir.str(), options);
 
-    ASSERT_EQ(report.files.size(), 2u);
+    ASSERT_EQ(report.files.size(), gz ? 3u : 2u);
     EXPECT_FALSE(report.files[0].error.empty());
     EXPECT_EQ(report.files[0].file, "bad.bpt");
-    EXPECT_TRUE(report.files[1].error.empty());
-    EXPECT_GT(report.files[1].records, 0u);
+    if (gz) {
+        EXPECT_EQ(report.files[1].file, "bad.bpt.gz");
+        EXPECT_NE(report.files[1].error.find("truncated"),
+                  std::string::npos)
+            << report.files[1].error;
+        EXPECT_EQ(report.files[1].records, 0u);
+    }
+    const CorpusFileResult &good = report.files.back();
+    EXPECT_EQ(good.file, "good.bpt");
+    EXPECT_TRUE(good.error.empty());
+    EXPECT_GT(good.records, 0u);
 }
 
 } // namespace

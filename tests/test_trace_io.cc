@@ -97,8 +97,11 @@ TEST(BinaryTraceIO, ZigZagExtremesDecode)
     std::stringstream buffer;
     Addr write_pc = 0;
     bpt::writeRecord(buffer, {Addr(1) << 63, true, true}, write_pc);
+    const std::string wire = buffer.str();
     Addr read_pc = 0;
-    const BranchRecord decoded = bpt::readRecord(buffer, read_pc);
+    BranchRecord decoded;
+    EXPECT_EQ(bpt::readRecord(wire.data(), wire.size(), decoded, read_pc),
+              wire.size());
     EXPECT_EQ(decoded.pc, Addr(1) << 63);
     EXPECT_EQ(read_pc, Addr(1) << 63);
 }
