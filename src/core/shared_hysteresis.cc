@@ -127,9 +127,12 @@ SharedHysteresisSkewedPredictor::name() const
 {
     std::string label =
         config.enhanced ? "e-gskew-sh" : "gskewed-sh";
-    label += "-" + std::to_string(config.numBanks) + "x" +
-        formatEntries(entriesPerBank());
-    label += "-h" + std::to_string(config.historyBits);
+    label += '-';
+    label += std::to_string(config.numBanks);
+    label += 'x';
+    label += formatEntries(entriesPerBank());
+    label += "-h";
+    label += std::to_string(config.historyBits);
     label += config.updatePolicy == UpdatePolicy::Total ? "-total"
                                                         : "-partial";
     return label;

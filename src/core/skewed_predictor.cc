@@ -368,9 +368,12 @@ std::string
 SkewedPredictor::name() const
 {
     std::string label = config.enhanced ? "e-gskew" : "gskewed";
-    label += "-" + std::to_string(config.numBanks) + "x" +
-        formatEntries(entriesPerBank());
-    label += "-h" + std::to_string(config.historyBits);
+    label += '-';
+    label += std::to_string(config.numBanks);
+    label += 'x';
+    label += formatEntries(entriesPerBank());
+    label += "-h";
+    label += std::to_string(config.historyBits);
     switch (config.updatePolicy) {
       case UpdatePolicy::Total:
         label += "-total";

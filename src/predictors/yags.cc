@@ -8,6 +8,22 @@
 namespace bpred
 {
 
+namespace
+{
+
+/** @p bits, checked against the u16 each cache entry stores its tag in. */
+unsigned
+checkedTagBits(unsigned bits)
+{
+    if (bits > 16) {
+        fatal("yags: tag width " + std::to_string(bits) +
+              " over 16 (tags are stored in u16)");
+    }
+    return bits;
+}
+
+} // namespace
+
 YagsPredictor::YagsPredictor(unsigned cache_index_bits,
                              unsigned history_bits,
                              unsigned choice_index_bits,
@@ -19,7 +35,7 @@ YagsPredictor::YagsPredictor(unsigned cache_index_bits,
       cacheIndexBits(cache_index_bits),
       historyBits(checkedHistoryBits("yags", history_bits)),
       choiceIndexBits(choice_index_bits),
-      tagBits(tag_bits)
+      tagBits(checkedTagBits(tag_bits))
 {
 }
 

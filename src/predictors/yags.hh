@@ -34,7 +34,8 @@ class YagsPredictor : public Predictor
      * @param cache_index_bits log2 of each direction cache.
      * @param history_bits Global-history length for cache indexing.
      * @param choice_index_bits log2 of the choice table.
-     * @param tag_bits Tag width per cache entry (6-8 typical).
+     * @param tag_bits Tag width per cache entry (6-8 typical, at
+     *        most 16).
      */
     YagsPredictor(unsigned cache_index_bits, unsigned history_bits,
                   unsigned choice_index_bits, unsigned tag_bits = 6);

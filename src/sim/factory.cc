@@ -178,8 +178,9 @@ const std::vector<SchemeInfo> &
 listSchemes()
 {
     static const std::vector<SchemeInfo> schemes = {
-        // bp_lint: fingerprint(static)=always — StaticPredictor
-        // prints "always-taken"/"always-not-taken", not "static".
+        // StaticPredictor prints "always-taken"/"always-not-taken",
+        // not "static": the one exception test_factory's
+        // ListSchemesExamplesFingerprintTheirScheme allows.
         {"static", "fixed direction, no state",
          {{"direction", SpecFieldKind::Direction, false, ""}},
          "static:taken"},

@@ -29,11 +29,13 @@
  *
  * Span and event names must be string literals: they are stored as
  * `const char *` without copying, and the hot path must never
- * format strings. The macros below force this with `"" name`
- * concatenation (a non-literal fails to compile) and bp_lint's
- * trace-literal rule enforces it statically. Dynamic values go in
- * the optional numeric args (rendered in the Perfetto detail pane)
- * or in setThreadName(), which is registration-time only.
+ * format strings. Scope, instant() and counter() take them as
+ * trace::Literal, whose consteval constructor accepts only a
+ * constant character array, so a non-literal fails to compile
+ * whether it comes through a macro below or a hand-declared
+ * `trace::Scope span(...)`. Dynamic values go in the optional
+ * numeric args (rendered in the Perfetto detail pane) or in
+ * setThreadName(), which is registration-time only.
  */
 
 #pragma once
@@ -67,6 +69,31 @@ enabled()
  * events already buffered; reset() does.
  */
 void setEnabled(bool on);
+
+/**
+ * A category or event name that is a string literal. The consteval
+ * constructor binds only a constant array with static storage, so
+ * `std::string::c_str()`, a `const char *` variable or a stack
+ * buffer is a compile error rather than a dangling pointer in the
+ * trace buffer.
+ */
+class Literal
+{
+  public:
+    template <std::size_t N>
+    consteval Literal(const char (&text)[N]) : text_(text)
+    {
+    }
+
+    constexpr const char *
+    c_str() const
+    {
+        return text_;
+    }
+
+  private:
+    const char *text_;
+};
 
 /** One recorded event (span, instant, or counter sample). */
 struct TraceEvent
@@ -103,25 +130,25 @@ struct TraceEvent
 
 /**
  * RAII span: records [construction, destruction) as one complete
- * event on the current thread's lane. Use via TRACE_SCOPE so names
- * stay literals.
+ * event on the current thread's lane, usually via TRACE_SCOPE.
  */
 class Scope
 {
   public:
-    Scope(const char *category, const char *name)
+    Scope(Literal category, Literal name)
     {
         if (enabled()) {
-            begin(category, name, 0, 0, false);
+            begin(category.c_str(), name.c_str(), 0, 0, false);
         }
     }
 
     /** Span with numeric args (e.g. block index, member count). */
-    Scope(const char *category, const char *name, u64 arg_index,
+    Scope(Literal category, Literal name, u64 arg_index,
           u64 arg_count)
     {
         if (enabled()) {
-            begin(category, name, arg_index, arg_count, true);
+            begin(category.c_str(), name.c_str(), arg_index,
+                  arg_count, true);
         }
     }
 
@@ -135,8 +162,8 @@ class Scope
     /**
      * Attach numeric args known only when the span closes (e.g. the
      * record count a parse produced). Declare the span as a named
-     * `trace::Scope` with literal names to reach this; bp_lint's
-     * trace-literal rule checks those names as it does TRACE_SCOPE's.
+     * `trace::Scope` to reach this; its names are Literals as
+     * TRACE_SCOPE's are.
      */
     void
     setArgs(u64 arg_index, u64 arg_count)
@@ -172,19 +199,19 @@ void counterAlways(const char *category, const char *name,
 
 /** Record a zero-duration marker (exceptions, phase boundaries). */
 inline void
-instant(const char *category, const char *name)
+instant(Literal category, Literal name)
 {
     if (enabled()) {
-        detail::instantAlways(category, name);
+        detail::instantAlways(category.c_str(), name.c_str());
     }
 }
 
 /** Record one sample of a named counter series. */
 inline void
-counter(const char *category, const char *name, double value)
+counter(Literal category, Literal name, double value)
 {
     if (enabled()) {
-        detail::counterAlways(category, name, value);
+        detail::counterAlways(category.c_str(), name.c_str(), value);
     }
 }
 
@@ -248,8 +275,9 @@ bool writeChromeTrace(const std::string &path);
 /**
  * Mark the enclosing scope as a span: TRACE_SCOPE("gang", "block")
  * or TRACE_SCOPE("gang", "block", index, count) with numeric args.
- * Category and name must be string literals (`"" x` rejects
- * anything else at compile time; bp_lint: trace-literal).
+ * Category and name must be string literals (trace::Literal); the
+ * `"" x` concatenation rejects a non-literal already in the macro
+ * argument, so the compiler's error points at that argument.
  */
 #define TRACE_SCOPE(category, name, ...)                             \
     ::bpred::trace::Scope BPRED_TRACE_JOIN(bpredTraceScope_,         \

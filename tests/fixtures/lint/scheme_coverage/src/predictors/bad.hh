@@ -3,12 +3,10 @@
 namespace bpred
 {
 
-// Half-registered on purpose: loadState without saveState, no
-// block kernel, no scalar-only waiver, not in the contract sweep.
+// Half-registered on purpose: no block kernel and no scalar-only
+// waiver.
 class BadPredictor : public Predictor
 {
-  public:
-    void loadState(std::istream &is) override;
 };
 
 } // namespace bpred

@@ -6,8 +6,6 @@ namespace bpred
 class GoodPredictor : public Predictor
 {
   public:
-    void saveState(std::ostream &os) const override;
-    void loadState(std::istream &is) override;
     void replayBlock(const BranchRecord *records, std::size_t n,
                      ReplayCounters &counters,
                      ReplayScratch *scratch) override;

@@ -6,8 +6,7 @@ namespace bpred
 class WaivedPredictor : public Predictor
 {
   public:
-    void saveState(std::ostream &os) const override;
-    void loadState(std::istream &is) override;
+    bool predict(Addr pc) override;
 };
 
 } // namespace bpred

@@ -1,7 +1,6 @@
-// Miniature factory: "good" is fully wired, "waived" runs the
+// Miniature factory: "good" has a block kernel, "waived" runs the
 // scalar path by declaration, and "bad" is the half-registered
-// scheme the rule exists to catch (no saveState, no kernel, no
-// waiver, absent from the contract sweep).
+// scheme the rule exists to catch (no kernel, no waiver).
 
 #include "predictors/bad.hh"
 #include "predictors/good.hh"

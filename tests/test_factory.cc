@@ -3,6 +3,10 @@
  * Unit tests for the predictor spec factory.
  */
 
+#include <cctype>
+#include <map>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "sim/factory.hh"
@@ -95,9 +99,10 @@ TEST(Factory, RejectsBadNumbers)
     EXPECT_THROW(makePredictor("bimodal:99999999999"), FatalError);
     EXPECT_THROW(makePredictor("falru:0:4"), FatalError);
     // Index widths outside 1..28, history lengths over 64 and, for
-    // the schemes keyed by the information vector, over 44: every
-    // constructor refuses them instead of shifting past a u64 (a
-    // crash for the table widths) or masking silently.
+    // the schemes keyed by the information vector, over 44, and yags
+    // tags wider than the u16 that stores them: every constructor
+    // refuses them instead of shifting past a u64 (a crash for the
+    // table widths) or masking silently.
     for (const char *spec :
          {"gshare:64:12", "gshare:0:4", "gshare:29:4", "gshare:12:70",
           "gshare:12:65", "bimodal:64", "bimodal:0", "gselect:64:4",
@@ -107,13 +112,15 @@ TEST(Factory, RejectsBadNumbers)
           "bimode:13:70:12", "pag:64:8", "pag:0:8", "pag:10:17",
           "pag:10:0", "yags:64:8:11", "yags:10:8:64", "yags:10:70:11",
           "pskew:64:8:3:12", "pskew:10:8:3:64", "pskew:10:8:3:0",
-          "unaliased:70", "unaliased:45", "unaliased:64",
-          "falru:4096:70", "falru:4096:45"}) {
+          "yags:10:8:11:17", "yags:10:8:11:20", "unaliased:70",
+          "unaliased:45", "unaliased:64", "falru:4096:70",
+          "falru:4096:45"}) {
         EXPECT_THROW(makePredictor(spec), FatalError) << spec;
     }
     EXPECT_NO_THROW(makePredictor("gshare:12:64"));
     EXPECT_NO_THROW(makePredictor("pag:10:16"));
     EXPECT_NO_THROW(makePredictor("unaliased:44"));
+    EXPECT_NO_THROW(makePredictor("yags:10:8:11:16"));
 }
 
 TEST(Factory, RejectsBadPolicy)
@@ -230,6 +237,37 @@ TEST(Factory, ListSchemesExamplesAllBuild)
         const PredictorSpec parsed = parseSpec(scheme.example);
         EXPECT_EQ(parsed.scheme, scheme.name);
         EXPECT_NE(makePredictor(parsed), nullptr) << scheme.example;
+    }
+}
+
+TEST(Factory, ListSchemesExamplesFingerprintTheirScheme)
+{
+    // name() is the BPS1 snapshot fingerprint and the scheme name is
+    // the user-facing spelling of the same configuration, so a
+    // scheme renamed on one side only would leave checkpoints and
+    // reports unattributable to specs. Compared in lowercase
+    // alphanumerics: "e-gskew-sh-3x4K-h8" fingerprints "egskewsh".
+    // The one exception: static prints its direction.
+    const std::map<std::string, std::string> prefixFor = {
+        {"static", "always"}};
+    const auto canonical = [](const std::string &text) {
+        std::string out;
+        for (const char c : text) {
+            if (std::isalnum(static_cast<unsigned char>(c))) {
+                out += static_cast<char>(
+                    std::tolower(static_cast<unsigned char>(c)));
+            }
+        }
+        return out;
+    };
+    for (const SchemeInfo &scheme : listSchemes()) {
+        const auto it = prefixFor.find(scheme.name);
+        const std::string prefix =
+            canonical(it == prefixFor.end() ? scheme.name : it->second);
+        const std::string name = makePredictor(scheme.example)->name();
+        EXPECT_EQ(canonical(name).rfind(prefix, 0), 0u)
+            << scheme.example << " fingerprints as '" << name
+            << "', not '" << prefix << "...'";
     }
 }
 

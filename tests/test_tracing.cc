@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -36,6 +37,14 @@ namespace
 {
 
 using namespace bpred;
+
+// Event names are literals by type: the recorder keeps the pointer,
+// so anything but a constant character array must not compile.
+static_assert(std::is_constructible_v<trace::Literal, const char (&)[6]>);
+static_assert(!std::is_constructible_v<trace::Literal, const char *>);
+static_assert(!std::is_constructible_v<trace::Literal, std::string>);
+static_assert(
+    !std::is_constructible_v<trace::Scope, const char *, const char *>);
 
 /** Fresh recorder state: recording off, buffers empty. */
 void

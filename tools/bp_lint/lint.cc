@@ -32,17 +32,6 @@ allRules()
          "(src/trace, src/sim/corpus*) carry a "
          "'bp_lint: allow(reserve-untrusted)' justification",
          ruleAllocUntrusted},
-        {"factory-fingerprint",
-         "factory scheme names match predictor name() "
-         "fingerprint literals",
-         ruleFactoryFingerprint},
-        {"deprecated-call",
-         "[[deprecated]] shims are only called from tests",
-         ruleDeprecatedCall},
-        {"trace-literal",
-         "TRACE_SCOPE/TRACE_INSTANT/TRACE_COUNTER category and "
-         "name arguments are string literals",
-         ruleTraceLiteral},
         {"simd-isolation",
          "vector intrinsics only in *_simd files, under "
          "#if BPRED_HAVE_AVX2",
@@ -52,8 +41,8 @@ allRules()
          "(support -> trace -> predictors -> core -> ... -> serve)",
          ruleLayering},
         {"scheme-coverage",
-         "every factory scheme has snapshot overrides, a block "
-         "kernel or scalar-only waiver, and contract-test coverage",
+         "every factory scheme has a block kernel or a "
+         "scalar-only waiver",
          ruleSchemeCoverage},
         {"lock-discipline",
          "fields annotated guarded_by(<mutex>) are only touched "
@@ -267,22 +256,6 @@ stripCommentsAndStrings(const std::string &text)
     return out;
 }
 
-std::string
-canonicalFingerprint(const std::string &text)
-{
-    std::string canonical;
-    for (const char c : text) {
-        if (c >= 'a' && c <= 'z') {
-            canonical += c;
-        } else if (c >= 'A' && c <= 'Z') {
-            canonical += static_cast<char>(c - 'A' + 'a');
-        } else if (c >= '0' && c <= '9') {
-            canonical += c;
-        }
-    }
-    return canonical;
-}
-
 bool
 lineAllows(const SourceFile &file, std::size_t line,
            const std::string &rule)
@@ -311,20 +284,18 @@ lineAllows(const SourceFile &file, std::size_t line,
     return false;
 }
 
-void
-forEachLintableFile(
-    const fs::path &root,
-    const std::function<void(const fs::path &,
-                             const std::string &)> &visit)
+RepoTree
+loadTree(const fs::path &root)
 {
     if (!fs::is_directory(root)) {
         throw std::runtime_error("bp_lint: not a directory: " +
                                  root.string());
     }
-    const fs::path canonical = fs::canonical(root);
+    RepoTree tree;
+    tree.root = fs::canonical(root);
 
     auto options = fs::directory_options::skip_permission_denied;
-    for (auto it = fs::recursive_directory_iterator(canonical,
+    for (auto it = fs::recursive_directory_iterator(tree.root,
                                                     options);
          it != fs::recursive_directory_iterator(); ++it) {
         const fs::path &path = it->path();
@@ -338,31 +309,13 @@ forEachLintableFile(
             continue;
         }
         const std::string name = path.filename().string();
-        const bool is_cmake = name == "CMakeLists.txt";
         const bool is_header =
             hasSuffix(name, ".hh") || hasSuffix(name, ".hpp");
         const bool is_source =
             hasSuffix(name, ".cc") || hasSuffix(name, ".cpp");
-        if (!is_cmake && !is_header && !is_source) {
+        if (name != "CMakeLists.txt" && !is_header && !is_source) {
             continue;
         }
-        visit(path, fs::relative(path, canonical).generic_string());
-    }
-}
-
-RepoTree
-loadTree(const fs::path &root)
-{
-    RepoTree tree;
-    tree.root = fs::canonical(root);
-
-    forEachLintableFile(tree.root, [&](const fs::path &path,
-                                       const std::string &relative) {
-        const std::string name = path.filename().string();
-        const bool is_header =
-            hasSuffix(name, ".hh") || hasSuffix(name, ".hpp");
-        const bool is_source =
-            hasSuffix(name, ".cc") || hasSuffix(name, ".cpp");
 
         std::ifstream in(path, std::ios::binary);
         std::ostringstream contents;
@@ -370,7 +323,8 @@ loadTree(const fs::path &root)
         const std::string text = contents.str();
 
         SourceFile file;
-        file.relative = relative;
+        file.relative =
+            fs::relative(path, tree.root).generic_string();
         file.name = name;
         file.lines = splitLines(text);
         file.isHeader = is_header;
@@ -381,7 +335,7 @@ loadTree(const fs::path &root)
         }
         file.inTests = file.relative.rfind("tests/", 0) == 0;
         tree.files.push_back(std::move(file));
-    });
+    }
 
     std::sort(tree.files.begin(), tree.files.end(),
               [](const SourceFile &a, const SourceFile &b) {

@@ -2,13 +2,13 @@
  * @file
  * bp_lint — repo-specific static analysis for the bpred tree.
  *
- * The predictors' results depend on invariants no compiler checks:
- * every test/bench binary registered with CTest, factory scheme
- * names agreeing with the snapshot fingerprint strings, headers
- * following one include-guard convention, no banned library calls
- * on the simulation paths, and deprecated shims kept out of
- * non-test code. bp_lint walks the source tree and enforces them;
- * it runs as a ctest and as a blocking CI job.
+ * The predictors' results depend on invariants neither the compiler
+ * nor the per-scheme tests check: every test/bench binary registered
+ * with CTest, headers following one include-guard convention, no
+ * banned library calls on the simulation paths, module layering,
+ * and lock and atomic discipline in the concurrent layers. bp_lint
+ * walks the source tree and enforces them; it runs as a ctest and
+ * as a blocking CI job.
  *
  * The analyzer is deliberately standalone: it links none of the
  * bpred libraries, so a broken tree can still be linted.
@@ -21,7 +21,6 @@
 #pragma once
 
 #include <filesystem>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -116,18 +115,6 @@ const std::vector<RuleInfo> &allRules();
  */
 RepoTree loadTree(const std::filesystem::path &root);
 
-/**
- * Invoke @p visit for every file loadTree() would load, without
- * reading contents — the cache's warm-path manifest scan uses this
- * so a cache hit costs one stat() per file instead of a full parse.
- * @p visit receives the absolute path and the root-relative path
- * (generic "/" separators).
- */
-void forEachLintableFile(
-    const std::filesystem::path &root,
-    const std::function<void(const std::filesystem::path &,
-                             const std::string &)> &visit);
-
 /** Run @p rules (default: all) over @p tree. */
 std::vector<Finding> runLint(const RepoTree &tree);
 std::vector<Finding> runLint(const RepoTree &tree,
@@ -146,8 +133,5 @@ bool lineAllows(const SourceFile &file, std::size_t line,
  * @p text, preserving newlines (so line numbers survive).
  */
 std::string stripCommentsAndStrings(const std::string &text);
-
-/** Lowercase a-z0-9 only: "e-gskew-SH" -> "egskewsh". */
-std::string canonicalFingerprint(const std::string &text);
 
 } // namespace bplint

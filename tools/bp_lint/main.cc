@@ -4,26 +4,21 @@
  *
  * Usage:
  *   bp_lint [--root <dir>] [--rule <name>]... [--list-rules]
- *           [--sarif <path>] [--cache <dir>]
+ *           [--sarif <path>]
  *
  * Exit status: 0 on a clean tree, 1 when findings were reported,
  * 2 on usage or I/O errors. Findings print one per line as
  * `file:line: [rule] message` so editors and CI annotate them.
  *
  * `--sarif <path>` additionally writes the findings as a SARIF
- * 2.1.0 log for GitHub code scanning. `--cache <dir>` keys the run
- * on a whole-tree mtime+size manifest: a warm hit replays the
- * stored findings (and still writes SARIF) without reading any
- * source file.
+ * 2.1.0 log for GitHub code scanning.
  */
 
-#include <cstring>
 #include <exception>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "bp_lint/cache.hh"
 #include "bp_lint/lint.hh"
 #include "bp_lint/sarif.hh"
 
@@ -34,14 +29,13 @@ int
 usage(std::ostream &os, int status)
 {
     os << "usage: bp_lint [--root <dir>] [--rule <name>]... "
-          "[--list-rules] [--sarif <path>] [--cache <dir>]\n";
+          "[--list-rules] [--sarif <path>]\n";
     return status;
 }
 
 int
 report(const std::vector<bplint::Finding> &findings,
-       const std::string &sarifPath, std::size_t fileCount,
-       bool cached)
+       const std::string &sarifPath, std::size_t fileCount)
 {
     if (!sarifPath.empty()) {
         bplint::writeSarif(findings, sarifPath);
@@ -51,14 +45,11 @@ report(const std::vector<bplint::Finding> &findings,
                   << finding.rule << "] " << finding.message
                   << "\n";
     }
-    const char *const suffix = cached ? ", cached" : "";
     if (findings.empty()) {
-        std::cout << "bp_lint: clean (" << fileCount << " files"
-                  << suffix << ")\n";
+        std::cout << "bp_lint: clean (" << fileCount << " files)\n";
         return 0;
     }
-    std::cout << "bp_lint: " << findings.size() << " finding(s)"
-              << suffix << "\n";
+    std::cout << "bp_lint: " << findings.size() << " finding(s)\n";
     return 1;
 }
 
@@ -69,7 +60,6 @@ main(int argc, char **argv)
 {
     std::string root = ".";
     std::string sarifPath;
-    std::string cacheDir;
     std::vector<std::string> rules;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -79,8 +69,6 @@ main(int argc, char **argv)
             rules.push_back(argv[++i]);
         } else if (arg == "--sarif" && i + 1 < argc) {
             sarifPath = argv[++i];
-        } else if (arg == "--cache" && i + 1 < argc) {
-            cacheDir = argv[++i];
         } else if (arg == "--list-rules") {
             for (const bplint::RuleInfo &rule :
                  bplint::allRules()) {
@@ -110,27 +98,9 @@ main(int argc, char **argv)
     }
 
     try {
-        std::string key;
-        std::size_t fileCount = 0;
-        if (!cacheDir.empty()) {
-            key = bplint::cacheKey(root, rules);
-            bplint::forEachLintableFile(
-                root, [&](const std::filesystem::path &,
-                          const std::string &) { ++fileCount; });
-            const auto cached = bplint::cacheLoad(cacheDir, key);
-            if (cached) {
-                return report(*cached, sarifPath, fileCount, true);
-            }
-        }
-
         const bplint::RepoTree tree = bplint::loadTree(root);
-        const std::vector<bplint::Finding> findings =
-            bplint::runLint(tree, rules);
-        if (!cacheDir.empty()) {
-            bplint::cacheStore(cacheDir, key, findings);
-        }
-        return report(findings, sarifPath, tree.files.size(),
-                      false);
+        return report(bplint::runLint(tree, rules), sarifPath,
+                      tree.files.size());
     } catch (const std::exception &error) {
         std::cerr << "bp_lint: " << error.what() << "\n";
         return 2;

@@ -107,11 +107,9 @@ buildScopes(const SourceFile &file)
  * skipped. The body span comes from the scope index.
  */
 void
-collectClasses(const SourceFile &file, std::size_t file_index,
-               const FileModel &artifacts,
+collectClasses(const SourceFile &file, const FileModel &artifacts,
                std::vector<ClassInfo> &out)
 {
-    (void)file_index;
     for (std::size_t i = 0; i < file.code.size(); ++i) {
         const std::string &code = file.code[i];
         for (const char *keyword : {"class", "struct"}) {
@@ -301,8 +299,8 @@ collectGuarded(const SourceFile &file,
 
 /**
  * Parse factory facts: the listSchemes() table (entry names +
- * lines), fingerprint overrides, scalar-only waivers, and the
- * makePredictor() branch -> make_unique<Class> mapping.
+ * lines), scalar-only waivers, and the makePredictor() branch ->
+ * make_unique<Class> mapping.
  */
 void
 parseFactory(const RepoTree &tree, std::size_t factory_index,
@@ -314,7 +312,7 @@ parseFactory(const RepoTree &tree, std::size_t factory_index,
     model.factoryFile = factory.relative;
 
     // --- listSchemes() table: first string literal of each
-    // top-level brace entry (same walk rule_factory always did).
+    // top-level brace entry.
     bool armed = false;
     bool in_table = false;
     bool done = false;
@@ -364,41 +362,17 @@ parseFactory(const RepoTree &tree, std::size_t factory_index,
         }
     }
 
-    // --- declared overrides and waivers (raw lines: they live in
-    // comments).
+    // --- declared waivers (raw lines: they live in comments).
+    static const std::string marker = "bp_lint: scalar-only(";
     for (std::size_t i = 0; i < factory.lines.size(); ++i) {
         const std::string &line = factory.lines[i];
-        {
-            static const std::string marker = "bp_lint: fingerprint(";
-            const std::size_t at = line.find(marker);
-            if (at != std::string::npos) {
-                const std::size_t open = at + marker.size();
-                const std::size_t close = line.find(')', open);
-                const std::size_t eq = line.find('=', open);
-                if (close != std::string::npos &&
-                    eq != std::string::npos && eq > close) {
-                    std::string prefix = line.substr(eq + 1);
-                    const std::size_t end =
-                        prefix.find_first_of(" \t");
-                    if (end != std::string::npos) {
-                        prefix.resize(end);
-                    }
-                    model.fingerprintOverrides
-                        [line.substr(open, close - open)] = prefix;
-                }
-            }
-        }
-        {
-            static const std::string marker =
-                "bp_lint: scalar-only(";
-            const std::size_t at = line.find(marker);
-            if (at != std::string::npos) {
-                const std::size_t open = at + marker.size();
-                const std::size_t close = line.find(')', open);
-                if (close != std::string::npos) {
-                    model.scalarOnlyWaivers
-                        [line.substr(open, close - open)] = i + 1;
-                }
+        const std::size_t at = line.find(marker);
+        if (at != std::string::npos) {
+            const std::size_t open = at + marker.size();
+            const std::size_t close = line.find(')', open);
+            if (close != std::string::npos) {
+                model.scalarOnlyWaivers
+                    [line.substr(open, close - open)] = i + 1;
             }
         }
     }
@@ -503,6 +477,48 @@ parseFactory(const RepoTree &tree, std::size_t factory_index,
     }
 }
 
+/**
+ * True when class @p name itself mentions @p method: inside its body
+ * span, or as a "<name>::<method>" qualified definition anywhere in
+ * the tree.
+ */
+bool
+classMentions(const ProjectModel &model, const RepoTree &tree,
+              const std::string &name, const std::string &method)
+{
+    const auto it = model.classByName.find(name);
+    if (it != model.classByName.end()) {
+        const ClassInfo &info = model.classes[it->second];
+        for (const SourceFile &file : tree.files) {
+            if (file.relative != info.file) {
+                continue;
+            }
+            for (std::size_t i = info.beginLine;
+                 i <= info.endLine && i < file.code.size(); ++i) {
+                if (findIdent(file.code[i], method) !=
+                    std::string::npos) {
+                    return true;
+                }
+            }
+        }
+    }
+    // Out-of-class qualified definition: Class::method anywhere,
+    // at identifier boundaries so Class::replayBlockX does not
+    // satisfy replayBlock.
+    const std::string qualified = name + "::" + method;
+    for (const SourceFile &file : tree.files) {
+        if (!file.isCpp || file.inTests) {
+            continue;
+        }
+        for (const std::string &code : file.code) {
+            if (findIdent(code, qualified) != std::string::npos) {
+                return true;
+            }
+        }
+    }
+    return false;
+}
+
 } // namespace
 
 int
@@ -562,7 +578,7 @@ ProjectModel::hierarchyMentions(const RepoTree &tree,
             !visited.insert(current).second) {
             continue; // root interface defaults never count
         }
-        if (classDeclares(tree, current, needle)) {
+        if (classMentions(*this, tree, current, needle)) {
             return true;
         }
         const auto it = classByName.find(current);
@@ -572,51 +588,6 @@ ProjectModel::hierarchyMentions(const RepoTree &tree,
         for (const std::string &base :
              classes[it->second].bases) {
             pending.push_back(base);
-        }
-    }
-    return false;
-}
-
-bool
-ProjectModel::classDeclares(const RepoTree &tree,
-                            const std::string &name,
-                            const std::string &method) const
-{
-    const auto it = classByName.find(name);
-    if (it != classByName.end()) {
-        const ClassInfo &info = classes[it->second];
-        for (const SourceFile &file : tree.files) {
-            if (file.relative != info.file) {
-                continue;
-            }
-            for (std::size_t i = info.beginLine;
-                 i <= info.endLine && i < file.code.size(); ++i) {
-                if (findIdent(file.code[i], method) !=
-                    std::string::npos) {
-                    return true;
-                }
-            }
-        }
-    }
-    // Out-of-class qualified definition: Class::method anywhere,
-    // with an identifier boundary after the method name so
-    // Class::saveStateX does not satisfy saveState.
-    const std::string qualified = name + "::" + method;
-    for (const SourceFile &file : tree.files) {
-        if (!file.isCpp || file.inTests) {
-            continue;
-        }
-        for (const std::string &code : file.code) {
-            std::size_t pos = 0;
-            while ((pos = code.find(qualified, pos)) !=
-                   std::string::npos) {
-                const std::size_t after = pos + qualified.size();
-                if (after >= code.size() ||
-                    !isIdentChar(code[after])) {
-                    return true;
-                }
-                pos = after;
-            }
         }
     }
     return false;
@@ -667,7 +638,7 @@ buildModel(const RepoTree &tree)
                          artifacts.includes);
         }
         artifacts.scopes = buildScopes(file);
-        collectClasses(file, i, artifacts, model.classes);
+        collectClasses(file, artifacts, model.classes);
         collectGuarded(file, model.guardedEntities);
         if (file.relative == "src/sim/factory.cc") {
             factory_index = i;

@@ -3,10 +3,9 @@
  * The bp_lint project model: per-file artifacts computed once per
  * lint run and shared by every rule.
  *
- * Before the model existed each rule re-derived what it needed from
- * the raw lines — rule_factory re-parsed the scheme table, the simd
- * rule re-walked preprocessor state, and no rule could see past one
- * file. The model is one pass over the loaded tree producing:
+ * The model is one pass over the loaded tree, so no rule re-derives
+ * what it needs from the raw lines or is limited to one file. It
+ * produces:
  *
  *  - an include list per file (quoted and angled, with line
  *    numbers), which the layering rule checks against the declared
@@ -16,18 +15,18 @@
  *    scheme-coverage scope walks;
  *  - a class index over the whole tree (name, bases, body span,
  *    declaring file), so rules can ask "does this class or any
- *    ancestor declare saveState()?" across files;
+ *    ancestor declare replayBlock()?" across files;
  *  - scheme-table facts parsed from src/sim/factory.cc: the
  *    listSchemes() entries, the makePredictor() branch -> class
- *    mapping, fingerprint overrides, and scalar-only waivers;
+ *    mapping, and scalar-only waivers;
  *  - every `bp_lint: guarded_by(<mutex>)` annotation in the tree,
  *    resolved to the field or function it is attached to.
  *
- * Everything here is heuristic in the same deliberate way
- * rule_factory always was: brace matching and identifier scans over
- * comment-stripped code, tuned to this repo's layout conventions,
- * cheap enough to run on every commit. The fixtures in
- * tests/fixtures/lint/ pin the heuristics in both directions.
+ * Everything here is deliberately heuristic: brace matching and
+ * identifier scans over comment-stripped code, tuned to this repo's
+ * layout conventions, cheap enough to run on every commit. The
+ * fixtures in tests/fixtures/lint/ pin the heuristics in both
+ * directions.
  */
 
 #pragma once
@@ -165,9 +164,6 @@ struct ProjectModel
     /** listSchemes() table entries, in table order. */
     std::vector<SchemeFact> schemes;
 
-    /** bp_lint: fingerprint(<scheme>)=<prefix> overrides. */
-    std::map<std::string, std::string> fingerprintOverrides;
-
     /** bp_lint: scalar-only(<scheme>) waivers -> 1-based line. */
     std::map<std::string, std::size_t> scalarOnlyWaivers;
 
@@ -176,23 +172,14 @@ struct ProjectModel
 
     /**
      * True when the class named @p name, or any transitive base
-     * reachable through classByName, satisfies @p pred; the root
-     * interface class "Predictor" is excluded (its defaults are
-     * what overrides exist to replace). @p pred receives each
-     * candidate ClassInfo.
+     * reachable through classByName, mentions the identifier
+     * @p needle in its body or defines "<class>::<needle>" outside
+     * it; the root interface class "Predictor" is excluded (its
+     * defaults are what overrides exist to replace).
      */
     bool hierarchyMentions(const RepoTree &tree,
                            const std::string &name,
                            const std::string &needle) const;
-
-    /**
-     * True when class @p name itself declares @p method: the
-     * method name appears inside the class body span, or a
-     * "<name>::<method>" qualified definition appears anywhere in
-     * the tree. Inherited declarations do not count.
-     */
-    bool classDeclares(const RepoTree &tree, const std::string &name,
-                       const std::string &method) const;
 };
 
 /**

@@ -8,8 +8,7 @@
  * discipline (predictor_pool.hh documents which mutex covers which
  * fields), and the tracing recorder has exactly one registry mutex.
  * Those contracts lived in comments; this rule machine-checks them
- * the same brace-scope-heuristic way rule_factory parses the scheme
- * table:
+ * over the project model's brace-scope index:
  *
  *  - an *access* is any identifier occurrence of an annotated name
  *    in the declaring file or a file directly including the
@@ -30,6 +29,8 @@
  * itself — helpers that require a caller-held lock stay
  * unannotated and are covered at their call sites.
  */
+
+#include <algorithm>
 
 #include "bp_lint/lint.hh"
 #include "bp_lint/model.hh"

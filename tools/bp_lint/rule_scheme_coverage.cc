@@ -1,28 +1,19 @@
 /**
  * @file
- * Rule "scheme-coverage": every scheme in the factory table must be
- * fully wired, not just constructible.
+ * Rule "scheme-coverage": every scheme in the factory table either
+ * replays through a block kernel or says in factory.cc that it runs
+ * the scalar path on purpose.
  *
- * PR 8 found seven schemes that had sat in listSchemes() for five
- * PRs without snapshot support: the factory happily built them, the
- * serving engine happily cached them, and the first checkpoint
- * round-trip silently produced an empty predictor. "Registered"
- * must mean more than "has a make_unique branch". Per scheme the
- * rule checks, against the project model:
+ * A scheme's class hierarchy must provide a block-replay kernel
+ * (replayBlock / block_kernel mention), or factory.cc must carry an
+ * explicit `bp_lint: scalar-only(<scheme>)` waiver; a waiver whose
+ * scheme has since gained a kernel is flagged as stale. Findings
+ * anchor to the scheme's listSchemes() table line.
  *
- *  1. the primary class the factory constructs for the scheme (the
- *     first make_unique in its branch) declares saveState AND
- *     loadState itself — inherited defaults do not count, because
- *     the base-class default is exactly the empty-snapshot bug this
- *     rule exists to catch;
- *  2. the class hierarchy provides a block-replay kernel
- *     (replayBlock / block_kernel mention), or factory.cc carries
- *     an explicit `bp_lint: scalar-only(<scheme>)` waiver saying
- *     the scalar path is intentional;
- *  3. the scheme appears in test_predictor_contract's sweep, so the
- *     contract suite actually exercises it.
- *
- * Findings anchor to the scheme's listSchemes() table line.
+ * Snapshot support and contract-test coverage are not checked here:
+ * the base Predictor's saveState/loadState throw, and
+ * Snapshot.EverySchemeSupportsIt, SnapshotRoundTrip.* and
+ * test_predictor_contract iterate listSchemes() itself.
  */
 
 #include "bp_lint/lint.hh"
@@ -31,40 +22,19 @@
 namespace bplint
 {
 
-namespace
-{
-
-/** True when the contract test mentions "<scheme>:" or "<scheme>". */
-bool
-contractCovers(const SourceFile &contract, const std::string &scheme)
-{
-    const std::string spec = "\"" + scheme + ":";
-    const std::string bare = "\"" + scheme + "\"";
-    for (const std::string &line : contract.lines) {
-        if (line.find(spec) != std::string::npos ||
-            line.find(bare) != std::string::npos) {
-            return true;
-        }
-    }
-    return false;
-}
-
-} // namespace
-
 void
 ruleSchemeCoverage(const RepoTree &tree,
                    std::vector<Finding> &findings)
 {
     const ProjectModel &model = *tree.model;
-    if (!model.hasFactory || model.schemes.empty()) {
-        return; // factory-fingerprint reports the missing table
+    if (!model.hasFactory) {
+        return; // fixture trees without a factory skip the rule
     }
-
-    const SourceFile *contract = nullptr;
-    for (const SourceFile &file : tree.files) {
-        if (file.relative == "tests/test_predictor_contract.cc") {
-            contract = &file;
-        }
+    if (model.schemes.empty()) {
+        findings.push_back(
+            {"scheme-coverage", model.factoryFile, 0,
+             "could not locate the listSchemes() scheme table"});
+        return;
     }
 
     const SourceFile *factory = nullptr;
@@ -90,22 +60,6 @@ ruleSchemeCoverage(const RepoTree &tree,
         }
         const std::string &primary = scheme.classes.front();
 
-        // 1. Snapshot overrides, declared by the primary class
-        //    itself.
-        for (const char *method : {"saveState", "loadState"}) {
-            if (!model.classDeclares(tree, primary, method)) {
-                findings.push_back(
-                    {"scheme-coverage", model.factoryFile,
-                     scheme.line,
-                     "scheme '" + scheme.name + "': class " +
-                         primary + " does not declare " + method +
-                         "() itself (inherited defaults produce "
-                         "empty snapshots)"});
-            }
-        }
-
-        // 2. Block kernel somewhere in the hierarchy, or an
-        //    explicit scalar-only waiver.
         const bool waived =
             model.scalarOnlyWaivers.count(scheme.name) != 0;
         const bool hasKernel =
@@ -127,15 +81,6 @@ ruleSchemeCoverage(const RepoTree &tree,
                      "' declares a scalar-only waiver but its "
                      "hierarchy has a block kernel — drop the "
                      "stale waiver"});
-        }
-
-        // 3. Contract-test sweep coverage.
-        if (contract && !contractCovers(*contract, scheme.name)) {
-            findings.push_back(
-                {"scheme-coverage", model.factoryFile, scheme.line,
-                 "scheme '" + scheme.name +
-                     "' does not appear in "
-                     "test_predictor_contract's sweep"});
         }
     }
 }

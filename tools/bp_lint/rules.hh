@@ -14,10 +14,6 @@ void ruleCmakeRegistration(const RepoTree &, std::vector<Finding> &);
 void rulePragmaOnce(const RepoTree &, std::vector<Finding> &);
 void ruleBannedIdentifier(const RepoTree &, std::vector<Finding> &);
 void ruleAllocUntrusted(const RepoTree &, std::vector<Finding> &);
-void ruleFactoryFingerprint(const RepoTree &,
-                            std::vector<Finding> &);
-void ruleDeprecatedCall(const RepoTree &, std::vector<Finding> &);
-void ruleTraceLiteral(const RepoTree &, std::vector<Finding> &);
 void ruleSimdIsolation(const RepoTree &, std::vector<Finding> &);
 void ruleLayering(const RepoTree &, std::vector<Finding> &);
 void ruleSchemeCoverage(const RepoTree &, std::vector<Finding> &);

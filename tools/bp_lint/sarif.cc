@@ -8,10 +8,11 @@
 namespace bplint
 {
 
-const char *const lintVersion = "2.2.0";
-
 namespace
 {
+
+/** Tool version stamped into the SARIF driver object. */
+const char *const lintVersion = "3.0.0";
 
 /** JSON string escape (control chars, quotes, backslashes). */
 std::string

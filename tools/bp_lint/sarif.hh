@@ -19,9 +19,6 @@
 namespace bplint
 {
 
-/** Tool version stamped into the SARIF driver object. */
-extern const char *const lintVersion;
-
 /**
  * Serialize @p findings as a SARIF 2.1.0 log. File-scoped findings
  * (line 0) emit a location without a region, since SARIF requires
