@@ -275,11 +275,12 @@ SkewedPredictor::replayBlock(const BranchRecord *records,
                     const u64 *hists = scratch->history.data();
                     if (identical) {
                         // Pure replication: one shared index set.
-                        fillGshareIndices(SimdMode::Avx2, pcs, hists,
-                                          conditionals,
-                                          config.historyBits,
-                                          config.bankIndexBits,
-                                          scratch->indices[0].data());
+                        fillTableIndices(SimdMode::Avx2,
+                                         TableIndex::Xor, pcs, hists,
+                                         conditionals,
+                                         config.historyBits,
+                                         config.bankIndexBits,
+                                         scratch->indices[0].data());
                     } else {
                         // One fused pass: the banks share the packed
                         // vector and the four H permutation values,
@@ -306,8 +307,8 @@ SkewedPredictor::replayBlock(const BranchRecord *records,
                             ? scratch->indices[0].data()
                             : scratch->indices[bank].data();
                     }
-                    resolveSkewedBanks(
-                        banks, idx, scratch->taken.data(),
+                    resolveBankGroup(
+                        banks.bankView(0), idx, scratch->taken.data(),
                         conditionals, config.updatePolicy, prefetch,
                         counters, bankWriteCount, mask,
                         [&](unsigned bank, std::size_t j) -> u64 {

@@ -8,38 +8,13 @@
 
 #include <vector>
 
+#include "predictors/bank_vote.hh"
 #include "predictors/history.hh"
 #include "predictors/predictor.hh"
 #include "support/sat_counter.hh"
 
 namespace bpred
 {
-
-/** How bank counters are trained after a resolved branch (§4.1). */
-enum class UpdatePolicy
-{
-    /** Every bank trains toward the outcome, unconditionally. */
-    Total,
-
-    /**
-     * A bank that mispredicted is left untouched when the overall
-     * (majority) prediction was correct; its entry is presumed to
-     * belong to a different substream. On an overall misprediction
-     * all banks train. This is the policy the paper recommends.
-     */
-    Partial,
-
-    /**
-     * Partial, plus: an agreeing bank already saturated in the
-     * right direction is not rewritten. Prediction behaviour is
-     * identical to Partial (a saturated counter does not move);
-     * what changes is write traffic — an answer to the paper's
-     * §7 question about further update policies, in the direction
-     * the Alpha EV8 design later took to cut predictor array
-     * write ports. Compare bankWrites() across policies.
-     */
-    PartialLazy,
-};
 
 /** How each bank computes its index (the skewing ablation knob). */
 enum class BankIndexing

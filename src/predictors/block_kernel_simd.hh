@@ -22,13 +22,19 @@
  *     next sub-batch's counter lines are requested with
  *     __builtin_prefetch, hiding table-lookup latency behind the
  *     current sub-batch's ALU work.
- *  3. Resolve — the serial pass consuming precomputed indices:
- *     counter read, vote, policy update, misprediction tally, and
+ *  3. Resolve — the serial pass consuming precomputed indices. One
+ *     function, resolveBankGroup(), serves every phase-split scheme:
+ *     a single table is the 1-bank group under UpdatePolicy::Total,
+ *     the skewed family its 3- and 5-bank groups. Per record, one
+ *     transition-table lookup (bank_vote.hh) keyed by the counters
+ *     read and the outcome yields every bank's next counter, the
+ *     mispredict flag and the write count, which feed the tallies and
  *     (when the session asked) the per-conditional mispredict mask.
  *     Checked builds recompute each index from the stored history
  *     through the scalar index function and abort on divergence
  *     (noteIndexRepair) — phase 0's speculation is exact by
- *     construction, so a mismatch is a fill-kernel bug.
+ *     construction, so a mismatch is a fill-kernel bug — and verify
+ *     every lookup against skewedVote().
  *
  * Dispatch: predictors enter these kernels only when the resolved
  * SimdMode (support/simd.hh) is a vector mode and the table geometry
@@ -45,9 +51,11 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstring>
 
+#include "predictors/bank_vote.hh"
 #include "predictors/info_vector.hh"
 #include "predictors/predictor.hh"
 #include "predictors/replay_scratch.hh"
@@ -64,10 +72,6 @@ namespace bpred
 
 /** Records per resolve sub-batch; phase 2 prefetches one ahead. */
 constexpr std::size_t simdSubBatch = 64;
-
-/** Prefetch distance (in conditionals) used by record-walking
- * resolvers that cannot batch (the hybrid's component walk). */
-constexpr std::size_t simdPrefetchDistance = 64;
 
 /**
  * Records per phase tile: the phases run tile-by-tile inside each
@@ -93,29 +97,6 @@ constexpr bool
 simdWantsCounterPrefetch(u64 table_bytes)
 {
     return table_bytes > simdCounterPrefetchMinBytes;
-}
-
-/**
- * The saturating-counter transition function as a nibble LUT held
- * in one register: bits [(value*2 + taken)*4, +4) hold the next
- * counter value. Valid for counter widths up to 3 bits (max <= 7 —
- * 8 states x 2 outcomes x 4 bits = 64); the resolve loops fall back
- * to branchless arithmetic for wider counters. Replaces the
- * two-compare update chain with one shift+mask on the hot path.
- */
-inline u64
-counterTransitionLut(u8 max)
-{
-    u64 lut = 0;
-    for (unsigned value = 0; value <= max; ++value) {
-        for (unsigned taken = 0; taken < 2; ++taken) {
-            const unsigned next = taken
-                ? (value < max ? value + 1 : value)
-                : (value > 0 ? value - 1 : 0);
-            lut |= u64(next) << ((value * 2 + taken) * 4);
-        }
-    }
-    return lut;
 }
 
 /**
@@ -387,64 +368,37 @@ fillGselectIndicesAvx2(const u64 *pc, const u64 *history,
 #endif // BPRED_HAVE_AVX2
 
 /**
- * Phase 1 for the address-truncation index (bimodal, the hybrid's
- * chooser, e-gskew bank 0): @p mode selects the AVX2 kernel or the
- * bit-identical scalar fallback.
+ * Phase 1 for one table-index function (a single table, or the
+ * gskewed `identical` ablation's shared gshare index): @p mode
+ * selects @p index's AVX2 kernel or the bit-identical scalar
+ * fallback over tableIndex().
  */
 inline void
-fillAddressIndices(SimdMode mode, const u64 *pc, std::size_t n,
-                   unsigned index_bits, u32 *out)
+fillTableIndices(SimdMode mode, TableIndex index, const u64 *pc,
+                 const u64 *history, std::size_t n,
+                 unsigned history_bits, unsigned index_bits, u32 *out)
 {
 #if BPRED_HAVE_AVX2
     if (mode == SimdMode::Avx2) {
-        fillAddressIndicesAvx2(pc, n, index_bits, out);
-        return;
+        switch (index) {
+          case TableIndex::Address:
+            fillAddressIndicesAvx2(pc, n, index_bits, out);
+            return;
+          case TableIndex::Xor:
+            fillGshareIndicesAvx2(pc, history, n, history_bits,
+                                  index_bits, out);
+            return;
+          case TableIndex::Concat:
+            fillGselectIndicesAvx2(pc, history, n, history_bits,
+                                   index_bits, out);
+            return;
+        }
     }
 #endif
     static_cast<void>(mode);
     for (std::size_t i = 0; i < n; ++i) {
-        out[i] = static_cast<u32>(
-            u64(addressIndex(pc[i], index_bits)));
-    }
-}
-
-/** Phase 1 for the gshare XOR index (see fillAddressIndices). */
-inline void
-fillGshareIndices(SimdMode mode, const u64 *pc, const u64 *history,
-                  std::size_t n, unsigned history_bits,
-                  unsigned index_bits, u32 *out)
-{
-#if BPRED_HAVE_AVX2
-    if (mode == SimdMode::Avx2) {
-        fillGshareIndicesAvx2(pc, history, n, history_bits,
-                              index_bits, out);
-        return;
-    }
-#endif
-    static_cast<void>(mode);
-    for (std::size_t i = 0; i < n; ++i) {
-        out[i] = static_cast<u32>(u64(gshareIndex(
-            pc[i], history[i], history_bits, index_bits)));
-    }
-}
-
-/** Phase 1 for the gselect concat index (see fillAddressIndices). */
-inline void
-fillGselectIndices(SimdMode mode, const u64 *pc, const u64 *history,
-                   std::size_t n, unsigned history_bits,
-                   unsigned index_bits, u32 *out)
-{
-#if BPRED_HAVE_AVX2
-    if (mode == SimdMode::Avx2) {
-        fillGselectIndicesAvx2(pc, history, n, history_bits,
-                               index_bits, out);
-        return;
-    }
-#endif
-    static_cast<void>(mode);
-    for (std::size_t i = 0; i < n; ++i) {
-        out[i] = static_cast<u32>(u64(gselectIndex(
-            pc[i], history[i], history_bits, index_bits)));
+        out[i] = static_cast<u32>(tableIndex(index, pc[i], history[i],
+                                             history_bits, index_bits));
     }
 }
 
@@ -469,170 +423,194 @@ namespace detail
 {
 
 /**
- * The release resolve span for narrow counters (max <= 7): one
- * counterTransitionLut() shift per record, unrolled by 4 with split
- * misprediction accumulators. With @p WriteMask, record j's outcome
- * also lands in @p mask[j].
+ * The resolve span: per record, pack the outcome and every bank's
+ * counter into a key, look up one transition-table entry
+ * (bank_vote.hh), store each bank's next value from it and tally its
+ * mispredict bit and write count. @p group is an interleaved group's
+ * storage — bank b's counter i at group[i * NumBanks + b] — so the
+ * address math is a lea. Unrolled x2 with split accumulators: GCC
+ * does not unroll at -O2, and pairing records overlaps their counter
+ * accesses. The index pointers and accumulators are locals (the
+ * accumulators are added to @p mispredicts and @p writes once at the
+ * end): a counter store is a u8 store, which may alias any object
+ * whose address escaped, so reading through the references would
+ * reload them per record. Flattened, like the block kernel loop:
+ * with one instantiation per bank count, counter width and mask
+ * request, GCC's inliner would otherwise leave the per-record body
+ * out of line. @p verify sees every lookup before its stores (a
+ * no-op outside checked builds). With @p WriteMask, record j's
+ * mispredict flag lands in @p mask[j].
  */
-template <bool WriteMask>
-inline void
-resolveLutSpan(u8 *values, const u32 *idx, const u8 *taken,
-               std::size_t begin, std::size_t end, u64 lut,
-               u8 threshold, u64 &m0, u64 &m1, u8 *mask)
+template <unsigned NumBanks, unsigned CounterBits, bool WriteMask,
+          typename Verify>
+[[gnu::flatten]] inline void
+resolveBankGroupSpan(u8 *group, const u32 *const (&idx)[NumBanks],
+                     const u8 *taken, std::size_t begin,
+                     std::size_t end, const u16 *table,
+                     u64 &mispredicts, u64 &writes, u8 *mask,
+                     Verify &verify)
 {
-    const auto one = [&](std::size_t j, u64 &m) {
-        u8 &value = values[idx[j]];
+    constexpr unsigned counter_max = (1u << CounterBits) - 1;
+    const u32 *bank_idx[NumBanks];
+    std::copy(idx, idx + NumBanks, bank_idx);
+    u64 mis0 = 0;
+    u64 mis1 = 0;
+    u64 writes0 = 0;
+    u64 writes1 = 0;
+    const auto one = [&](std::size_t j, u64 &mis, u64 &writes) {
         const u8 outcome = taken[j];
-        const u8 wrong = u8(u8(value >= threshold) != outcome);
+        u8 *ptr[NumBanks] = {};
+        u8 values[NumBanks] = {};
+        unsigned key = outcome;
+#pragma GCC unroll 8
+        for (unsigned bank = 0; bank < NumBanks; ++bank) {
+            ptr[bank] =
+                group + std::size_t(bank_idx[bank][j]) * NumBanks + bank;
+            values[bank] = *ptr[bank];
+            key |= unsigned(values[bank]) << (1 + bank * CounterBits);
+        }
+        const unsigned entry = table[key];
+        verify(values, outcome, entry);
+#pragma GCC unroll 8
+        for (unsigned bank = 0; bank < NumBanks; ++bank) {
+            *ptr[bank] =
+                u8((entry >> (bank * CounterBits)) & counter_max);
+        }
+        const u8 wrong = u8(entry >> skewedEntryMispredictShift);
         if constexpr (WriteMask) {
             mask[j] = wrong;
         }
-        m += wrong;
-        value = u8((lut >> ((value * 2 + outcome) * 4)) & 15);
+        mis += wrong;
+        writes += (entry >> skewedEntryWritesShift) & 7;
     };
     std::size_t j = begin;
-    for (; j + 4 <= end; j += 4) {
-        one(j, m0);
-        one(j + 1, m1);
-        one(j + 2, m0);
-        one(j + 3, m1);
+    for (; j + 2 <= end; j += 2) {
+        one(j, mis0, writes0);
+        one(j + 1, mis1, writes1);
     }
     for (; j < end; ++j) {
-        one(j, m0);
+        one(j, mis0, writes0);
     }
+    mispredicts += mis0 + mis1;
+    writes += writes0 + writes1;
 }
 
-/** The release resolve span for wide counters (max > 7). */
-template <bool WriteMask>
+/**
+ * Call @p body.template operator()<CounterBits>() for the table
+ * geometry @p counter_bits names.
+ */
+template <unsigned NumBanks, unsigned CounterBits = 1, typename Body>
 inline void
-resolveArithSpan(u8 *values, const u32 *idx, const u8 *taken,
-                 std::size_t begin, std::size_t end, u8 max,
-                 u8 threshold, u64 &m0, u8 *mask)
+withTableCounterBits(unsigned counter_bits, Body &&body)
 {
-    for (std::size_t j = begin; j < end; ++j) {
-        u8 &value = values[idx[j]];
-        const u8 outcome = taken[j];
-        const u8 wrong = u8(u8(value >= threshold) != outcome);
-        if constexpr (WriteMask) {
-            mask[j] = wrong;
+    if constexpr (CounterBits <= 8 &&
+                  skewedTableFits(NumBanks, CounterBits)) {
+        if (counter_bits == CounterBits) {
+            body.template operator()<CounterBits>();
+            return;
         }
-        m0 += wrong;
-        const u8 up = u8(outcome & (value < max));
-        const u8 down = u8((outcome ^ 1) & (value > 0));
-        value = u8(value + up - down);
+        withTableCounterBits<NumBanks, CounterBits + 1>(counter_bits,
+                                                        body);
+    } else {
+        panic("bank-group resolve: no transition table for this "
+              "counter width");
     }
 }
 
 } // namespace detail
 
 /**
- * Phases 2+3 for single-table schemes (bimodal/gshare/gselect):
- * resolve @p n precomputed conditionals against @p table. When
- * @p prefetch_counters is set (tables too big to sit in L1 —
- * simdWantsCounterPrefetch), the pass runs in sub-batches,
- * prefetching the next sub-batch's counter lines before resolving
- * the current one; L1-resident tables run one flat loop instead,
- * since the prefetch instruction itself would be the overhead.
- * @p recompute(j) must return the scalar index function's value for
- * conditional @p j from the stored pre-branch history; checked
- * builds verify every index against it and abort on divergence.
- * A non-null @p mask receives conditional j's mispredict flag in
- * mask[j] (replayTiled() hands each tile its slice).
- *
- * The table must be a flat stride-1 view (every single-table caller
- * is); the loops index raw bytes so no per-access stride multiply
- * lands in the address chain.
+ * Phases 2+3, the one resolve: run @p n precomputed conditionals
+ * through the bank group @p group views, under @p policy. @p group
+ * is bank 0's view of an interleaved group of NumBanks banks (stride
+ * NumBanks), so a flat single table (stride 1) is the 1-bank group;
+ * the geometry must have a transition table (skewedTableFits; wider
+ * groups take the block kernel). When @p prefetch_counters is set
+ * (simdWantsCounterPrefetch over the group's footprint), the pass
+ * runs in sub-batches, prefetching every bank's counter line for the
+ * next sub-batch first; L1-resident groups run one flat loop, since
+ * the prefetch instructions would be the overhead.
+ * @p recompute(bank, j) is the scalar bank-index reference: checked
+ * builds verify every precomputed index against it (noteIndexRepair)
+ * and every table lookup against skewedVote(). The write count lands
+ * in @p bank_write_count. A non-null @p mask receives conditional
+ * j's overall mispredict flag in mask[j].
  */
-template <typename RecomputeIndex>
+template <unsigned NumBanks, typename RecomputeIndex>
 inline void
-resolveSingleTable(SatCounterArray::View table, const u32 *idx,
-                   const u8 *taken, std::size_t n,
-                   [[maybe_unused]] bool prefetch_counters,
-                   ReplayCounters &counters, u8 *mask,
-                   [[maybe_unused]] RecomputeIndex &&recompute)
+resolveBankGroup(SatCounterArray::View group,
+                 const u32 *const (&idx)[NumBanks], const u8 *taken,
+                 std::size_t n, UpdatePolicy policy,
+                 bool prefetch_counters, ReplayCounters &counters,
+                 u64 &bank_write_count, u8 *mask,
+                 [[maybe_unused]] RecomputeIndex &&recompute)
 {
-    BP_DCHECK(table.stride == 1,
-              "resolveSingleTable: strided view (use the bank "
-              "resolver)");
-
+    const unsigned counter_bits = unsigned(std::bit_width(group.max));
+    BP_CHECK(group.stride == NumBanks &&
+                 skewedTableFits(NumBanks, counter_bits),
+             "resolveBankGroup: not an interleaved group with a "
+             "transition table");
 #ifdef BPRED_CHECKED
-    // Checked builds keep the straight-line loop: per-record index
-    // verification dominates anyway.
-    u64 mispredicts = 0;
     for (std::size_t j = 0; j < n; ++j) {
-        const u64 index = idx[j];
-        if (index != recompute(j)) [[unlikely]] {
-            noteIndexRepair();
-        }
-        const bool outcome = taken[j] != 0;
-        const bool prediction = table.predictTaken(index);
-        table.update(index, outcome);
-        mispredicts += u64(prediction != outcome);
-        if (mask) {
-            mask[j] = u8(prediction != outcome);
+        for (unsigned bank = 0; bank < NumBanks; ++bank) {
+            if (idx[bank][j] != recompute(bank, j)) [[unlikely]] {
+                noteIndexRepair();
+            }
         }
     }
-    counters.conditionals += n;
-    counters.mispredicts += mispredicts;
-    return;
+#endif
+    u8 *const values = group.values;
+    u64 mispredicts = 0;
+    // One instantiation per counter width and mask request (tested
+    // once per call); the update policy is only which table is read.
+    const auto run = [&]<unsigned CounterBits, bool WriteMask>() {
+        const u16 *table =
+            skewedTransitionTable<NumBanks, CounterBits>(policy);
+#ifdef BPRED_CHECKED
+        const auto verify = [policy](const u8(&read)[NumBanks],
+                                     u8 outcome, unsigned entry) {
+            verifySkewedEntry<NumBanks, CounterBits>(
+                read, outcome != 0, entry, policy);
+        };
 #else
-    // Release resolve: the counter transition is one LUT shift for
-    // the common narrow widths, and the loop is unrolled by 4 with
-    // split misprediction accumulators — the compiler does neither
-    // at -O2, and this serial pass is the longest phase. The spans
-    // are free functions (detail::resolveLutSpan /
-    // resolveArithSpan), not capturing lambdas: measured ~10%
-    // faster, the compiler keeps every hot value in registers. The
-    // counter width and the mask request pick one instantiation per
-    // call, so a mask-free replay runs the same loop as ever.
-    u8 *values = table.values;
-    const u8 max = table.max;
-    const u8 threshold = table.threshold;
-    u64 m0 = 0;
-    u64 m1 = 0;
-    const u64 lut = max <= 7 ? counterTransitionLut(max) : 0;
-    const auto run = [&]<bool Narrow, bool WriteMask>() {
+        const auto verify = [](const u8(&)[NumBanks], u8, unsigned) {};
+#endif
         const auto span = [&](std::size_t begin, std::size_t end) {
-            if constexpr (Narrow) {
-                detail::resolveLutSpan<WriteMask>(values, idx, taken,
-                                                  begin, end, lut,
-                                                  threshold, m0, m1,
-                                                  mask);
-            } else {
-                detail::resolveArithSpan<WriteMask>(values, idx, taken,
-                                                    begin, end, max,
-                                                    threshold, m0,
-                                                    mask);
-            }
+            detail::resolveBankGroupSpan<NumBanks, CounterBits,
+                                         WriteMask>(
+                values, idx, taken, begin, end, table, mispredicts,
+                bank_write_count, mask, verify);
         };
         if (!prefetch_counters) {
             span(0, n);
             return;
         }
-        for (std::size_t base = 0; base < n; base += simdSubBatch) {
-            const std::size_t end = std::min(n, base + simdSubBatch);
+        for (std::size_t at = 0; at < n; at += simdSubBatch) {
+            const std::size_t end = std::min(n, at + simdSubBatch);
             const std::size_t prefetch_end =
                 std::min(n, end + simdSubBatch);
             for (std::size_t j = end; j < prefetch_end; ++j) {
-                __builtin_prefetch(values + idx[j], 1);
+#pragma GCC unroll 8
+                for (unsigned bank = 0; bank < NumBanks; ++bank) {
+                    __builtin_prefetch(
+                        values + std::size_t(idx[bank][j]) * NumBanks +
+                            bank,
+                        1);
+                }
             }
-            span(base, end);
+            span(at, end);
         }
     };
-    if (max <= 7) {
-        if (mask) {
-            run.template operator()<true, true>();
-        } else {
-            run.template operator()<true, false>();
-        }
-    } else if (mask) {
-        run.template operator()<false, true>();
-    } else {
-        run.template operator()<false, false>();
-    }
+    detail::withTableCounterBits<NumBanks>(
+        counter_bits, [&]<unsigned CounterBits>() {
+            if (mask) {
+                run.template operator()<CounterBits, true>();
+            } else {
+                run.template operator()<CounterBits, false>();
+            }
+        });
     counters.conditionals += n;
-    counters.mispredicts += m0 + m1;
-#endif
+    counters.mispredicts += mispredicts;
 }
 
 } // namespace bpred

@@ -5,9 +5,7 @@
 
 #pragma once
 
-#include "predictors/history.hh"
-#include "predictors/predictor.hh"
-#include "support/sat_counter.hh"
+#include "predictors/single_table.hh"
 
 namespace bpred
 {
@@ -18,7 +16,7 @@ namespace bpred
  * (history aligned to the high-order end of the index when shorter
  * than it). This is the paper's reference single-bank organization.
  */
-class GSharePredictor : public Predictor
+class GSharePredictor : public SingleTablePredictor
 {
   public:
     /**
@@ -27,32 +25,11 @@ class GSharePredictor : public Predictor
      * @param counter_bits Counter width (1 or 2).
      */
     GSharePredictor(unsigned index_bits, unsigned history_bits,
-                    unsigned counter_bits = 2);
-
-    bool predict(Addr pc) override;
-    void update(Addr pc, bool taken) override;
-    void replayBlock(const BranchRecord *records, std::size_t count,
-                     ReplayCounters &counters,
-                     ReplayScratch *scratch) override;
-    void notifyUnconditional(Addr pc) override;
-    std::string name() const override;
-    u64 storageBits() const override { return table.storageBits(); }
-    void reset() override;
-    bool supportsSnapshot() const override { return true; }
-    void saveState(ByteWriter &out) const override;
-    void loadState(ByteReader &in) override;
-
-    /** History length in bits. */
-    unsigned historyBits() const { return historyBits_; }
-
-  private:
-    u64 indexOf(Addr pc) const;
-
-    SatCounterArray table;
-    GlobalHistory history;
-    unsigned indexBits;
-    unsigned historyBits_;
+                    unsigned counter_bits = 2)
+        : SingleTablePredictor(TableIndex::Xor, index_bits,
+                               history_bits, counter_bits)
+    {
+    }
 };
 
 } // namespace bpred
-

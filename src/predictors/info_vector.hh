@@ -105,5 +105,37 @@ addressIndex(Addr pc, unsigned index_bits)
     return {(pc >> 2) & mask(index_bits), u64(1) << index_bits};
 }
 
+/** The index function of a single-table predictor. */
+enum class TableIndex
+{
+    /** addressIndex(): the low address bits alone (bimodal). */
+    Address,
+
+    /** gshareIndex(): address bits XOR global history (gshare). */
+    Xor,
+
+    /** gselectIndex(): history bits above address bits (gselect). */
+    Concat,
+};
+
+/**
+ * The counter @p index selects for (@p pc, @p history). Kernels
+ * call it with a constant @p index, where it folds to one function.
+ */
+inline u64
+tableIndex(TableIndex index, Addr pc, History history,
+           unsigned history_bits, unsigned index_bits)
+{
+    switch (index) {
+      case TableIndex::Address:
+        return addressIndex(pc, index_bits);
+      case TableIndex::Xor:
+        return gshareIndex(pc, history, history_bits, index_bits);
+      case TableIndex::Concat:
+        return gselectIndex(pc, history, history_bits, index_bits);
+    }
+    return 0;
+}
+
 } // namespace bpred
 

@@ -15,7 +15,6 @@
 
 #include "aliasing/fa_lru_table.hh"
 #include "aliasing/tagged_table.hh"
-#include "core/skewed_kernel_simd.hh"
 #include "predictors/block_kernel_simd.hh"
 #include "predictors/history.hh"
 #include "predictors/info_vector.hh"
@@ -119,21 +118,46 @@ TEST(PhaseSplitDeathTest, IndexMismatchAborts)
 {
     // The checked resolve verifies every precomputed index against
     // the scalar index function. A mismatch is a fill-kernel bug:
-    // it must abort, not warn and repair.
+    // it must abort, not warn and repair. A single table resolves as
+    // the 1-bank group: a flat array's view has stride 1.
     SatCounterArray table(16, 2);
-    const u32 idx[2] = {3, 5};
+    const u32 b0[2] = {3, 5};
+    const u32 *const idx[1] = {b0};
     const u8 taken[2] = {1, 0};
     u8 mask[2] = {};
     ReplayCounters counters;
-    resolveSingleTable(table.view(), idx, taken, 2, false, counters,
-                       mask, [&](std::size_t j) { return u64(idx[j]); });
+    u64 writes = 0;
+    resolveBankGroup(table.view(), idx, taken, 2, UpdatePolicy::Total,
+                     false, counters, writes, mask,
+                     [&](unsigned, std::size_t j) { return u64(b0[j]); });
     EXPECT_EQ(counters.conditionals, 2u);
     EXPECT_EQ(u64(mask[0]) + mask[1], counters.mispredicts);
-    EXPECT_DEATH(resolveSingleTable(table.view(), idx, taken, 2, false,
-                                    counters, nullptr,
-                                    [](std::size_t) { return u64(7); }),
+    EXPECT_EQ(writes, 2u);
+    EXPECT_EQ(table.value(3), 1u);
+    EXPECT_EQ(table.value(5), 0u);
+    EXPECT_DEATH(resolveBankGroup(table.view(), idx, taken, 2,
+                                  UpdatePolicy::Total, false, counters,
+                                  writes, nullptr,
+                                  [](unsigned, std::size_t) {
+                                      return u64(7);
+                                  }),
                  "precomputed index diverged");
     EXPECT_DEATH(noteIndexRepair(), "fill-kernel bug");
+}
+
+TEST(PhaseSplitDeathTest, SingleTableLookupIsVerified)
+{
+    // A 1-bank entry that disagrees with skewedVote() — here a
+    // counter at 2 that claims it stays at 2 on a taken outcome
+    // instead of rising to 3 — panics like a skewed one.
+    const u8 values[1] = {2};
+    const auto verify = verifySkewedEntry<1, 2>;
+    verify(values, true, skewedEntry<1, 2>(values, true,
+                                           UpdatePolicy::Total),
+           UpdatePolicy::Total);
+    const unsigned corrupted = 1u << skewedEntryWritesShift | 2;
+    EXPECT_DEATH(verify(values, true, corrupted, UpdatePolicy::Total),
+                 "diverged from skewedVote");
 }
 
 TEST(PhaseSplitDeathTest, SkewedResolveVerifiesEveryLookup)
@@ -153,17 +177,18 @@ TEST(PhaseSplitDeathTest, SkewedResolveVerifiesEveryLookup)
     const auto exact = [&](unsigned bank, std::size_t j) {
         return u64(idx[bank][j]);
     };
-    resolveSkewedBanks(banks, idx, taken, 2, UpdatePolicy::Total, false,
-                       counters, writes, mask, exact);
+    resolveBankGroup(banks.bankView(0), idx, taken, 2,
+                     UpdatePolicy::Total, false, counters, writes, mask,
+                     exact);
     EXPECT_EQ(counters.conditionals, 2u);
     EXPECT_EQ(u64(mask[0]) + mask[1], counters.mispredicts);
     EXPECT_EQ(writes, 6u);
-    EXPECT_DEATH(resolveSkewedBanks(banks, idx, taken, 2,
-                                    UpdatePolicy::Total, false, counters,
-                                    writes, nullptr,
-                                    [](unsigned, std::size_t) {
-                                        return u64(7);
-                                    }),
+    EXPECT_DEATH(resolveBankGroup(banks.bankView(0), idx, taken, 2,
+                                  UpdatePolicy::Total, false, counters,
+                                  writes, nullptr,
+                                  [](unsigned, std::size_t) {
+                                      return u64(7);
+                                  }),
                  "precomputed index diverged");
     const u8 values[3] = {0, 2, 3};
     const auto verify = verifySkewedEntry<3, 2>;

@@ -105,6 +105,29 @@ TEST(Probe, ResolvedCountsMatchSimResult)
     EXPECT_EQ(resolved.events(), result.mispredicts);
 }
 
+TEST(Probe, SingleTableSchemesResolveEveryConditional)
+{
+    // bimodal, gshare and gselect share one update(): each publishes
+    // one resolved event per conditional and one transition per
+    // value-changing counter write.
+    const Trace trace = mixedTrace();
+    for (const char *spec : {"bimodal:8", "gshare:8:6", "gselect:8:6"}) {
+        auto predictor = makePredictor(spec);
+        CountingProbe probe;
+        predictor->attachProbe(&probe);
+        const SimResult result = simulate(*predictor, trace);
+
+        StatRegistry &stats = probe.registry();
+        const RatioStat &resolved = stats.ratio("resolved.mispredict");
+        EXPECT_EQ(resolved.total(), result.conditionals) << spec;
+        EXPECT_EQ(resolved.events(), result.mispredicts) << spec;
+        EXPECT_GT(stats.counter("bank0.writes"), 0u) << spec;
+        EXPECT_EQ(stats.histogram("bank0.transitions").total(),
+                  stats.counter("bank0.writes"))
+            << spec;
+    }
+}
+
 TEST(Probe, BankVotesCoverEveryBank)
 {
     const Trace trace = mixedTrace();

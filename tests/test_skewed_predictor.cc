@@ -9,8 +9,8 @@
 #include <string>
 #include <vector>
 
-#include "core/skewed_kernel_simd.hh"
 #include "core/skewed_predictor.hh"
+#include "predictors/bank_vote.hh"
 #include "support/logging.hh"
 
 namespace bpred
