@@ -48,6 +48,46 @@ bit(std::uint64_t value, unsigned i)
 }
 
 /**
+ * The counter that scheme @p index selects in a 2^@p n table for a
+ * branch at @p pc under @p history, of which it reads the @p k
+ * youngest bits.
+ */
+inline std::uint64_t
+tableSlot(Index index, std::uint64_t pc, std::uint64_t history,
+          unsigned n, unsigned k)
+{
+    const std::uint64_t a = pc >> 2;
+    std::uint64_t slot = 0;
+    switch (index) {
+      case Index::Bimodal:
+        for (unsigned i = 0; i < n; ++i) {
+            slot |= bit(a, i) << i;
+        }
+        break;
+      case Index::Gshare:
+        for (unsigned i = 0; i < n; ++i) {
+            slot |= bit(a, i) << i;
+        }
+        for (unsigned j = 0; j < k; ++j) {
+            const unsigned target = k <= n ? n - k + j : j % n;
+            slot ^= bit(history, j) << target;
+        }
+        break;
+      case Index::Gselect: {
+        const unsigned used = k < n ? k : n;
+        for (unsigned i = 0; i < n - used; ++i) {
+            slot |= bit(a, i) << i;
+        }
+        for (unsigned j = 0; j < used; ++j) {
+            slot |= bit(history, j) << (n - used + j);
+        }
+        break;
+      }
+    }
+    return slot;
+}
+
+/**
  * One tag-less table of 2^n w-bit saturating counters, all
  * starting at 0 (strongly not-taken), under one index function.
  */
@@ -67,35 +107,7 @@ class SingleTable
     std::size_t
     slot(std::uint64_t pc) const
     {
-        const std::uint64_t a = pc >> 2;
-        std::uint64_t index = 0;
-        switch (index_) {
-          case Index::Bimodal:
-            for (unsigned i = 0; i < n; ++i) {
-                index |= bit(a, i) << i;
-            }
-            break;
-          case Index::Gshare:
-            for (unsigned i = 0; i < n; ++i) {
-                index |= bit(a, i) << i;
-            }
-            for (unsigned j = 0; j < k; ++j) {
-                const unsigned target = k <= n ? n - k + j : j % n;
-                index ^= bit(history, j) << target;
-            }
-            break;
-          case Index::Gselect: {
-            const unsigned used = k < n ? k : n;
-            for (unsigned i = 0; i < n - used; ++i) {
-                index |= bit(a, i) << i;
-            }
-            for (unsigned j = 0; j < used; ++j) {
-                index |= bit(history, j) << (n - used + j);
-            }
-            break;
-          }
-        }
-        return std::size_t(index);
+        return std::size_t(tableSlot(index_, pc, history, n, k));
     }
 
     /** Predict: a counter in its upper half says taken. */

@@ -73,5 +73,29 @@ TEST(TaggedDmTable, PingPongConflictPattern)
     EXPECT_EQ(misses, 100);
 }
 
+TEST(TaggedDmTable, AllOnesKeyIsAnOrdinaryIdentity)
+{
+    // The all-ones identity occurs in real traces (a PC at or above
+    // 2^62 with at least two history bits); an entry must tell it
+    // apart from never having been referenced.
+    const u64 ones = ~u64(0);
+    using Outcome = TaggedDirectMappedTable::Outcome;
+    TaggedDirectMappedTable table(3);
+    EXPECT_EQ(table.probe(2, ones), Outcome::Cold);
+    EXPECT_EQ(table.probe(2, ones), Outcome::Hit);
+    EXPECT_EQ(table.probe(2, 9), Outcome::Conflict);
+    EXPECT_EQ(table.probe(2, ones), Outcome::Conflict);
+    EXPECT_EQ(table.probe(5, 9), Outcome::Cold);
+    EXPECT_EQ(table.probe(5, ones), Outcome::Conflict);
+    EXPECT_EQ(table.probe(5, ones), Outcome::Hit);
+    EXPECT_EQ(table.probe(6, 9), Outcome::Cold);
+    EXPECT_EQ(table.aliasing().events(), 6u);
+    EXPECT_EQ(table.aliasing().total(), 8u);
+
+    table.reset();
+    EXPECT_EQ(table.probe(2, ones), Outcome::Cold);
+    EXPECT_EQ(table.probe(5, 9), Outcome::Cold);
+}
+
 } // namespace
 } // namespace bpred
