@@ -89,7 +89,8 @@ expectMatchesOracle(const Trace &trace,
     ASSERT_EQ(results.size(), functions.size());
     std::string mix;
     for (const IndexFunction &function : functions) {
-        mix += " " + function.name();
+        mix += ' ';
+        mix += function.name();
     }
     for (std::size_t i = 0; i < functions.size(); ++i) {
         const ThreeCsResult &result = results[i];
@@ -132,30 +133,37 @@ TEST(AliasingReference, FigureGridsMatchOracleOnEveryPreset)
 }
 
 /**
- * Sites spread over 2^16 words (so every table size aliases), biased
- * and history-correlated branches, and unconditionals feeding the
- * history.
+ * Four loops of a few branches each, sites spread over 2^16 words,
+ * entered in random order with a little outcome noise: (address,
+ * history) pairs recur at every history length, so every table size
+ * sees hits, conflicts and capacity misses.
  */
 Trace
 mixTrace()
 {
     Trace trace("oracle-mix");
     Rng rng(21);
-    std::vector<Addr> sites(600);
-    for (Addr &site : sites) {
-        site = 0x10000 + 4 * rng.uniformInt(1u << 16);
-    }
-    bool last = false;
-    for (int i = 0; i < 6000; ++i) {
-        const Addr pc = sites[rng.uniformInt(u32(sites.size()))];
-        if (rng.chance(0.1)) {
-            trace.appendUnconditional(pc + 4);
-            continue;
+    std::vector<std::vector<Addr>> loops(4);
+    for (std::vector<Addr> &body : loops) {
+        body.resize(3 + rng.uniformInt(6));
+        for (Addr &site : body) {
+            site = 0x10000 + 4 * rng.uniformInt(1u << 16);
         }
-        const bool taken =
-            (pc >> 2) % 3 == 0 ? !last : rng.chance(0.8);
-        trace.appendConditional(pc, taken);
-        last = taken;
+    }
+    while (trace.size() < 8000) {
+        const std::vector<Addr> &body = loops[rng.uniformInt(4)];
+        const u64 trips = 2 + rng.uniformInt(4);
+        for (u64 trip = 0; trip < trips; ++trip) {
+            for (std::size_t s = 0; s < body.size(); ++s) {
+                if (s % 4 == 3) {
+                    trace.appendUnconditional(body[s]);
+                    continue;
+                }
+                trace.appendConditional(body[s],
+                                        (s % 2 == 0) != rng.chance(0.05));
+            }
+            trace.appendConditional(body.front() + 8, trip + 1 < trips);
+        }
     }
     return trace;
 }

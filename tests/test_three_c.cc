@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "aliasing/three_c.hh"
+#include "core/skew.hh"
 #include "model/distance_profile.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
@@ -186,14 +187,35 @@ TEST(IndexFunctionNames, Readable)
 
 TEST(IndexFunctionCall, MatchesUnderlyingFunctions)
 {
-    IndexFunction gshare{IndexKind::GShare, 10, 6};
-    IndexFunction address{IndexKind::Address, 10, 0};
+    // The resolved recipe against the predictors' own index
+    // functions, at every index width the tagged tables take and
+    // histories shorter than, equal to and (folded) longer than it.
     Rng rng(17);
-    for (int i = 0; i < 200; ++i) {
-        const Addr pc = rng.next();
-        const History h = rng.next();
-        EXPECT_LT(gshare(pc, h), 1u << 10);
-        EXPECT_LT(address(pc, h), 1u << 10);
+    for (unsigned n = 1; n <= 28; ++n) {
+        for (unsigned k = 0; k <= 44; ++k) {
+            const IndexFunction gshare{IndexKind::GShare, n, k};
+            const IndexFunction gselect{IndexKind::GSelect, n, k};
+            const IndexFunction address{IndexKind::Address, n, k};
+            for (int i = 0; i < 20; ++i) {
+                const Addr pc = rng.next();
+                const History h = rng.next();
+                ASSERT_EQ(gshare(pc, h), u64(gshareIndex(pc, h, k, n)))
+                    << gshare.name();
+                ASSERT_EQ(gselect(pc, h), u64(gselectIndex(pc, h, k, n)))
+                    << gselect.name();
+                ASSERT_EQ(address(pc, h), u64(addressIndex(pc, n)))
+                    << address.name();
+                const u64 v = packInfoVector(pc, h, k);
+                for (unsigned bank = 0; bank < 3; ++bank) {
+                    const IndexFunction skew{
+                        static_cast<IndexKind>(
+                            static_cast<unsigned>(IndexKind::Skew0) + bank),
+                        n, k};
+                    ASSERT_EQ(skew(pc, h), u64(skewIndex(bank, v, n)))
+                        << skew.name();
+                }
+            }
+        }
     }
 }
 
