@@ -11,6 +11,9 @@
 
 #include "bench_common.hh"
 
+#include <map>
+#include <string>
+
 #include "sim/parallel.hh"
 
 int
@@ -50,6 +53,7 @@ main(int argc, char **argv)
     }());
 
     std::size_t cell = 0;
+    std::map<std::string, double> mean;
     for (const std::string &spec : specs) {
         table.row().cell(spec);
         double sum = 0.0;
@@ -58,14 +62,24 @@ main(int argc, char **argv)
             table.percentCell(pct);
             sum += pct;
         }
-        table.percentCell(sum /
-                          static_cast<double>(suite().size()));
+        mean[spec] = sum / static_cast<double>(suite().size());
+        table.percentCell(mean[spec]);
     }
     emitTable("summary", table);
 
+    // The paper's claim at this budget (§6, Figure 12): a 3x4K
+    // e-gskew is level with a 32K-entry gshare, so it is no worse
+    // than the 16K-entry gshare here while using 24 of its 32 Kbit.
+    const double egskew = mean.at("egskew:12:10");
+    const double gshare = mean.at("gshare:14:10");
     expectation(
-        "gshare < gselect (McFarling), both < bimodal < static; "
-        "the skewed organizations sit at the top of the field at "
-        "equal or lower storage.");
+        "3x4K e-gskew performs like a 32K-entry gshare (paper §6), so "
+        "egskew:12:10 (24 Kbit) mispredicts no more than gshare:14:10 "
+        "(32 Kbit) on the suite mean: " +
+        std::string(egskew <= gshare ? "holds" : "FAILS") + " (" +
+        formatDouble(egskew) + "% vs " + formatDouble(gshare) +
+        "%). The order of the rest of the field (gshare < gselect < "
+        "bimodal < static) is McFarling's, not the paper's, and is "
+        "not checked.");
     return finish();
 }

@@ -12,6 +12,7 @@
 
 #include <string>
 
+#include "core/skew.hh"
 #include "predictors/info_vector.hh"
 #include "support/types.hh"
 
@@ -30,6 +31,47 @@ enum class IndexKind
 };
 
 /**
+ * An index function resolved once for a loop that indexes with it
+ * many times, so no per-reference dispatch on its kind remains.
+ *
+ * gshare, gselect and the address index are one branch-free recipe,
+ * ((pc >> 2) & addrMask) ^ (fold(history & histMask) << shift), where
+ * fold XORs foldRounds n-bit fields of the history together. gselect
+ * fits because its concatenation is an XOR of disjoint fields. The
+ * skew kinds go through skewIndex() on the information vector.
+ */
+struct ResolvedIndex
+{
+    u64 addrMask = 0;
+    u64 histMask = 0;
+    /** mask(n) for the n-bit index. */
+    u64 indexMask = 0;
+    unsigned indexBits = 0;
+    unsigned historyBits = 0;
+    unsigned shift = 0;
+    unsigned foldRounds = 1;
+    /** Bank of skewIndex() for the skew kinds, or -1. */
+    int skewBank = -1;
+
+    /** The table index for (@p pc, @p history). */
+    u64
+    operator()(Addr pc, History history) const
+    {
+        if (skewBank >= 0) {
+            return skewIndex(static_cast<unsigned>(skewBank),
+                             packInfoVector(pc, history, historyBits),
+                             indexBits);
+        }
+        const u64 h = history & histMask;
+        u64 folded = 0;
+        for (unsigned r = 0; r < foldRounds; ++r) {
+            folded ^= (h >> (r * indexBits)) & indexMask;
+        }
+        return ((pc >> 2) & addrMask) ^ (folded << shift);
+    }
+};
+
+/**
  * A concrete index function: a hashing family plus the index width
  * and history length it is instantiated with.
  */
@@ -43,29 +85,18 @@ struct IndexFunction
     /** Global-history length fed to the function. */
     unsigned historyBits = 4;
 
+    /** This function with its kind resolved (see ResolvedIndex). */
+    ResolvedIndex resolve() const;
+
     /** Compute the table index for (@p pc, @p history). */
     u64
     operator()(Addr pc, History history) const
     {
-        switch (kind) {
-          case IndexKind::GShare:
-            return gshareIndex(pc, history, historyBits, indexBits);
-          case IndexKind::GSelect:
-            return gselectIndex(pc, history, historyBits, indexBits);
-          case IndexKind::Address:
-            return addressIndex(pc, indexBits);
-          default:
-            return skewed(pc, history);
-        }
+        return resolve()(pc, history);
     }
 
     /** Human-readable name, e.g. "gshare/10/h4". */
     std::string name() const;
-
-  private:
-    /** The skew kinds: one bank of the skewing functions. */
-    u64 skewed(Addr pc, History history) const;
 };
 
 } // namespace bpred
-

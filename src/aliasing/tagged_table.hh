@@ -41,15 +41,33 @@ class TaggedDirectMappedTable
 
     /**
      * Reference entry @p index with identity @p key; the entry then
-     * holds @p key.
+     * holds @p key. Keeps no statistics, so a caller tallying many
+     * references can keep the count itself.
      *
      * @return true when this reference aliased (miss): the entry was
      *         empty or held a different identity.
      */
     bool
+    reference(u64 index, u64 key)
+    {
+        BP_DCHECK(index < tags.size(), "tagged-table index out of range");
+        if (key == emptyTag) [[unlikely]] {
+            return referenceEmptyTag(index);
+        }
+        // An empty entry reads emptyTag, which differs from key, so
+        // one compare covers both kinds of miss without a branch.
+        const bool miss = tags[index] != key;
+        tags[index] = key;
+        return miss;
+    }
+
+    /** As reference(), also counted in aliasing(). */
+    bool
     access(u64 index, u64 key)
     {
-        return probe(index, key) != Outcome::Hit;
+        const bool miss = reference(index, key);
+        aliasStat.sample(miss);
+        return miss;
     }
 
     /**
@@ -60,16 +78,11 @@ class TaggedDirectMappedTable
     probe(u64 index, u64 key)
     {
         BP_DCHECK(index < tags.size(), "tagged-table index out of range");
-        Outcome outcome = Outcome::Hit;
-        if (!valid[index]) {
-            outcome = Outcome::Cold;
-        } else if (tags[index] != key) {
-            outcome = Outcome::Conflict;
+        const bool cold = tags[index] == emptyTag && !listed(index);
+        if (!access(index, key)) {
+            return Outcome::Hit;
         }
-        tags[index] = key;
-        valid[index] = 1;
-        aliasStat.sample(outcome != Outcome::Hit);
-        return outcome;
+        return cold ? Outcome::Cold : Outcome::Conflict;
     }
 
     /** Number of entries. */
@@ -82,9 +95,28 @@ class TaggedDirectMappedTable
     void reset();
 
   private:
+    /**
+     * Marks an entry no reference has touched. It is also a valid
+     * identity (a PC at or above 2^62 with at least two history
+     * bits), so entries that really hold it are listed apart.
+     */
+    static constexpr u64 emptyTag = ~u64(0);
+
+    /** reference() for the identity equal to emptyTag. */
+    bool referenceEmptyTag(u64 index);
+
+    /** Whether @p index is in emptyTagHolders. */
+    bool listed(u64 index) const;
+
+    /** One identity per entry; emptyTag until first referenced. */
     std::vector<u64> tags;
-    /** One byte per entry: nonzero once the entry was referenced. */
-    std::vector<u8> valid;
+
+    /**
+     * Entries the emptyTag identity was written to. One is still
+     * held while its tag reads emptyTag, since no other reference
+     * writes that tag and entries never empty again.
+     */
+    std::vector<u64> emptyTagHolders;
     RatioStat aliasStat;
     unsigned indexBits;
 };

@@ -35,10 +35,19 @@ measureThreeCsMulti(const Trace &trace,
         fa_entries = u64(1) << functions.front().indexBits;
     }
 
-    std::vector<TaggedDirectMappedTable> dm_tables;
+    // Each function's kind is resolved here, once; each tagged
+    // table's misses are tallied beside it without a branch.
+    struct DirectMapped
+    {
+        ResolvedIndex index;
+        TaggedDirectMappedTable table;
+        u64 misses = 0;
+    };
+    std::vector<DirectMapped> dm_tables;
     dm_tables.reserve(functions.size());
     for (const IndexFunction &function : functions) {
-        dm_tables.emplace_back(function.indexBits);
+        dm_tables.push_back(
+            {function.resolve(), TaggedDirectMappedTable(function.indexBits)});
     }
 
     FullyAssociativeLruTable fa_table(fa_entries);
@@ -56,9 +65,9 @@ measureThreeCsMulti(const Trace &trace,
         const u64 key =
             packInfoVector(record.pc, history.raw(), history_bits);
 
-        for (std::size_t i = 0; i < functions.size(); ++i) {
-            const u64 index = functions[i](record.pc, history.raw());
-            dm_tables[i].access(index, key);
+        for (DirectMapped &dm : dm_tables) {
+            dm.misses += dm.table.reference(
+                dm.index(record.pc, history.raw()), key);
         }
         // A first reference always misses the FA table, so only
         // its misses need the first-reference set.
@@ -70,17 +79,19 @@ measureThreeCsMulti(const Trace &trace,
 
     std::vector<ThreeCsResult> results;
     results.reserve(functions.size());
-    const double compulsory_ratio = dynamic_branches == 0
-        ? 0.0
-        : static_cast<double>(compulsory) /
-            static_cast<double>(dynamic_branches);
+    const auto ratio = [dynamic_branches](u64 events) {
+        return dynamic_branches == 0
+            ? 0.0
+            : static_cast<double>(events) /
+                static_cast<double>(dynamic_branches);
+    };
     for (std::size_t i = 0; i < functions.size(); ++i) {
         ThreeCsResult result;
         result.function = functions[i];
         result.dynamicBranches = dynamic_branches;
-        result.totalAliasing = dm_tables[i].aliasing().ratio();
+        result.totalAliasing = ratio(dm_tables[i].misses);
         result.faMissRatio = fa_table.missStat().ratio();
-        result.compulsory = compulsory_ratio;
+        result.compulsory = ratio(compulsory);
         results.push_back(result);
     }
     return results;

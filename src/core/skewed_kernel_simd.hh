@@ -161,39 +161,26 @@ fillSkewIndexGroupAvx2(const u64 *pc, const u64 *history,
 #endif // BPRED_HAVE_AVX2
 
 /**
- * Mode dispatch for fillSkewIndexGroupAvx2(); the scalar fallback is
- * the per-record skewIndex()/addressIndex() reference, bit-identical
- * to the vector kernel.
+ * fillSkewIndexGroupAvx2() where it is built. Callers reach it only
+ * after resolveSimdMode() returned SimdMode::Avx2, which a build
+ * without AVX2 never does.
  */
 inline void
-fillSkewIndexGroup(SimdMode mode, const u64 *pc, const u64 *history,
-                   std::size_t n_records, unsigned history_bits,
-                   unsigned index_bits, unsigned num_banks,
-                   u32 *const *outs, u32 *address_out)
+fillSkewIndexGroup([[maybe_unused]] const u64 *pc,
+                   [[maybe_unused]] const u64 *history,
+                   [[maybe_unused]] std::size_t n_records,
+                   [[maybe_unused]] unsigned history_bits,
+                   [[maybe_unused]] unsigned index_bits,
+                   [[maybe_unused]] unsigned num_banks,
+                   [[maybe_unused]] u32 *const *outs,
+                   [[maybe_unused]] u32 *address_out)
 {
 #if BPRED_HAVE_AVX2
-    if (mode == SimdMode::Avx2) {
-        fillSkewIndexGroupAvx2(pc, history, n_records, history_bits,
-                               index_bits, num_banks, outs,
-                               address_out);
-        return;
-    }
+    fillSkewIndexGroupAvx2(pc, history, n_records, history_bits,
+                           index_bits, num_banks, outs, address_out);
+#else
+    panic("fillSkewIndexGroup: built without AVX2");
 #endif
-    static_cast<void>(mode);
-    for (std::size_t i = 0; i < n_records; ++i) {
-        const u64 vector =
-            packInfoVector(pc[i], history[i], history_bits);
-        for (unsigned bank = 0; bank < num_banks; ++bank) {
-            if (outs[bank]) {
-                outs[bank][i] = static_cast<u32>(
-                    u64(skewIndex(bank, vector, index_bits)));
-            }
-        }
-        if (address_out) {
-            address_out[i] = static_cast<u32>(
-                u64(addressIndex(pc[i], index_bits)));
-        }
-    }
 }
 
 } // namespace bpred

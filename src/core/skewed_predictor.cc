@@ -275,8 +275,7 @@ SkewedPredictor::replayBlock(const BranchRecord *records,
                     const u64 *hists = scratch->history.data();
                     if (identical) {
                         // Pure replication: one shared index set.
-                        fillTableIndices(SimdMode::Avx2,
-                                         TableIndex::Xor, pcs, hists,
+                        fillTableIndices(TableIndex::Xor, pcs, hists,
                                          conditionals,
                                          config.historyBits,
                                          config.bankIndexBits,
@@ -294,7 +293,7 @@ SkewedPredictor::replayBlock(const BranchRecord *records,
                                 : scratch->indices[bank].data();
                         }
                         fillSkewIndexGroup(
-                            SimdMode::Avx2, pcs, hists, conditionals,
+                            pcs, hists, conditionals,
                             config.historyBits, config.bankIndexBits,
                             NumBanks, outs,
                             config.enhanced

@@ -1,10 +1,11 @@
 #include "model/extrapolation.hh"
 
+#include <vector>
+
 #include "aliasing/stack_distance.hh"
 #include "model/formulas.hh"
 #include "predictors/history.hh"
 #include "predictors/info_vector.hh"
-#include "predictors/unaliased.hh"
 #include "support/site_table.hh"
 
 namespace bpred
@@ -13,49 +14,56 @@ namespace bpred
 TraceModelInputs
 measureModelInputs(const Trace &trace, unsigned history_bits)
 {
-    // Per-substream taken/total counts for the bias density, and an
-    // unaliased 1-bit predictor for the baseline rate, in one pass.
-    struct PairCounts
+    // One entry per substream serves both inputs: its taken/total
+    // counts give the bias density, and its last outcome is what an
+    // unaliased 1-bit counter predicts. A cold reference is not
+    // charged as a misprediction (Table 2's convention).
+    struct Substream
     {
         u64 taken = 0;
         u64 total = 0;
+        bool last = false;
     };
-    FlatTable<PairCounts> pairs;
-    UnaliasedPredictor unaliased(history_bits, 1);
+    FlatTable<Substream> substreams;
     GlobalHistory history;
     u64 dynamic_branches = 0;
+    u64 warm = 0;
+    u64 warm_mispredicts = 0;
 
     for (const BranchRecord &record : trace) {
         if (!record.conditional) {
             history.shiftIn(true);
-            unaliased.notifyUnconditional(record.pc);
             continue;
         }
         ++dynamic_branches;
         const u64 key =
             packInfoVector(record.pc, history.raw(), history_bits);
-        PairCounts &counts = pairs.at(key);
-        ++counts.total;
-        if (record.taken) {
-            ++counts.taken;
-        }
-        unaliased.predict(record.pc);
-        unaliased.update(record.pc, record.taken);
+        Substream &substream = substreams.at(key);
+        const u64 warm_reference = substream.total == 0 ? 0 : 1;
+        warm += warm_reference;
+        warm_mispredicts +=
+            warm_reference & u64(substream.last != record.taken);
+        ++substream.total;
+        substream.taken += record.taken ? 1 : 0;
+        substream.last = record.taken;
         history.shiftIn(record.taken);
     }
 
     u64 biased_taken = 0;
-    pairs.forEach([&](u64, const PairCounts &counts) {
-        biased_taken += 2 * counts.taken >= counts.total ? 1 : 0;
+    substreams.forEach([&](u64, const Substream &substream) {
+        biased_taken += 2 * substream.taken >= substream.total ? 1 : 0;
     });
 
     TraceModelInputs inputs;
-    inputs.biasTaken = pairs.empty()
+    inputs.biasTaken = substreams.empty()
         ? 0.5
         : static_cast<double>(biased_taken) /
-            static_cast<double>(pairs.size());
-    inputs.unaliasedMispredict = unaliased.mispredictionRatio();
-    inputs.numSubstreams = pairs.size();
+            static_cast<double>(substreams.size());
+    inputs.unaliasedMispredict = warm == 0
+        ? 0.0
+        : static_cast<double>(warm_mispredicts) /
+            static_cast<double>(warm);
+    inputs.numSubstreams = substreams.size();
     inputs.dynamicBranches = dynamic_branches;
     return inputs;
 }
@@ -68,6 +76,29 @@ extrapolateMispredictions(const Trace &trace, unsigned history_bits,
     StackDistanceTracker distances;
     GlobalHistory history;
     const double b = inputs.biasTaken;
+
+    // The three per-reference terms depend only on the distance, so
+    // each distance's are computed once, on first use. A distance is
+    // below the number of distinct keys, which bounds the memo.
+    struct Terms
+    {
+        double skew = 0.0;
+        double dm = 0.0;
+        double pBank = 0.0;
+        bool filled = false;
+    };
+    const auto termsAt = [&](u64 distance) {
+        Terms terms;
+        terms.pBank = aliasingProbability(bank_entries, distance);
+        terms.skew = destructiveProbabilitySkewed3(terms.pBank, b);
+        terms.dm = destructiveProbabilityDirectMapped(
+            aliasingProbability(dm_entries, distance), b);
+        terms.filled = true;
+        return terms;
+    };
+    const Terms first_reference =
+        termsAt(StackDistanceTracker::infiniteDistance);
+    std::vector<Terms> memo;
 
     double skew_overhead = 0.0;
     double dm_overhead = 0.0;
@@ -84,11 +115,20 @@ extrapolateMispredictions(const Trace &trace, unsigned history_bits,
             packInfoVector(record.pc, history.raw(), history_bits);
         const u64 distance = distances.reference(key);
 
-        const double p_bank = aliasingProbability(bank_entries, distance);
-        const double p_dm = aliasingProbability(dm_entries, distance);
-        skew_overhead += destructiveProbabilitySkewed3(p_bank, b);
-        dm_overhead += destructiveProbabilityDirectMapped(p_dm, b);
-        p_sum += p_bank;
+        const Terms *terms = &first_reference;
+        if (distance != StackDistanceTracker::infiniteDistance) {
+            if (distance >= memo.size()) {
+                memo.resize(distances.distinctKeys());
+            }
+            Terms &slot = memo[distance];
+            if (!slot.filled) {
+                slot = termsAt(distance);
+            }
+            terms = &slot;
+        }
+        skew_overhead += terms->skew;
+        dm_overhead += terms->dm;
+        p_sum += terms->pBank;
 
         history.shiftIn(record.taken);
     }

@@ -16,8 +16,8 @@
  *     speculation is exact, not a guess.
  *  1. Index fill — the per-record table indices for the whole block
  *     are materialized with AVX2 kernels (four 64-bit lanes per
- *     step) or their bit-identical scalar fallbacks, which also
- *     handle the non-multiple-of-4 tail.
+ *     step), each finishing the non-multiple-of-4 tail with the
+ *     scalar index function.
  *  2. Prefetch — before each ~64-record sub-batch resolves, the
  *     next sub-batch's counter lines are requested with
  *     __builtin_prefetch, hiding table-lookup latency behind the
@@ -369,37 +369,36 @@ fillGselectIndicesAvx2(const u64 *pc, const u64 *history,
 
 /**
  * Phase 1 for one table-index function (a single table, or the
- * gskewed `identical` ablation's shared gshare index): @p mode
- * selects @p index's AVX2 kernel or the bit-identical scalar
- * fallback over tableIndex().
+ * gskewed `identical` ablation's shared gshare index): @p index's
+ * AVX2 kernel. Callers reach it only after resolveSimdMode()
+ * returned SimdMode::Avx2, which a build without AVX2 never does.
  */
 inline void
-fillTableIndices(SimdMode mode, TableIndex index, const u64 *pc,
-                 const u64 *history, std::size_t n,
-                 unsigned history_bits, unsigned index_bits, u32 *out)
+fillTableIndices([[maybe_unused]] TableIndex index,
+                 [[maybe_unused]] const u64 *pc,
+                 [[maybe_unused]] const u64 *history,
+                 [[maybe_unused]] std::size_t n,
+                 [[maybe_unused]] unsigned history_bits,
+                 [[maybe_unused]] unsigned index_bits,
+                 [[maybe_unused]] u32 *out)
 {
 #if BPRED_HAVE_AVX2
-    if (mode == SimdMode::Avx2) {
-        switch (index) {
-          case TableIndex::Address:
-            fillAddressIndicesAvx2(pc, n, index_bits, out);
-            return;
-          case TableIndex::Xor:
-            fillGshareIndicesAvx2(pc, history, n, history_bits,
-                                  index_bits, out);
-            return;
-          case TableIndex::Concat:
-            fillGselectIndicesAvx2(pc, history, n, history_bits,
-                                   index_bits, out);
-            return;
-        }
+    switch (index) {
+      case TableIndex::Address:
+        fillAddressIndicesAvx2(pc, n, index_bits, out);
+        return;
+      case TableIndex::Xor:
+        fillGshareIndicesAvx2(pc, history, n, history_bits, index_bits,
+                              out);
+        return;
+      case TableIndex::Concat:
+        fillGselectIndicesAvx2(pc, history, n, history_bits,
+                               index_bits, out);
+        return;
     }
+#else
+    panic("fillTableIndices: built without AVX2");
 #endif
-    static_cast<void>(mode);
-    for (std::size_t i = 0; i < n; ++i) {
-        out[i] = static_cast<u32>(tableIndex(index, pc[i], history[i],
-                                             history_bits, index_bits));
-    }
 }
 
 /**

@@ -151,9 +151,8 @@ SingleTablePredictor::replayBlock(const BranchRecord *records,
                 const u64 *pcs = scratch->pc.data();
                 const u64 *hists = scratch->history.data();
                 u32 *out = scratch->indices[0].data();
-                fillTableIndices(SimdMode::Avx2, Index, pcs, hists,
-                                 conditionals, historyBits_, indexBits,
-                                 out);
+                fillTableIndices(Index, pcs, hists, conditionals,
+                                 historyBits_, indexBits, out);
                 const u32 *const idx[1] = {out};
                 resolveBankGroup(
                     table.view(), idx, scratch->taken.data(),
