@@ -21,6 +21,7 @@ findConflictHotspots(const Trace &trace, const IndexFunction &function,
         std::unordered_map<u64, u64> users;
     };
 
+    const ResolvedIndex index_of = function.resolve();
     std::unordered_map<u64, EntryState> entries;
     GlobalHistory history;
 
@@ -31,7 +32,7 @@ findConflictHotspots(const Trace &trace, const IndexFunction &function,
         }
         const u64 key = packInfoVector(record.pc, history.raw(),
                                        function.historyBits);
-        const u64 index = function(record.pc, history.raw());
+        const u64 index = index_of(record.pc, history.raw());
         EntryState &entry = entries[index];
         if (entry.valid && entry.lastKey != key) {
             ++entry.conflicts;

@@ -30,6 +30,7 @@ InterferenceResult
 classifyInterference(const Trace &trace, const IndexFunction &function,
                      unsigned counter_bits)
 {
+    const ResolvedIndex index_of = function.resolve();
     SatCounterArray table(u64(1) << function.indexBits, counter_bits);
     TaggedDirectMappedTable shadow(function.indexBits);
     FlatTable<SatCounter> twins;
@@ -46,7 +47,7 @@ classifyInterference(const Trace &trace, const IndexFunction &function,
 
         const u64 key =
             packInfoVector(record.pc, history.raw(), function.historyBits);
-        const u64 index = function(record.pc, history.raw());
+        const u64 index = index_of(record.pc, history.raw());
 
         const bool real_prediction = table.predictTaken(index);
         auto [twin, is_new] = twins.tryEmplace(key);

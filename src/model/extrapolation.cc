@@ -39,10 +39,10 @@ measureModelInputs(const Trace &trace, unsigned history_bits)
         const u64 key =
             packInfoVector(record.pc, history.raw(), history_bits);
         Substream &substream = substreams.at(key);
-        const u64 warm_reference = substream.total == 0 ? 0 : 1;
-        warm += warm_reference;
+        const bool warm_reference = substream.total != 0;
+        warm += warm_reference ? 1 : 0;
         warm_mispredicts +=
-            warm_reference & u64(substream.last != record.taken);
+            warm_reference && substream.last != record.taken ? 1 : 0;
         ++substream.total;
         substream.taken += record.taken ? 1 : 0;
         substream.last = record.taken;
