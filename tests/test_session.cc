@@ -13,11 +13,13 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <unistd.h>
 #include <utility>
 #include <vector>
 
+#include "predictors/block_kernel_simd.hh"
 #include "predictors/gshare.hh"
 #include "serve/tenant_cache.hh"
 #include "sim/driver.hh"
@@ -761,6 +763,243 @@ TEST(GangSession, LifecycleMisuseFatals)
     EXPECT_EQ(gang.memberError(index), nullptr);
     EXPECT_THROW(gang.feed(trace), FatalError);
     EXPECT_THROW(simulateGang({nullptr}, trace), FatalError);
+}
+
+
+/*
+ * A gang stages each block's conditional branches once and lets
+ * every member whose replay starts from the same history reuse them.
+ * The cases below feed gangs the shapes that could make a stale or
+ * foreign staging look valid, and require every member to match its
+ * solo simulateWithOptions() run exactly.
+ */
+
+/**
+ * A trace of @p blocks blocks of @p block_records records each whose
+ * last 80 records are all taken, so every block after the first is
+ * entered with the all-ones history.
+ */
+Trace
+allTakenTailTrace(u64 seed, std::size_t blocks,
+                  std::size_t block_records)
+{
+    Trace trace("tails");
+    Rng rng(seed);
+    for (std::size_t b = 0; b < blocks; ++b) {
+        for (std::size_t i = 0; i < block_records; ++i) {
+            const Addr pc = 0x4000 + 4 * rng.uniformInt(700);
+            if (i + 80 >= block_records) {
+                if (i % 5 == 0) {
+                    trace.appendUnconditional(pc + 0x40000);
+                } else {
+                    trace.appendConditional(pc, true);
+                }
+            } else if (rng.chance(0.15)) {
+                trace.appendUnconditional(pc + 0x40000);
+            } else {
+                trace.appendConditional(pc, (pc >> 2) % 5 == 0
+                                                ? rng.chance(0.9)
+                                                : rng.chance(0.4));
+            }
+        }
+    }
+    return trace;
+}
+
+/** The result of each spec run alone over @p trace. */
+std::vector<SimResult>
+soloResults(const std::vector<std::string> &specs, const Trace &trace,
+            const SimOptions &options)
+{
+    std::vector<SimResult> results;
+    for (const std::string &spec : specs) {
+        auto predictor = makePredictor(spec);
+        results.push_back(
+            simulateWithOptions(*predictor, trace, options));
+    }
+    return results;
+}
+
+TEST(GangSession, ReusedFeedBufferNeverServesAStaleBlock)
+{
+    // The corpus runner's shape: one buffer refilled with the next
+    // equal-sized block of the trace before each feed. Buffer
+    // address, record count and (after an all-taken tail) the
+    // all-ones entry history repeat from block to block; only the
+    // records differ.
+    constexpr std::size_t block = 4096;
+    const Trace trace = allTakenTailTrace(51, 6, block);
+    const std::vector<std::string> specs = {
+        "gshare:10:8", "gskewed:3:9:8", "egskew:9:8", "gshare:12:12"};
+    SimOptions options;
+    options.topSites = 4;
+    const std::vector<SimResult> want =
+        soloResults(specs, trace, options);
+
+    std::vector<std::unique_ptr<Predictor>> ganged;
+    GangSession gang(block);
+    for (const std::string &spec : specs) {
+        ganged.push_back(makePredictor(spec));
+        gang.add(*ganged.back(), options, trace.name());
+    }
+    std::vector<BranchRecord> buffer(block);
+    for (std::size_t at = 0; at < trace.size(); at += block) {
+        std::copy_n(trace.records().begin() + long(at), block,
+                    buffer.begin());
+        gang.feed(buffer.data(), block);
+    }
+    const std::vector<SimResult> got = gang.finish();
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        SCOPED_TRACE(specs[i]);
+        expectSameResult(want[i], got[i]);
+    }
+}
+
+TEST(GangSession, HeterogeneousMembersMatchTheirSoloRuns)
+{
+    // Members that enter a block with a history of their own (a
+    // bimodal's stays 0, a restored snapshot's is foreign) or that
+    // split blocks into segments (flush, warmup, windows) sit
+    // between members that share every block's staging.
+    const Trace trace = sessionTrace(52, 30000);
+    const Trace training = sessionTrace(53, 5000);
+
+    struct Member
+    {
+        std::string spec;
+        SimOptions options;
+        std::string snapshot;
+    };
+    SimOptions plain;
+    plain.topSites = 4;
+    std::vector<Member> members;
+    members.push_back({"gshare:10:8", plain, ""});
+    members.push_back({"gskewed:3:9:8", plain, ""});
+    members.push_back({"bimodal:10", plain, ""});
+    {
+        auto trained = makePredictor("gskewed:3:9:8");
+        simulate(*trained, training);
+        members.push_back({"gskewed:3:9:8", plain, snapshotOf(*trained)});
+    }
+    SimOptions flushing = plain;
+    flushing.flushInterval = 3000;
+    members.push_back({"gshare:10:8", flushing, ""});
+    SimOptions warming = plain;
+    warming.warmupBranches = 1500;
+    members.push_back({"egskew:9:8", warming, ""});
+    SimOptions windowed = plain;
+    windowed.windowSize = 700;
+    members.push_back({"gshare:10:8", windowed, ""});
+    members.push_back({"hybrid:9:6", plain, ""});
+    members.push_back({"egskew:9:8", plain, ""});
+    members.push_back({"gshare:12:12", plain, ""});
+    members.push_back({"gskewed:5:9:10", plain, ""});
+
+    const auto build = [](const Member &member) {
+        auto predictor = makePredictor(member.spec);
+        if (!member.snapshot.empty()) {
+            loadPredictorState(*predictor, member.snapshot);
+        }
+        return predictor;
+    };
+    std::vector<SimResult> want;
+    for (const Member &member : members) {
+        auto predictor = build(member);
+        want.push_back(
+            simulateWithOptions(*predictor, trace, member.options));
+    }
+
+    std::vector<std::unique_ptr<Predictor>> ganged;
+    GangSession gang;
+    for (const Member &member : members) {
+        ganged.push_back(build(member));
+        gang.add(*ganged.back(), member.options, trace.name());
+    }
+    gang.feed(trace);
+    const std::vector<SimResult> got = gang.finish();
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        SCOPED_TRACE("member " + std::to_string(i) + " " +
+                     members[i].spec);
+        EXPECT_EQ(gang.memberError(i), nullptr);
+        expectSameResult(want[i], got[i]);
+    }
+}
+
+/**
+ * A member that stages its blocks through the phase-split tile walk
+ * like a real scheme, then throws from a tile's resolve partway
+ * through block @p fail_block — after it has staged that block's
+ * first tiles.
+ */
+class FailingTileWalker : public Predictor
+{
+  public:
+    explicit FailingTileWalker(std::size_t fail_block)
+        : failBlock(fail_block)
+    {
+    }
+
+    bool predict(Addr) override { return true; }
+    void update(Addr, bool) override {}
+    std::string name() const override { return "failing-walker"; }
+    u64 storageBits() const override { return 0; }
+    void reset() override { history = 0; }
+
+    void
+    replayBlock(const BranchRecord *records, std::size_t count,
+                ReplayCounters &, ReplayScratch *scratch) override
+    {
+        ASSERT_NE(scratch, nullptr);
+        const bool failing = blocks++ == failBlock;
+        std::size_t tiles = 0;
+        history = replayTiled(
+            records, count, history, *scratch, 1,
+            [&](auto &&...) {
+                if (failing && ++tiles == 3) {
+                    throw std::runtime_error("tile resolve failed");
+                }
+            });
+    }
+
+  private:
+    std::size_t failBlock;
+    std::size_t blocks = 0;
+    u64 history = 0;
+};
+
+TEST(GangSession, MemberFailingMidBlockLeavesMatesExact)
+{
+    // The failing member replays first, so it is the one staging
+    // the shared tiles; it dies after staging three tiles of its
+    // third block, and the members after it must still see exactly
+    // the records of every block.
+    const Trace trace = sessionTrace(54, 40000);
+    const std::vector<std::string> specs = {
+        "gshare:10:8", "gskewed:3:9:8", "egskew:9:8"};
+    SimOptions options;
+    options.topSites = 4;
+    const std::vector<SimResult> want =
+        soloResults(specs, trace, options);
+
+    FailingTileWalker failing(2);
+    std::vector<std::unique_ptr<Predictor>> ganged;
+    GangSession gang;
+    gang.add(failing);
+    for (const std::string &spec : specs) {
+        ganged.push_back(makePredictor(spec));
+        gang.add(*ganged.back(), options, trace.name());
+    }
+    gang.feed(trace);
+    const std::vector<SimResult> got = gang.finish();
+    ASSERT_NE(gang.memberError(0), nullptr);
+    ASSERT_EQ(got.size(), specs.size() + 1);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        SCOPED_TRACE(specs[i]);
+        EXPECT_EQ(gang.memberError(i + 1), nullptr);
+        expectSameResult(want[i], got[i + 1]);
+    }
 }
 
 } // namespace
