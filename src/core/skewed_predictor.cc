@@ -270,9 +270,10 @@ SkewedPredictor::replayBlock(const BranchRecord *records,
                 u64(NumBanks) << config.bankIndexBits);
             const u64 history_out = replayTiled(
                 records, count, history.raw(), *scratch, NumBanks,
-                [&](std::size_t conditionals, u8 *mask) {
-                    const u64 *pcs = scratch->pc.data();
-                    const u64 *hists = scratch->history.data();
+                [&](const ReplayTile &tile, u8 *mask) {
+                    const u64 *pcs = tile.pc;
+                    const u64 *hists = tile.history;
+                    const std::size_t conditionals = tile.conditionals;
                     if (identical) {
                         // Pure replication: one shared index set.
                         fillTableIndices(TableIndex::Xor, pcs, hists,
@@ -307,7 +308,7 @@ SkewedPredictor::replayBlock(const BranchRecord *records,
                             : scratch->indices[bank].data();
                     }
                     resolveBankGroup(
-                        banks.bankView(0), idx, scratch->taken.data(),
+                        banks.bankView(0), idx, tile.taken,
                         conditionals, config.updatePolicy, prefetch,
                         counters, bankWriteCount, mask,
                         [&](unsigned bank, std::size_t j) -> u64 {

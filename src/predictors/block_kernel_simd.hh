@@ -13,7 +13,10 @@
  *     advancing a speculative history from the in-block taken bits.
  *     History is outcome-determined — it advances on record bits,
  *     never on predictions — so within one replayBlock() call the
- *     speculation is exact, not a guess.
+ *     speculation is exact, not a guess. It is also the same for
+ *     every predictor entering the block with the same history, so
+ *     a gang compacts each block once and its members share the
+ *     staged tiles (ReplayScratch::openBlock()).
  *  1. Index fill — the per-record table indices for the whole block
  *     are materialized with AVX2 kernels (four 64-bit lanes per
  *     step), each finishing the non-multiple-of-4 tail with the
@@ -74,16 +77,6 @@ namespace bpred
 constexpr std::size_t simdSubBatch = 64;
 
 /**
- * Records per phase tile: the phases run tile-by-tile inside each
- * replay block so the staging arrays a tile touches (~21 KiB at
- * 1024 records) stay L1-resident between the compact, fill and
- * resolve passes instead of making L2 round trips per phase.
- * History threads through tile boundaries, so tiling is invisible
- * to results.
- */
-constexpr std::size_t simdTileRecords = 1024;
-
-/**
  * Counter-table footprint (bytes) above which the resolve pass
  * prefetches the next sub-batch's counter lines. Smaller tables are
  * L1-resident under replay, where a per-record prefetch instruction
@@ -113,11 +106,11 @@ simdIndexWidthOk(unsigned index_bits)
 
 /**
  * Phase 0: compact the conditional branches of @p records into the
- * scratch SoA arrays (address, pre-branch history, outcome) with a
- * branchless cursor, advancing the history register exactly as the
- * block kernel would (conditionals shift in their outcome,
- * unconditionals shift in taken). Returns the number of
- * conditionals; the post-block history lands in @p history_out.
+ * SoA arrays @p pc, @p history and @p taken (address, pre-branch
+ * history, outcome) with a branchless cursor, advancing the history
+ * register exactly as the block kernel would (conditionals shift in
+ * their outcome, unconditionals shift in taken). Returns the number
+ * of conditionals; the post-block history lands in @p history_out.
  */
 namespace detail
 {
@@ -152,12 +145,9 @@ stageRecord(const BranchRecord &record, u64 *pc, u64 *history,
 
 inline std::size_t
 compactConditionals(const BranchRecord *records, std::size_t count,
-                    u64 history_in, ReplayScratch &scratch,
+                    u64 history_in, u64 *pc, u64 *history, u8 *taken,
                     u64 *history_out)
 {
-    u64 *pc = scratch.pc.data();
-    u64 *history = scratch.history.data();
-    u8 *taken = scratch.taken.data();
     u64 h = history_in;
     std::size_t cursor = 0;
     std::size_t i = 0;
@@ -183,16 +173,73 @@ compactConditionals(const BranchRecord *records, std::size_t count,
     return cursor;
 }
 
+/** compactConditionals() into staging slot @p slot of @p scratch. */
+inline std::size_t
+compactIntoSlot(const BranchRecord *records, std::size_t count,
+                u64 history_in, ReplayScratch &scratch,
+                std::size_t slot, u64 *history_out)
+{
+    const std::size_t at = slot * simdTileRecords;
+    return compactConditionals(records, count, history_in,
+                               scratch.pc.data() + at,
+                               scratch.history.data() + at,
+                               scratch.taken.data() + at, history_out);
+}
+
+/**
+ * Checked builds: fail on a compaction-memo hit that differs from
+ * compacting the tile afresh. Tile @p tile of the open block was
+ * reused for the @p count records at @p records entered with
+ * history @p history_in; they are compacted again into @p free_slot
+ * and every staged array, the conditional count and the exit
+ * history must match. A mismatch means the memo's key admitted a
+ * walk it should not have — abort, never repair.
+ */
+inline void
+verifyMemoHit([[maybe_unused]] const BranchRecord *records,
+              [[maybe_unused]] std::size_t count,
+              [[maybe_unused]] u64 history_in,
+              [[maybe_unused]] ReplayScratch &scratch,
+              [[maybe_unused]] std::size_t tile,
+              [[maybe_unused]] std::size_t free_slot)
+{
+#if BPRED_CHECKED
+    u64 exit_history = 0;
+    const std::size_t conditionals = compactIntoSlot(
+        records, count, history_in, scratch, free_slot, &exit_history);
+    const ReplayTile fresh = scratch.tile(free_slot, conditionals);
+    const ReplayTile reused =
+        scratch.tile(tile, scratch.memo.conditionals[tile]);
+    if (conditionals != reused.conditionals ||
+        exit_history != scratch.memo.historyOut[tile] ||
+        !std::equal(fresh.pc, fresh.pc + conditionals, reused.pc) ||
+        !std::equal(fresh.history, fresh.history + conditionals,
+                    reused.history) ||
+        !std::equal(fresh.taken, fresh.taken + conditionals,
+                    reused.taken)) {
+        panic("phase-split replay: a reused compaction tile differs "
+              "from compacting its records afresh (compaction memo "
+              "key admitted a foreign walk)");
+    }
+#endif
+}
+
 /**
  * Drive the phase-split passes tile-by-tile over one replay block:
- * compact a tile of records into @p scratch, then hand the tile's
- * conditional count to @p fill_and_resolve (which runs the index
- * fill and resolve phases out of the same scratch), together with
- * the tile's slice of the mispredict mask — null unless the session
- * requested one (see ReplayScratch::recordMispredicts). History
- * threads through the tiles; the post-block value is returned.
- * @p index_sets is the number of per-bank index arrays ensure()d
- * per tile.
+ * stage each tile of records (phase 0), then hand the staged tile
+ * to @p fill_and_resolve (which runs the index fill and resolve
+ * phases, writing indices to the scratch's index arrays), together
+ * with the tile's slice of the mispredict mask — null unless the
+ * session requested one (see ReplayScratch::recordMispredicts).
+ * History threads through the tiles; the post-block value is
+ * returned. @p index_sets is the number of per-bank index arrays
+ * ensured per tile.
+ *
+ * A walk over a whole block a gang has open on @p scratch, entered
+ * with the memo's history, reuses each tile already staged there
+ * and stages the rest in their own slots for the members after it;
+ * every other walk stages each tile afresh in the private slot past
+ * the open block's.
  */
 template <typename FillAndResolve>
 inline u64
@@ -200,15 +247,35 @@ replayTiled(const BranchRecord *records, std::size_t count,
             u64 history_in, ReplayScratch &scratch,
             unsigned index_sets, FillAndResolve &&fill_and_resolve)
 {
+    ReplayScratch::CompactionMemo &memo = scratch.memo;
+    const bool shared =
+        scratch.sharesOpenBlock(records, count, history_in);
+    const std::size_t private_slot = memo.slots;
+    const std::size_t tile_records = std::min(count, simdTileRecords);
+    scratch.ensureStaging(private_slot * simdTileRecords + tile_records);
+    scratch.ensureIndices(tile_records, index_sets);
     u64 h = history_in;
     u8 *mask = mispredictMask(&scratch);
-    for (std::size_t at = 0; at < count; at += simdTileRecords) {
-        const std::size_t n =
-            std::min(simdTileRecords, count - at);
-        scratch.ensure(n, index_sets);
-        const std::size_t conditionals =
-            compactConditionals(records + at, n, h, scratch, &h);
-        fill_and_resolve(conditionals, mask);
+    for (std::size_t tile = 0, at = 0; at < count;
+         ++tile, at += simdTileRecords) {
+        const std::size_t n = std::min(simdTileRecords, count - at);
+        const std::size_t slot = shared ? tile : private_slot;
+        std::size_t conditionals = 0;
+        if (shared && tile < memo.staged) {
+            verifyMemoHit(records + at, n, h, scratch, tile,
+                          private_slot);
+            conditionals = memo.conditionals[tile];
+            h = memo.historyOut[tile];
+        } else {
+            conditionals = compactIntoSlot(records + at, n, h, scratch,
+                                           slot, &h);
+            if (shared) {
+                memo.conditionals[tile] = conditionals;
+                memo.historyOut[tile] = h;
+                memo.staged = tile + 1;
+            }
+        }
+        fill_and_resolve(scratch.tile(slot, conditionals), mask);
         if (mask) {
             mask += conditionals;
         }

@@ -12,7 +12,17 @@
  *
  * Every array is cache-line aligned (support/aligned.hh): the index
  * pass reads them with 256-bit loads, and a 64-byte base plus the
- * block-granular ensure() guarantees those loads never split a line.
+ * tile-slot layout below guarantee those loads never split a line.
+ *
+ * Phase 0 stages a block tile by tile, each tile in a slot of
+ * simdTileRecords entries. A GangSession opens its current block on
+ * the shared scratch (openBlock()) before the members replay it: the
+ * first member walking the whole block stages tile t in slot t and
+ * notes it in the compaction memo, and every later member entering
+ * the block with the same history reuses the staged tiles instead
+ * of compacting the block again. Walks that do not share the memo
+ * stage each tile in the one slot past the open block's — slot 0
+ * when no block is open, as for a lone session or a serving worker.
  *
  * The scratch also carries the optional per-conditional mispredict
  * mask: when the session sets recordMispredicts, every replayBlock()
@@ -27,11 +37,13 @@
 
 #include <array>
 #include <cstddef>
+#include <vector>
 
 #include "support/aligned.hh"
 #include "support/check.hh"
 #include "support/simd.hh"
 #include "support/types.hh"
+#include "trace/branch_record.hh"
 
 namespace bpred
 {
@@ -42,6 +54,39 @@ namespace bpred
  * restated here so predictors/ does not depend on core/).
  */
 constexpr unsigned maxReplayIndexSets = 5;
+
+/**
+ * Records per phase tile: the phases run tile-by-tile inside each
+ * replay block so the staging arrays a tile touches (~21 KiB at
+ * 1024 records) stay L1-resident between the compact, fill and
+ * resolve passes instead of making L2 round trips per phase.
+ * History threads through tile boundaries, so tiling is invisible
+ * to results. Also the size of one staging slot.
+ */
+constexpr std::size_t simdTileRecords = 1024;
+
+/**
+ * Largest block openBlock() shares: its staged tiles take ~17 bytes
+ * per record (~1.1 MiB here). Larger blocks, which only an explicit
+ * block size asks for, are compacted per member.
+ */
+constexpr std::size_t maxSharedBlockRecords = 64 * simdTileRecords;
+
+/** One staged tile: phase 0's output, the index fill's input. */
+struct ReplayTile
+{
+    /** Conditional branch addresses, in trace order. */
+    const u64 *pc;
+
+    /** Pre-branch global history for each conditional. */
+    const u64 *history;
+
+    /** Outcome (1 = taken) for each conditional. */
+    const u8 *taken;
+
+    /** Conditionals in the tile. */
+    std::size_t conditionals;
+};
 
 /**
  * The SoA staging buffers for one block replay, plus the dispatch
@@ -56,13 +101,14 @@ struct ReplayScratch
     /** Requested dispatch mode; kernels resolve Auto per block. */
     SimdMode mode = SimdMode::Auto;
 
-    /** Conditional branch addresses, compacted in trace order. */
+    /** Conditional branch addresses, compacted in trace order,
+     * one simdTileRecords slot per staged tile. */
     AlignedVector<u64> pc;
 
-    /** Pre-branch global history for each conditional. */
+    /** Pre-branch global history for each conditional (as pc). */
     AlignedVector<u64> history;
 
-    /** Outcome (1 = taken) for each conditional. */
+    /** Outcome (1 = taken) for each conditional (as pc). */
     AlignedVector<u8> taken;
 
     /** Per-table precomputed counter indices (one set per bank). */
@@ -96,27 +142,136 @@ struct ReplayScratch
     }
 
     /**
-     * Grow the staging arrays (never shrinking) to hold a block of
-     * @p count records using @p index_sets index arrays.
+     * Phase 0's memo over the open gang block: what the tiles staged
+     * in slots 0..staged-1 were compacted from, and per staged tile
+     * its conditional count and exit history. A walk may reuse a
+     * staged tile only while the block is open and its records,
+     * count and entry history all match — a reused feed buffer
+     * repeats the first two, and often the history, across blocks.
+     */
+    struct CompactionMemo
+    {
+        /** The open block's records; null while none is open. */
+        const BranchRecord *records = nullptr;
+
+        /** Records in the open block. */
+        std::size_t count = 0;
+
+        /** Slots the open block's tiles take (0 while closed). */
+        std::size_t slots = 0;
+
+        /** Set by the first walk over the whole open block. */
+        bool keyed = false;
+
+        /** That walk's entry history. */
+        u64 historyIn = 0;
+
+        /** Tiles staged so far, always a prefix from tile 0. */
+        std::size_t staged = 0;
+
+        /** Per staged tile: conditionals and exit history. */
+        std::vector<std::size_t> conditionals;
+        std::vector<u64> historyOut;
+    };
+
+    CompactionMemo memo;
+
+    /**
+     * Open @p count records at @p records as the block whose tiles
+     * walks over the whole block may share (a no-op past
+     * maxSharedBlockRecords). The records must stay unchanged until
+     * closeBlock().
      */
     void
-    ensure(std::size_t count, unsigned index_sets)
+    openBlock(const BranchRecord *records, std::size_t count)
+    {
+        closeBlock();
+        if (count == 0 || count > maxSharedBlockRecords) {
+            return;
+        }
+        memo.records = records;
+        memo.count = count;
+        memo.slots = (count + simdTileRecords - 1) / simdTileRecords;
+        if (memo.conditionals.size() < memo.slots) {
+            memo.conditionals.resize(memo.slots);
+            memo.historyOut.resize(memo.slots);
+        }
+        // The block's slots plus the private slot past them.
+        ensureStaging((memo.slots + 1) * simdTileRecords);
+    }
+
+    /** Forget the open block: no staged tile is reused after this. */
+    void
+    closeBlock()
+    {
+        memo.records = nullptr;
+        memo.count = 0;
+        memo.slots = 0;
+        memo.keyed = false;
+        memo.staged = 0;
+    }
+
+    /**
+     * True when a walk over @p count records at @p records entered
+     * with @p history_in shares the open block's staged tiles. The
+     * first walk over the whole open block keys the memo with its
+     * entry history; later walks share only under the same one.
+     */
+    bool
+    sharesOpenBlock(const BranchRecord *records, std::size_t count,
+                    u64 history_in)
+    {
+        if (!memo.records || records != memo.records ||
+            count != memo.count) {
+            return false;
+        }
+        if (!memo.keyed) {
+            memo.keyed = true;
+            memo.historyIn = history_in;
+        }
+        return memo.historyIn == history_in;
+    }
+
+    /** The staged tile in @p slot, holding @p conditionals. */
+    ReplayTile
+    tile(std::size_t slot, std::size_t conditionals) const
+    {
+        const std::size_t at = slot * simdTileRecords;
+        return {pc.data() + at, history.data() + at, taken.data() + at,
+                conditionals};
+    }
+
+    /**
+     * Grow the staging arrays (never shrinking) to hold @p count
+     * entries: whole slots, so every slot base stays cache aligned.
+     */
+    void
+    ensureStaging(std::size_t count)
     {
         if (pc.size() < count) {
             pc.resize(count);
             history.resize(count);
             taken.resize(count);
         }
-        for (unsigned set = 0; set < index_sets; ++set) {
-            if (indices[set].size() < count) {
-                indices[set].resize(count);
-            }
-        }
         BP_DCHECK(count == 0 ||
                       (isCacheAligned(pc.data()) &&
                        isCacheAligned(history.data()) &&
                        isCacheAligned(taken.data())),
                   "replay scratch: staging arrays not cache aligned");
+    }
+
+    /**
+     * Grow @p index_sets index arrays (never shrinking) to hold one
+     * tile of @p count records.
+     */
+    void
+    ensureIndices(std::size_t count, unsigned index_sets)
+    {
+        for (unsigned set = 0; set < index_sets; ++set) {
+            if (indices[set].size() < count) {
+                indices[set].resize(count);
+            }
+        }
     }
 };
 

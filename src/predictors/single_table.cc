@@ -147,16 +147,16 @@ SingleTablePredictor::replayBlock(const BranchRecord *records,
         u64 writes = 0; // one per conditional; nothing reports it
         const u64 history_out = replayTiled(
             records, count, history.raw(), *scratch, 1,
-            [&](std::size_t conditionals, u8 *mask) {
-                const u64 *pcs = scratch->pc.data();
-                const u64 *hists = scratch->history.data();
+            [&](const ReplayTile &tile, u8 *mask) {
+                const u64 *pcs = tile.pc;
+                const u64 *hists = tile.history;
                 u32 *out = scratch->indices[0].data();
-                fillTableIndices(Index, pcs, hists, conditionals,
+                fillTableIndices(Index, pcs, hists, tile.conditionals,
                                  historyBits_, indexBits, out);
                 const u32 *const idx[1] = {out};
                 resolveBankGroup(
-                    table.view(), idx, scratch->taken.data(),
-                    conditionals, UpdatePolicy::Total, prefetch,
+                    table.view(), idx, tile.taken, tile.conditionals,
+                    UpdatePolicy::Total, prefetch,
                     counters, writes, mask,
                     [&](unsigned, std::size_t j) {
                         return tableIndex(Index, pcs[j], hists[j],

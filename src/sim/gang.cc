@@ -45,7 +45,14 @@ GangSession::feed(const BranchRecord *records, std::size_t count)
         TRACE_SCOPE("gang", "block", at / blockRecords_,
                     members.size());
         // Every member replays this block while it is cache-hot;
-        // only then does the gang advance to the next block.
+        // only then does the gang advance to the next block. While
+        // the block is open, members entering it with the same
+        // history share its phase-0 compaction; closing it drops
+        // the staged tiles, since the next block may arrive in the
+        // same buffer under the same history.
+        if (members.size() > 1) {
+            sharedScratch.openBlock(records + at, n);
+        }
         for (std::size_t slot = 0; slot < members.size(); ++slot) {
             Member &member = members[slot];
             if (member.error) {
@@ -61,6 +68,7 @@ GangSession::feed(const BranchRecord *records, std::size_t count)
                 member.error = std::current_exception();
             }
         }
+        sharedScratch.closeBlock();
     }
 }
 

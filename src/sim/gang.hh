@@ -124,7 +124,9 @@ class GangSession
      * session (SimSession::useSharedScratch): the gang replays the
      * same block through each member back to back, so the staging
      * arrays stay hot and are allocated once per gang, not once per
-     * cell.
+     * cell. feed() opens each block on it for the member loop, so
+     * the block is compacted once for all members that enter it
+     * with the same history (ReplayScratch::openBlock()).
      */
     ReplayScratch sharedScratch;
 
