@@ -208,10 +208,10 @@ verifyMemoHit([[maybe_unused]] const BranchRecord *records,
     const std::size_t conditionals = compactIntoSlot(
         records, count, history_in, scratch, free_slot, &exit_history);
     const ReplayTile fresh = scratch.tile(free_slot, conditionals);
-    const ReplayTile reused =
-        scratch.tile(tile, scratch.memo.conditionals[tile]);
+    const ReplayScratch::StagedTile &staged = scratch.stagedTiles[tile];
+    const ReplayTile reused = scratch.tile(tile, staged.conditionals);
     if (conditionals != reused.conditionals ||
-        exit_history != scratch.memo.historyOut[tile] ||
+        exit_history != staged.historyOut ||
         !std::equal(fresh.pc, fresh.pc + conditionals, reused.pc) ||
         !std::equal(fresh.history, fresh.history + conditionals,
                     reused.history) ||
@@ -264,14 +264,13 @@ replayTiled(const BranchRecord *records, std::size_t count,
         if (shared && tile < memo.staged) {
             verifyMemoHit(records + at, n, h, scratch, tile,
                           private_slot);
-            conditionals = memo.conditionals[tile];
-            h = memo.historyOut[tile];
+            conditionals = scratch.stagedTiles[tile].conditionals;
+            h = scratch.stagedTiles[tile].historyOut;
         } else {
             conditionals = compactIntoSlot(records + at, n, h, scratch,
                                            slot, &h);
             if (shared) {
-                memo.conditionals[tile] = conditionals;
-                memo.historyOut[tile] = h;
+                scratch.stagedTiles[tile] = {conditionals, h};
                 memo.staged = tile + 1;
             }
         }

@@ -143,8 +143,7 @@ struct ReplayScratch
 
     /**
      * Phase 0's memo over the open gang block: what the tiles staged
-     * in slots 0..staged-1 were compacted from, and per staged tile
-     * its conditional count and exit history. A walk may reuse a
+     * in slots 0..staged-1 were compacted from. A walk may reuse a
      * staged tile only while the block is open and its records,
      * count and entry history all match — a reused feed buffer
      * repeats the first two, and often the history, across blocks.
@@ -168,13 +167,19 @@ struct ReplayScratch
 
         /** Tiles staged so far, always a prefix from tile 0. */
         std::size_t staged = 0;
-
-        /** Per staged tile: conditionals and exit history. */
-        std::vector<std::size_t> conditionals;
-        std::vector<u64> historyOut;
     };
 
     CompactionMemo memo;
+
+    /** What phase 0 left for one staged tile of the open block. */
+    struct StagedTile
+    {
+        std::size_t conditionals = 0;
+        u64 historyOut = 0;
+    };
+
+    /** Per memo slot (the first memo.staged are valid). */
+    std::vector<StagedTile> stagedTiles;
 
     /**
      * Open @p count records at @p records as the block whose tiles
@@ -192,9 +197,8 @@ struct ReplayScratch
         memo.records = records;
         memo.count = count;
         memo.slots = (count + simdTileRecords - 1) / simdTileRecords;
-        if (memo.conditionals.size() < memo.slots) {
-            memo.conditionals.resize(memo.slots);
-            memo.historyOut.resize(memo.slots);
+        if (stagedTiles.size() < memo.slots) {
+            stagedTiles.resize(memo.slots);
         }
         // The block's slots plus the private slot past them.
         ensureStaging((memo.slots + 1) * simdTileRecords);
@@ -204,11 +208,7 @@ struct ReplayScratch
     void
     closeBlock()
     {
-        memo.records = nullptr;
-        memo.count = 0;
-        memo.slots = 0;
-        memo.keyed = false;
-        memo.staged = 0;
+        memo = CompactionMemo();
     }
 
     /**
