@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <fstream>
 
 #include "sim/factory.hh"
@@ -421,6 +422,32 @@ median(std::vector<double> samples)
 {
     std::sort(samples.begin(), samples.end());
     return samples[samples.size() / 2];
+}
+
+double
+cpuSecondsFor(const std::function<void()> &body)
+{
+    const auto now = [] {
+        timespec ts{};
+        clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+        return double(ts.tv_sec) + 1e-9 * double(ts.tv_nsec);
+    };
+    const double started = now();
+    body();
+    return now() - started;
+}
+
+std::vector<std::vector<double>>
+interleavedSamples(int rounds,
+                   const std::vector<std::function<double()>> &bodies)
+{
+    std::vector<std::vector<double>> samples(bodies.size());
+    for (int round = 0; round < rounds; ++round) {
+        for (std::size_t i = 0; i < bodies.size(); ++i) {
+            samples[i].push_back(bodies[i]());
+        }
+    }
+    return samples;
 }
 
 } // namespace bpred::bench

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -141,6 +142,29 @@ double mispredictPercent(const std::string &spec, const Trace &trace);
  * count). @p samples must not be empty.
  */
 double median(std::vector<double> samples);
+
+/**
+ * Seconds of the calling thread's CPU time that @p body takes.
+ * Time the host gives other processes does not count, so a noisy
+ * neighbour slows a run without inflating its sample. Only work on
+ * the calling thread is counted: time a multi-threaded pool with
+ * one worker (which then runs inline).
+ */
+double cpuSecondsFor(const std::function<void()> &body);
+
+/**
+ * The interleaved timing loop: run every one of @p bodies once per
+ * round, in order, for @p rounds rounds, and return the samples
+ * each body returned, per body in round order. Each body times its
+ * own measured part with cpuSecondsFor(), so setup stays outside
+ * the clock. Interleaving makes slow machine-wide drift (frequency
+ * steps, a neighbour's load) hit every body's samples about
+ * equally, so ratios between the bodies' medians stay meaningful;
+ * back-to-back batches per body would let minutes-apart drift pass
+ * for a difference between bodies.
+ */
+std::vector<std::vector<double>> interleavedSamples(
+    int rounds, const std::vector<std::function<double()>> &bodies);
 
 } // namespace bpred::bench
 

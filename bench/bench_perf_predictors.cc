@@ -8,23 +8,22 @@
  *  - "throughput": per scheme, the three replay kernels side by
  *    side — the per-block replayBlock() batch kernel, the
  *    phase-split SIMD path (replayBlock with an AVX2
- *    ReplayScratch), and a 4-member GangSession — in millions of
- *    records per second, each the median of several interleaved
- *    runs.
+ *    ReplayScratch), a 1-member GangSession (the lone-session
+ *    path) and a 4-member one — in millions of records per second
+ *    of thread CPU time, each the median of several interleaved
+ *    runs (bench::interleavedSamples).
  *  - "simd_identity": for every factory scheme, the phase-split
  *    path is replayed against the scalar block kernel and must
  *    match tallies and saveState() bytes exactly; any divergence
  *    exits nonzero.
  *  - "gang_sweep": a Figure-5-shaped size sweep (many cells, one
- *    shared trace) run through SweepRunner twice at the same
- *    thread count: once per cell (BPRED_GANG_WIDTH=1, each cell
- *    streaming the whole trace through its own block-kernel
- *    session) and once ganged, every block replayed by all members
- *    while it is cache-hot. The two passes must agree
- *    bit-for-bit; the ratio is the gain from trace sharing alone.
- *    On this 262K-record trace, which stays cache-resident, it is
- *    ~1 (0.7–1.3× measured, one ~15 ms pass per side), so it is
- *    reported, not gated.
+ *    shared trace) run through a one-worker SweepRunner two ways,
+ *    interleaved: once per cell (BPRED_GANG_WIDTH=1, each cell
+ *    streaming the whole trace through its own session) and once
+ *    as one gang, every block replayed by all members while it is
+ *    cache-hot and compacted once for all of them. The two passes
+ *    must agree bit-for-bit; the ratio is the gain from sharing
+ *    each block. It is reported, not gated.
  *
  * With `--json <path>` both tables land in BENCH_perf.json, so CI
  * keeps a block/simd/gang throughput trajectory per scheme.
@@ -33,9 +32,7 @@
 #include "bench_common.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
-#include <functional>
 #include <memory>
 #include <sstream>
 
@@ -52,18 +49,13 @@ namespace
 {
 
 using namespace bpred;
-using Clock = std::chrono::steady_clock;
+using bench::cpuSecondsFor;
 
 /**
  * Timing repetitions per kernel: each measurement below is the
- * median of this many runs, so a single scheduler hiccup cannot
- * poison a column. The repetitions of the different kernels are
- * interleaved round-robin (one rep of each, then the next rep of
- * each) so slow machine-wide drift — frequency steps, a noisy
- * neighbour — hits every kernel's samples about equally and the
- * between-kernel ratios stay meaningful; back-to-back batches per
- * kernel would let minutes-apart drift masquerade as a kernel
- * difference. Recorded as "repetitions" in the JSON report.
+ * median of this many interleaved runs, so a single scheduler
+ * hiccup cannot poison a column. Recorded as "repetitions" in the
+ * JSON report.
  */
 constexpr int timingRepetitions = 5;
 
@@ -84,15 +76,6 @@ makePerfTrace()
     return trace;
 }
 
-double
-secondsFor(const std::function<void()> &body)
-{
-    const Clock::time_point start = Clock::now();
-    body();
-    return std::chrono::duration<double>(Clock::now() - start)
-        .count();
-}
-
 /** Millions of records per second for @p records in @p seconds. */
 double
 mrps(double records, double seconds)
@@ -100,29 +83,22 @@ mrps(double records, double seconds)
     return seconds > 0 ? records / seconds / 1e6 : 0.0;
 }
 
-/** runBlock() outcome: throughput plus hardware counters. */
-struct BlockPerf
-{
-    double mrps = 0.0;
-    PerfSample sample;
-};
-
 /**
- * replayBlock() batch kernel — one virtual call per block. The
- * hardware counter group brackets exactly the timed region, so the
- * sample answers "what does the host CPU do under replayBlock":
- * simulator IPC and cache/branch misses per simulated kilo-record.
+ * replayBlock() batch kernel — one virtual call per block; returns
+ * its seconds. The hardware counter group brackets exactly the
+ * timed region and lands in @p sample, which answers "what does the
+ * host CPU do under replayBlock": simulator IPC and cache/branch
+ * misses per simulated kilo-record.
  */
-BlockPerf
+double
 runBlock(const std::string &spec, const Trace &trace, int reps,
-         std::size_t block_records)
+         std::size_t block_records, PerfSample &sample)
 {
     auto predictor = makePredictor(spec);
     ReplayCounters counters;
     PerfCounterGroup group;
-    BlockPerf perf;
     group.start();
-    const double seconds = secondsFor([&] {
+    const double seconds = cpuSecondsFor([&] {
         for (int rep = 0; rep < reps; ++rep) {
             const BranchRecord *records = trace.records().data();
             for (std::size_t at = 0; at < trace.size();
@@ -133,20 +109,26 @@ runBlock(const std::string &spec, const Trace &trace, int reps,
             }
         }
     });
-    perf.sample = group.stop();
-    perf.mrps = mrps(double(trace.size()) * reps, seconds);
-    return perf;
+    sample = group.stop();
+    return seconds;
 }
 
-/** Median BlockPerf: the perf sample travels with the median run. */
-BlockPerf
-medianBlockPerf(std::vector<BlockPerf> samples)
+/**
+ * Index of bench::median()'s pick among @p samples, so a run's
+ * hardware counters can travel with the median run.
+ */
+std::size_t
+medianIndex(const std::vector<double> &samples)
 {
-    std::sort(samples.begin(), samples.end(),
-              [](const BlockPerf &a, const BlockPerf &b) {
-                  return a.mrps < b.mrps;
+    std::vector<std::size_t> order(samples.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        order[i] = i;
+    }
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) {
+                  return samples[a] < samples[b];
               });
-    return samples[samples.size() / 2];
+    return order[order.size() / 2];
 }
 
 /**
@@ -154,7 +136,7 @@ medianBlockPerf(std::vector<BlockPerf> samples)
  * requesting AVX2 dispatch — what SimSession passes down when
  * SimOptions::simd resolves to a vector mode. On a scalar-only
  * build (or a non-AVX2 host) this degrades to the block kernel and
- * the simd/block column sits at ~1.
+ * the simd/block column sits at ~1. Returns its seconds.
  */
 double
 runSimd(const std::string &spec, const Trace &trace, int reps,
@@ -166,7 +148,7 @@ runSimd(const std::string &spec, const Trace &trace, int reps,
     // Auto honours BPRED_SIMD, so CI can record this bench under
     // both dispatch modes from one binary.
     scratch.mode = SimdMode::Auto;
-    const double seconds = secondsFor([&] {
+    return cpuSecondsFor([&] {
         for (int rep = 0; rep < reps; ++rep) {
             const BranchRecord *records = trace.records().data();
             for (std::size_t at = 0; at < trace.size();
@@ -178,7 +160,6 @@ runSimd(const std::string &spec, const Trace &trace, int reps,
             }
         }
     });
-    return mrps(double(trace.size()) * reps, seconds);
 }
 
 /**
@@ -230,26 +211,6 @@ simdMatchesScalar(const std::string &spec, const Trace &trace,
     return true;
 }
 
-/** A 4-member gang: records x members per trace pass. */
-double
-runGang(const std::string &spec, const Trace &trace, int reps,
-        std::size_t block_records)
-{
-    constexpr std::size_t width = 4;
-    std::vector<std::unique_ptr<Predictor>> predictors;
-    std::vector<Predictor *> raw;
-    for (std::size_t i = 0; i < width; ++i) {
-        predictors.push_back(makePredictor(spec));
-        raw.push_back(predictors.back().get());
-    }
-    const double seconds = secondsFor([&] {
-        for (int rep = 0; rep < reps; ++rep) {
-            simulateGang(raw, trace, SimOptions(), block_records);
-        }
-    });
-    return mrps(double(trace.size()) * reps * width, seconds);
-}
-
 /** Enqueue the Figure-5-shaped cell grid over @p trace. */
 void
 enqueueFig5Cells(SweepRunner &runner, const Trace &trace,
@@ -265,6 +226,54 @@ enqueueFig5Cells(SweepRunner &runner, const Trace &trace,
         runner.enqueue("gskewed:3:" + std::to_string(bits) + ":4",
                        trace, options);
     }
+}
+
+/** A @p width-member gang of @p spec; returns its seconds. */
+double
+runGang(const std::string &spec, std::size_t width, const Trace &trace,
+        int reps, std::size_t block_records)
+{
+    std::vector<std::unique_ptr<Predictor>> predictors;
+    std::vector<Predictor *> raw;
+    for (std::size_t i = 0; i < width; ++i) {
+        predictors.push_back(makePredictor(spec));
+        raw.push_back(predictors.back().get());
+    }
+    return cpuSecondsFor([&] {
+        for (int rep = 0; rep < reps; ++rep) {
+            simulateGang(raw, trace, SimOptions(), block_records);
+        }
+    });
+}
+
+/**
+ * Seconds of one pass of the fig5-shaped sweep through a
+ * one-worker SweepRunner, per cell or as one gang; the results land
+ * in @p results.
+ */
+double
+runSweep(const Trace &trace, std::size_t block_records, bool per_cell,
+         std::vector<SimResult> &results)
+{
+    SweepRunner runner(1, block_records);
+    enqueueFig5Cells(runner, trace, SimOptions());
+    // BPRED_GANG_WIDTH=1 restores the per-cell path; any prior
+    // value is put back after the pass.
+    const char *prior = std::getenv("BPRED_GANG_WIDTH");
+    const std::string saved = prior ? prior : "";
+    if (per_cell) {
+        setenv("BPRED_GANG_WIDTH", "1", 1);
+    } else {
+        unsetenv("BPRED_GANG_WIDTH");
+    }
+    const double seconds =
+        cpuSecondsFor([&] { results = runner.run(); });
+    if (prior) {
+        setenv("BPRED_GANG_WIDTH", saved.c_str(), 1);
+    } else {
+        unsetenv("BPRED_GANG_WIDTH");
+    }
+    return seconds;
 }
 
 } // namespace
@@ -288,14 +297,16 @@ main(int argc, char **argv)
               << block << " records\n\n";
 
     const std::vector<std::string> specs = {
-        "bimodal:14",      "gshare:14:10",   "gselect:14:10",
-        "hybrid:13:10",    "hybrid:20:12",   "gskewed:3:12:10",
-        "egskew:12:10",    "gskewed:5:12:10", "gskewed:3:12:10:total",
+        "bimodal:14",      "gshare:14:10",    "gshare:10:4",
+        "gselect:14:10",   "hybrid:13:10",    "hybrid:20:12",
+        "gskewed:3:12:10", "egskew:12:10",    "gskewed:5:12:10",
+        "gskewed:3:12:10:total",
     };
 
-    // Every number is a median of timingRepetitions runs; the
-    // resolved dispatch and repetition count land in the JSON so
-    // perf artifacts are self-describing.
+    // Every number is a median of timingRepetitions interleaved
+    // runs on the thread CPU clock; the resolved dispatch and
+    // repetition count land in the JSON so perf artifacts are
+    // self-describing.
     const SimdMode resolved = resolveSimdMode(SimdMode::Auto);
     recordReportField("repetitions", u64(timingRepetitions));
     recordReportField("simd_mode",
@@ -308,34 +319,38 @@ main(int argc, char **argv)
     // block kernel; unavailable counters (containers, non-Linux)
     // print "-" and are omitted from the JSON stats.
     TextTable table({"scheme", "block Mrec/s", "simd Mrec/s",
-                     "gang4 Mrec/s", "simd/block", "IPC",
-                     "c-miss/Krec", "b-miss/Krec"});
+                     "gang1 Mrec/s", "gang4 Mrec/s", "simd/block",
+                     "IPC", "c-miss/Krec", "b-miss/Krec"});
     const double blockRecordsTotal = double(trace.size()) * reps;
     for (const std::string &spec : specs) {
-        // Interleaved repetitions: one rep of every kernel per pass
-        // (see timingRepetitions) so the medians compare like with
-        // like under machine-wide throughput drift.
-        std::vector<BlockPerf> blockSamples;
-        std::vector<double> simdSamples;
-        std::vector<double> gangSamples;
-        for (int i = 0; i < timingRepetitions; ++i) {
-            blockSamples.push_back(
-                runBlock(spec, trace, reps, block));
-            simdSamples.push_back(
-                runSimd(spec, trace, reps, block));
-            gangSamples.push_back(
-                runGang(spec, trace, reps, block));
-        }
-        const BlockPerf blocked = medianBlockPerf(blockSamples);
-        const double simd = bench::median(simdSamples);
-        const double ganged = bench::median(gangSamples);
+        std::vector<PerfSample> blockPerf;
+        const std::vector<std::vector<double>> seconds =
+            interleavedSamples(
+                timingRepetitions,
+                {[&] {
+                     blockPerf.emplace_back();
+                     return runBlock(spec, trace, reps, block,
+                                     blockPerf.back());
+                 },
+                 [&] { return runSimd(spec, trace, reps, block); },
+                 [&] { return runGang(spec, 1, trace, reps, block); },
+                 [&] {
+                     return runGang(spec, 4, trace, reps, block);
+                 }});
+        const double blocked =
+            mrps(blockRecordsTotal, bench::median(seconds[0]));
+        const double simd =
+            mrps(blockRecordsTotal, bench::median(seconds[1]));
         table.row()
             .cell(spec)
-            .cell(blocked.mrps, 1)
+            .cell(blocked, 1)
             .cell(simd, 1)
-            .cell(ganged, 1)
-            .cell(blocked.mrps > 0 ? simd / blocked.mrps : 0.0, 2);
-        const PerfSample &sample = blocked.sample;
+            .cell(mrps(blockRecordsTotal, bench::median(seconds[2])), 1)
+            .cell(mrps(blockRecordsTotal * 4,
+                       bench::median(seconds[3])),
+                  1)
+            .cell(blocked > 0 ? simd / blocked : 0.0, 2);
+        const PerfSample &sample = blockPerf[medianIndex(seconds[0])];
         if (sample.valid) {
             table.cell(sample.ipc(), 2)
                 .cell(PerfSample::perKilo(sample.cacheMisses,
@@ -383,31 +398,19 @@ main(int argc, char **argv)
     emitTable("simd_identity", identity);
 
     // The gang gauge: the same fig5-shaped sweep (15 cells, one
-    // shared trace) through SweepRunner at the same thread count.
-    // The baseline pass runs one cell at a time (BPRED_GANG_WIDTH=1;
-    // the prior value is restored after) through the same block
-    // kernels, so the ratio isolates what sharing each trace block
-    // across the gang buys.
-    const char *prior = std::getenv("BPRED_GANG_WIDTH");
-    const std::string saved = prior ? prior : "";
-
-    SweepRunner percellRunner(sweepThreads(), block);
-    enqueueFig5Cells(percellRunner, trace, SimOptions());
-    setenv("BPRED_GANG_WIDTH", "1", 1);
+    // shared trace) through a one-worker SweepRunner, per cell and
+    // as one gang, interleaved. Both passes run the same kernels,
+    // so the ratio isolates what sharing each trace block (and its
+    // compaction) across the gang buys.
     std::vector<SimResult> percell;
-    const double percellSeconds =
-        secondsFor([&] { percell = percellRunner.run(); });
-
-    if (prior) {
-        setenv("BPRED_GANG_WIDTH", saved.c_str(), 1);
-    } else {
-        unsetenv("BPRED_GANG_WIDTH");
-    }
-    SweepRunner gangRunner(sweepThreads(), block);
-    enqueueFig5Cells(gangRunner, trace, SimOptions());
     std::vector<SimResult> ganged;
-    const double gangSeconds =
-        secondsFor([&] { ganged = gangRunner.run(); });
+    const std::vector<std::vector<double>> sweepSeconds =
+        interleavedSamples(
+            timingRepetitions,
+            {[&] { return runSweep(trace, block, true, percell); },
+             [&] { return runSweep(trace, block, false, ganged); }});
+    const double percellSeconds = bench::median(sweepSeconds[0]);
+    const double gangSeconds = bench::median(sweepSeconds[1]);
 
     bool identical = percell.size() == ganged.size();
     for (std::size_t i = 0; identical && i < percell.size(); ++i) {
@@ -419,7 +422,7 @@ main(int argc, char **argv)
 
     const double cells = double(percell.size());
     const double sweepRecords = cells * double(trace.size());
-    TextTable sweep({"mode", "cells", "seconds", "Mrec/s",
+    TextTable sweep({"mode", "cells", "cpu seconds", "Mrec/s",
                      "speedup", "identical"});
     sweep.row()
         .cell(std::string("per-cell"))
@@ -453,9 +456,10 @@ main(int argc, char **argv)
         "simd/block >= 1.5 on gshare and egskew at the default "
         "block size when AVX2 dispatch is live, byte-identically to "
         "the scalar block kernel for every scheme; and "
-        "the ganged fig5-shaped sweep matches the per-cell block "
-        "path bit-identically, at about the same speed (0.7-1.3x "
-        "measured: this trace is cache-resident, so trace sharing "
-        "has little to save).");
+        "the ganged fig5-shaped sweep matches the per-cell path "
+        "bit-identically and runs faster, because each block is "
+        "compacted once for the whole gang (1.4-1.5x measured on "
+        "one worker; this trace is cache-resident, so sharing the "
+        "records alone saves little).");
     return finish();
 }

@@ -30,6 +30,9 @@
  *    is large enough to time meaningfully (>= 4M records);
  *    informational below that.
  *
+ * Every rate is the median of interleaved runs timed on the thread
+ * CPU clock (bench::interleavedSamples).
+ *
  * `--json` reports records/s per path (`ingest_records_per_s_*`:
  * `_istream`, `_read` and `_mmap_fast`, then `_gz`, `_text`, `_cbp`
  * and `_text_gz`), the fast/istream ratio and peak RSS (memmeter),
@@ -37,7 +40,6 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -112,12 +114,10 @@ drainChecksum(TraceSource &source, AlignedVector<BranchRecord> &block)
 double
 drainTimed(TraceSource &source, AlignedVector<BranchRecord> &block)
 {
-    const auto started = std::chrono::steady_clock::now();
-    while (source.pull(block.data(), block.size()) != 0) {
-    }
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - started)
-        .count();
+    return bench::cpuSecondsFor([&] {
+        while (source.pull(block.data(), block.size()) != 0) {
+        }
+    });
 }
 
 /**
@@ -327,14 +327,17 @@ main(int argc, char **argv)
     }
 
     // Interleave timed repetitions so drift (thermal, page cache)
-    // hits every path equally; keep the per-path median.
-    std::vector<std::vector<double>> seconds(paths.size());
-    for (int rep = 0; rep < timingRepetitions; ++rep) {
-        for (std::size_t p = 0; p < paths.size(); ++p) {
-            std::unique_ptr<TraceSource> source = paths[p].open();
-            seconds[p].push_back(drainTimed(*source, block));
-        }
+    // hits every path equally; keep the per-path median. Opening
+    // the source stays outside the clock.
+    std::vector<std::function<double()>> drains;
+    for (const Path &ingest : paths) {
+        drains.push_back([&] {
+            std::unique_ptr<TraceSource> source = ingest.open();
+            return drainTimed(*source, block);
+        });
     }
+    const std::vector<std::vector<double>> seconds =
+        bench::interleavedSamples(timingRepetitions, drains);
 
     bool identical = checksums[0] == checksums[1] &&
         checksums[0] == checksums[2] &&
@@ -405,22 +408,20 @@ main(int argc, char **argv)
     }
     TextTable materialized_table({"path", "Mrec/s"});
     for (const MaterializedPath &file : materialized) {
-        std::vector<double> file_seconds;
-        for (int rep = 0; rep < timingRepetitions; ++rep) {
-            const auto started = std::chrono::steady_clock::now();
-            const Trace loaded = loadRealTrace(file.file);
-            file_seconds.push_back(std::chrono::duration<double>(
-                                       std::chrono::steady_clock::now() -
-                                       started)
-                                       .count());
-            if (rep == 0 && loaded.records() != file.expected) {
-                std::cerr << "FAIL: " << file.label
-                          << " decoded different records\n";
-                identical = false;
-            }
-        }
+        const std::vector<std::vector<double>> file_seconds =
+            bench::interleavedSamples(timingRepetitions, {[&] {
+                Trace loaded;
+                const double seconds = bench::cpuSecondsFor(
+                    [&] { loaded = loadRealTrace(file.file); });
+                if (loaded.records() != file.expected) {
+                    std::cerr << "FAIL: " << file.label
+                              << " decoded different records\n";
+                    identical = false;
+                }
+                return seconds;
+            }});
         const double file_rate = static_cast<double>(trace.size()) /
-            bench::median(file_seconds);
+            bench::median(file_seconds[0]);
         materialized_table.row().cell(file.label).cell(file_rate / 1e6, 2);
         bench::recordReportField(file.key, file_rate);
         std::filesystem::remove(file.file);
