@@ -5,8 +5,8 @@
  * configuration, so per-event cost matters.
  *
  * Three sections:
- *  - "throughput": per scheme, the three replay kernels side by
- *    side — the per-block replayBlock() batch kernel, the
+ *  - "throughput": per scheme, the replay paths side by side —
+ *    the per-block replayBlock() batch kernel, the
  *    phase-split SIMD path (replayBlock with an AVX2
  *    ReplayScratch), a 1-member GangSession (the lone-session
  *    path) and a 4-member one — in millions of records per second
@@ -34,6 +34,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <numeric>
 #include <sstream>
 
 #include "predictors/replay_scratch.hh"
@@ -121,9 +122,7 @@ std::size_t
 medianIndex(const std::vector<double> &samples)
 {
     std::vector<std::size_t> order(samples.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-        order[i] = i;
-    }
+    std::iota(order.begin(), order.end(), std::size_t(0));
     std::sort(order.begin(), order.end(),
               [&](std::size_t a, std::size_t b) {
                   return samples[a] < samples[b];

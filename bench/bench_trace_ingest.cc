@@ -330,9 +330,9 @@ main(int argc, char **argv)
     // hits every path equally; keep the per-path median. Opening
     // the source stays outside the clock.
     std::vector<std::function<double()>> drains;
-    for (const Path &ingest : paths) {
-        drains.push_back([&] {
-            std::unique_ptr<TraceSource> source = ingest.open();
+    for (std::size_t p = 0; p < paths.size(); ++p) {
+        drains.push_back([&, p] {
+            std::unique_ptr<TraceSource> source = paths[p].open();
             return drainTimed(*source, block);
         });
     }
