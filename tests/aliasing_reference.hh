@@ -19,10 +19,10 @@
  *  - the set of pairs referenced so far: a first reference is
  *    compulsory aliasing.
  *
- * The index functions are the single-table slots of
- * paper_reference.hh and §4's skewing functions f0, f1 and f2 over
- * the information vector V, whose low k bits are the history and
- * whose higher bits are a >> 2. Each is spelled out bit by bit.
+ * The index functions are the single-table slots and §4's skewing
+ * functions f0, f1 and f2 of paper_reference.hh, over the
+ * information vector V whose low k bits are the history and whose
+ * higher bits are a >> 2. Each is spelled out bit by bit there.
  * Include only the standard library and paper_reference.hh here.
  */
 
@@ -55,45 +55,6 @@ enum class Hash
 };
 
 /**
- * §4's mixing permutation on n >= 2 bits:
- * H(y_n, ..., y_1) = (y_n XOR y_1, y_n, ..., y_2).
- */
-inline std::uint64_t
-skewH(std::uint64_t y, unsigned n)
-{
-    std::uint64_t out = (bit(y, n - 1) ^ bit(y, 0)) << (n - 1);
-    for (unsigned i = 0; i + 1 < n; ++i) {
-        out |= bit(y, i + 1) << i;
-    }
-    return out;
-}
-
-/** The inverse of skewH(): y_1 = x_n XOR x_{n-1}, y_{i+1} = x_i. */
-inline std::uint64_t
-skewHInverse(std::uint64_t x, unsigned n)
-{
-    std::uint64_t out = bit(x, n - 1) ^ bit(x, n - 2);
-    for (unsigned i = 0; i + 1 < n; ++i) {
-        out |= bit(x, i) << (i + 1);
-    }
-    return out;
-}
-
-/** Bits [from, from + n) of the information vector of @p pair. */
-inline std::uint64_t
-vectorField(const Pair &pair, unsigned k, unsigned from, unsigned n)
-{
-    std::uint64_t field = 0;
-    for (unsigned i = 0; i < n; ++i) {
-        const unsigned at = from + i;
-        const std::uint64_t b =
-            at < k ? bit(pair.second, at) : bit(pair.first, at - k);
-        field |= b << i;
-    }
-    return field;
-}
-
-/**
  * The entry @p hash selects in a 2^@p n table for a branch at
  * @p pc under @p history, of which it reads the @p k youngest bits.
  * The skewing functions need n >= 2.
@@ -112,21 +73,8 @@ hashSlot(Hash hash, std::uint64_t pc, std::uint64_t history, unsigned n,
       default:
         break;
     }
-    std::uint64_t youngest = 0;
-    for (unsigned j = 0; j < k; ++j) {
-        youngest |= bit(history, j) << j;
-    }
-    const Pair pair{pc >> 2, youngest};
-    const std::uint64_t v1 = vectorField(pair, k, 0, n);
-    const std::uint64_t v2 = vectorField(pair, k, n, n);
-    switch (hash) {
-      case Hash::Skew0:
-        return skewH(v1, n) ^ skewHInverse(v2, n) ^ v2;
-      case Hash::Skew1:
-        return skewH(v1, n) ^ skewHInverse(v2, n) ^ v1;
-      default:
-        return skewHInverse(v1, n) ^ skewH(v2, n) ^ v2;
-    }
+    return skewSlot(unsigned(hash) - unsigned(Hash::Skew0), pc, history,
+                    n, k);
 }
 
 /** §2: a direct-mapped table of tags, each with a valid bit. */
