@@ -8,7 +8,6 @@
 
 #include "bench_common.hh"
 
-#include "core/shared_hysteresis.hh"
 #include "core/skewed_predictor.hh"
 
 int
@@ -32,10 +31,14 @@ main(int argc, char **argv)
         config.bankIndexBits = 12;
         config.historyBits = 8;
 
+        SkewedPredictor::Config shared = config;
+        shared.storage = BankStorage::SharedHysteresis;
+
         SkewedPredictor full_4k(config);
-        SharedHysteresisSkewedPredictor sh_4k(config);
+        SkewedPredictor sh_4k(shared);
         config.bankIndexBits = 13;
-        SharedHysteresisSkewedPredictor sh_8k(config);
+        shared.bankIndexBits = 13;
+        SkewedPredictor sh_8k(shared);
         SkewedPredictor full_8k(config);
 
         table.row()

@@ -22,7 +22,7 @@
 
 #include "bench_common.hh"
 
-#include "core/skewed_local.hh"
+#include "core/skewed_predictor.hh"
 #include "predictors/local_two_level.hh"
 #include "support/rng.hh"
 
@@ -49,6 +49,19 @@ conflictStressTrace(u64 branches, u64 seed)
     return trace;
 }
 
+/** pskew: 2^10 local histories of @p local_bits into 3 x 512 banks. */
+SkewedPredictor
+makePskew(unsigned local_bits)
+{
+    SkewedPredictor::Config config;
+    config.historySource = HistorySource::PerAddress;
+    config.bhtIndexBits = 10;
+    config.historyBits = local_bits;
+    config.numBanks = 3;
+    config.bankIndexBits = 9;
+    return SkewedPredictor(config);
+}
+
 } // namespace
 
 int
@@ -66,7 +79,7 @@ main(int argc, char **argv)
                      "pskew-1Kx10-3x512 (3Kb banks)"});
     for (const Trace &trace : suite()) {
         LocalTwoLevelPredictor pag(10, 10);
-        SkewedLocalPredictor pskew(10, 10, 3, 9);
+        SkewedPredictor pskew = makePskew(10);
         table.row()
             .cell(trace.name())
             .percentCell(simulate(pag, trace).mispredictPercent())
@@ -75,7 +88,7 @@ main(int argc, char **argv)
     {
         const Trace stress = conflictStressTrace(400'000, 9);
         LocalTwoLevelPredictor pag(10, 2);
-        SkewedLocalPredictor pskew(10, 2, 3, 9);
+        SkewedPredictor pskew = makePskew(2);
         table.row()
             .cell(stress.name())
             .percentCell(simulate(pag, stress).mispredictPercent())

@@ -300,6 +300,7 @@ main(int argc, char **argv)
         "gselect:14:10",   "hybrid:13:10",    "hybrid:20:12",
         "gskewed:3:12:10", "egskew:12:10",    "gskewed:5:12:10",
         "gskewed:3:12:10:total",
+        "gskewedsh:3:12:10", "egskewsh:12:10",  "pskew:10:8:3:12",
     };
 
     // Every number is a median of timingRepetitions interleaved

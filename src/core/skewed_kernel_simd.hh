@@ -25,13 +25,13 @@ namespace bpred
  * True when the skew fill kernels can vectorize this geometry: the
  * index must fit the u32 arrays, the H permutation needs at least
  * two bits to mix, and the packed information vector's history shift
- * must match scalar packInfoVector() (which checks <= 44).
+ * must match scalar packInfoVector() (at most maxKeyHistoryBits).
  */
 constexpr bool
 simdSkewGeometryOk(unsigned index_bits, unsigned history_bits)
 {
     return simdIndexWidthOk(index_bits) && index_bits >= 2 &&
-        history_bits <= 44;
+        history_bits <= maxKeyHistoryBits;
 }
 
 #if BPRED_HAVE_AVX2

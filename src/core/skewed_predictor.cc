@@ -1,6 +1,6 @@
 #include "core/skewed_predictor.hh"
 
-#include <cassert>
+#include <algorithm>
 
 #include "core/skew.hh"
 #include "core/skewed_kernel_simd.hh"
@@ -18,75 +18,179 @@ namespace bpred
 namespace
 {
 
+using Config = SkewedPredictor::Config;
+
+/** The label name() starts with; errors name the scheme by it. */
+const char *
+schemeLabel(const Config &config)
+{
+    if (config.historySource == HistorySource::PerAddress) {
+        return "pskew";
+    }
+    const bool enhanced = config.indexing == BankIndexing::Enhanced;
+    if (config.storage == BankStorage::SharedHysteresis) {
+        return enhanced ? "e-gskew-sh" : "gskewed-sh";
+    }
+    return enhanced ? "e-gskew" : "gskewed";
+}
+
 /**
- * Skewed-predictor hot state (see block_kernel.hh): per-bank counter
+ * The entry bank @p bank reads for a branch at @p pc under history
+ * value @p history: the global register, or the branch's local
+ * history. The one definition behind the split path, the block state
+ * and the phase split's checked recompute.
+ */
+[[gnu::always_inline]] inline u64
+bankIndexOf(const Config &config, unsigned bank, Addr pc, u64 history)
+{
+    if (config.indexing == BankIndexing::IdenticalGshare) {
+        return gshareIndex(pc, history, config.historyBits,
+                           config.bankIndexBits);
+    }
+    if (config.indexing == BankIndexing::Enhanced && bank == 0) {
+        // e-gskew: bank 0 sees the address alone (bit truncation).
+        return addressIndex(pc, config.bankIndexBits);
+    }
+    const u64 v = packInfoVector(pc, history, config.historyBits);
+    return skewIndex(bank, v, config.bankIndexBits);
+}
+
+/** A @p bits-bit local history after a conditional resolves @p taken. */
+inline u16
+nextLocalHistory(u16 local, bool taken, unsigned bits)
+{
+    return static_cast<u16>(((local << 1) | u16(taken)) & mask(bits));
+}
+
+/**
+ * Skewed-predictor hot state (see block_kernel.hh): per-bank entry
  * views, a by-value Config, a by-value history register, and a local
  * write tally, so the vote/update loop runs entirely out of
- * registers and the (inlined) skewing hashes. The bank count is a
- * template parameter — replayBlock() dispatches over the odd counts
- * the skewing family admits — so the bank loops fully unroll and
- * the skewH/skewHInverse subexpressions the f0/f1/f2 functions
- * share are computed once per branch, not once per bank. step()
- * takes its vote and update from skewedVote(), the function the
- * phase-split transition tables are generated from, and computes the
- * same result as the split SkewedPredictor::update() — the
- * block-vs-scalar contract tests pin the two against each other for
- * every policy, indexing mode, and the enhanced variant.
+ * registers and the (inlined) skewing hashes. The bank count, the
+ * storage and the history source are template parameters —
+ * withBlockState() dispatches over the combinations the constructor
+ * admits — so the bank loops fully unroll, the skewH/skewHInverse
+ * subexpressions the f0/f1/f2 functions share are computed once per
+ * branch, not once per bank, and neither storage nor history source
+ * costs a branch per record. resolve() takes its vote and update
+ * from skewedVote(), the function the phase-split transition tables
+ * are generated from; the split update() runs resolve() too, and
+ * tests/paper_reference.hh is the independent reference all paths
+ * are pinned to.
  */
-template <unsigned NumBanks>
+template <unsigned NumBanks, BankStorage Storage, HistorySource Source>
 struct SkewedBlockState
 {
     static_assert(NumBanks >= 1 && NumBanks <= maxSkewBanks);
 
+    static constexpr unsigned numBanks = NumBanks;
+    static constexpr BankStorage storage = Storage;
+    static constexpr HistorySource source = Source;
+
+    /** One conditional: each bank's index and entry, and the vote. */
+    struct Resolution
+    {
+        u64 indices[NumBanks];
+        u8 values[NumBanks];
+        SkewedVote<NumBanks> vote;
+    };
+
+    /** Counters, or the prediction bits under shared hysteresis. */
     SatCounterArray::View banks[NumBanks];
-    SkewedPredictor::Config config;
+
+    /** Shared hysteresis: each bank's pair-shared bits. */
+    SatCounterArray::View hysteresis[NumBanks];
+
+    Config config;
     GlobalHistory history;
+    u16 *localHistories = nullptr;
     u64 bankWrites = 0;
     GlobalHistory *historyOut = nullptr;
     u64 *bankWritesOut = nullptr;
 
     u64
-    bankIndexOf(unsigned bank, Addr pc) const
+    historyFor(Addr pc) const
     {
-        if (config.indexing == BankIndexing::IdenticalGshare) {
-            return gshareIndex(pc, history.raw(), config.historyBits,
-                               config.bankIndexBits);
+        if constexpr (Source == HistorySource::Global) {
+            return history.raw();
+        } else {
+            return localHistories[addressIndex(pc, config.bhtIndexBits)];
         }
-        if (config.enhanced && bank == 0) {
-            // e-gskew: bank 0 sees the address alone (bit truncation).
-            return addressIndex(pc, config.bankIndexBits);
+    }
+
+    /** Entry @p index of @p bank as one counter value. */
+    u8
+    read(unsigned bank, u64 index) const
+    {
+        if constexpr (Storage == BankStorage::Counters) {
+            return banks[bank].at(index);
+        } else {
+            return static_cast<u8>((banks[bank].at(index) << 1) |
+                                   hysteresis[bank].at(index >> 1));
         }
-        const u64 v =
-            packInfoVector(pc, history.raw(), config.historyBits);
-        return skewIndex(bank, v, config.bankIndexBits);
+    }
+
+    void
+    write(unsigned bank, u64 index, u8 value)
+    {
+        if constexpr (Storage == BankStorage::Counters) {
+            banks[bank].at(index) = value;
+        } else {
+            banks[bank].at(index) = static_cast<u8>(value >> 1);
+            hysteresis[bank].at(index >> 1) = static_cast<u8>(value & 1);
+        }
+    }
+
+    /**
+     * The train helper: read every bank's entry for the conditional
+     * at @p pc, vote, write what the update policy picks, then record
+     * @p taken in the history.
+     */
+    Resolution
+    resolve(Addr pc, bool taken)
+    {
+        Resolution r;
+        const u64 h = historyFor(pc);
+#pragma GCC unroll 8
+        for (unsigned bank = 0; bank < NumBanks; ++bank) {
+            r.indices[bank] = bankIndexOf(config, bank, pc, h);
+            r.values[bank] = read(bank, r.indices[bank]);
+        }
+        // A policy-skipped bank stores its old value back; bankWrites
+        // still counts exactly the writes the policy performs.
+        constexpr bool counters = Storage == BankStorage::Counters;
+        r.vote = skewedVote(r.values, taken,
+                            counters ? banks[0].max : u8(3),
+                            counters ? banks[0].threshold : u8(2),
+                            config.updatePolicy);
+#pragma GCC unroll 8
+        for (unsigned bank = 0; bank < NumBanks; ++bank) {
+            write(bank, r.indices[bank], r.vote.next[bank]);
+        }
+        bankWrites += r.vote.writes;
+        if constexpr (Source == HistorySource::Global) {
+            history.shiftIn(taken);
+        } else {
+            u16 &local =
+                localHistories[addressIndex(pc, config.bhtIndexBits)];
+            local = nextLocalHistory(local, taken, config.historyBits);
+        }
+        return r;
     }
 
     bool
     step(Addr pc, bool taken)
     {
-        u64 indices[NumBanks];
-        u8 values[NumBanks];
-#pragma GCC unroll 8
-        for (unsigned bank = 0; bank < NumBanks; ++bank) {
-            indices[bank] = bankIndexOf(bank, pc);
-            values[bank] = banks[bank].value(indices[bank]);
-        }
-        // A policy-skipped bank stores its old value back; bankWrites
-        // still counts exactly the updates the split update()
-        // performs.
-        const SkewedVote<NumBanks> vote =
-            skewedVote(values, taken, banks[0].max, banks[0].threshold,
-                       config.updatePolicy);
-#pragma GCC unroll 8
-        for (unsigned bank = 0; bank < NumBanks; ++bank) {
-            banks[bank].at(indices[bank]) = vote.next[bank];
-        }
-        bankWrites += vote.writes;
-        history.shiftIn(taken);
-        return vote.prediction;
+        return resolve(pc, taken).vote.prediction;
     }
 
-    void unconditional(Addr) { history.shiftIn(true); }
+    void
+    unconditional(Addr)
+    {
+        if constexpr (Source == HistorySource::Global) {
+            history.shiftIn(true);
+        }
+    }
 
     void
     commit()
@@ -96,20 +200,77 @@ struct SkewedBlockState
     }
 };
 
+/** One bank's run of 1-bit entries, in the -sh snapshot framing. */
+void
+putBitRun(ByteWriter &out, const SatCounterBankGroup &group,
+          unsigned bank)
+{
+    out.putU64(group.entriesPerBank());
+    u8 *run = out.grow(group.entriesPerBank());
+    for (u64 i = 0; i < group.entriesPerBank(); ++i) {
+        run[i] = group.value(bank, i);
+    }
+}
+
+/** Take and validate a putBitRun() run of @p entries bits. */
+const u8 *
+takeBitRun(ByteReader &in, u64 entries, const char *scheme)
+{
+    if (in.getU64() != entries) {
+        fatal(std::string(scheme) + ": snapshot geometry mismatch");
+    }
+    const u8 *run = in.take(entries);
+    for (u64 i = 0; i < entries; ++i) {
+        if (run[i] > 1) {
+            fatal(std::string(scheme) + ": snapshot bit out of range");
+        }
+    }
+    return run;
+}
+
 } // namespace
 
-const SkewedPredictor::Config &
+const Config &
 SkewedPredictor::validated(const Config &config)
 {
+    const std::string scheme = schemeLabel(config);
     if (config.numBanks % 2 == 0 || config.numBanks == 0 ||
         config.numBanks > maxSkewBanks) {
-        fatal("gskewed: bank count must be odd and within the "
+        fatal(scheme + ": bank count must be odd and within the "
               "skewing family (got " +
               std::to_string(config.numBanks) + ")");
     }
-    checkedIndexBits("gskewed", config.bankIndexBits);
+    checkedIndexBits(scheme, config.bankIndexBits);
     if (config.counterBits < 1 || config.counterBits > 8) {
-        fatal("gskewed: bad counter width");
+        fatal(scheme + ": bad counter width");
+    }
+    if (config.historySource == HistorySource::PerAddress) {
+        if (config.indexing != BankIndexing::Skewed ||
+            config.storage != BankStorage::Counters) {
+            fatal(scheme + ": per-address history takes skewed "
+                  "indexing and counter storage");
+        }
+        checkedIndexBits(scheme, config.bhtIndexBits);
+        if (config.historyBits < 1 || config.historyBits > 16) {
+            fatal(scheme + ": local history length out of range");
+        }
+    } else {
+        if (config.bhtIndexBits != 0) {
+            fatal(scheme + ": a local-history table needs per-address "
+                  "history");
+        }
+        checkedHistoryBits(scheme, config.historyBits,
+                           maxKeyHistoryBits);
+    }
+    if (config.storage == BankStorage::SharedHysteresis) {
+        if (config.counterBits != 2) {
+            fatal(scheme + ": the shared-hysteresis encoding splits "
+                  "2-bit counters; counterBits must be 2");
+        }
+        if (config.indexing == BankIndexing::IdenticalGshare) {
+            fatal(scheme + ": shared hysteresis takes skewed or "
+                  "enhanced indexing");
+        }
     }
     return config;
 }
@@ -117,7 +278,18 @@ SkewedPredictor::validated(const Config &config)
 SkewedPredictor::SkewedPredictor(const Config &cfg)
     : config(validated(cfg)),
       banks(config.numBanks, u64(1) << config.bankIndexBits,
-            config.counterBits, BankLayout::Interleaved)
+            config.storage == BankStorage::Counters ? config.counterBits
+                                                    : 1,
+            BankLayout::Interleaved),
+      hysteresis(config.numBanks,
+                 config.storage == BankStorage::SharedHysteresis
+                     ? u64(1) << (config.bankIndexBits - 1)
+                     : 0,
+                 1, BankLayout::Interleaved, 1),
+      localHistories(config.historySource == HistorySource::PerAddress
+                         ? std::size_t(1) << config.bhtIndexBits
+                         : 0,
+                     0)
 {
 }
 
@@ -127,24 +299,65 @@ SkewedPredictor::SkewedPredictor(unsigned num_banks,
                                  UpdatePolicy policy,
                                  unsigned counter_bits)
     : SkewedPredictor(Config{num_banks, bank_index_bits, history_bits,
-                             counter_bits, policy,
-                             BankIndexing::Skewed, false})
+                             counter_bits, policy})
 {
 }
 
-u64
-SkewedPredictor::bankIndexOf(unsigned bank, Addr pc) const
+template <typename Body>
+void
+SkewedPredictor::withBlockState(Body &&body)
 {
-    if (config.indexing == BankIndexing::IdenticalGshare) {
-        return gshareIndex(pc, history.raw(), config.historyBits,
-                           config.bankIndexBits);
+    const auto build = [&]<unsigned NumBanks, BankStorage Storage,
+                           HistorySource Source>() {
+        SkewedBlockState<NumBanks, Storage, Source> state{};
+        for (unsigned bank = 0; bank < NumBanks; ++bank) {
+            state.banks[bank] = banks.bankView(bank);
+            if constexpr (Storage == BankStorage::SharedHysteresis) {
+                state.hysteresis[bank] = hysteresis.bankView(bank);
+            }
+        }
+        state.config = config;
+        state.history = history;
+        state.localHistories = localHistories.data();
+        state.historyOut = &history;
+        state.bankWritesOut = &bankWriteCount;
+        body(state);
+    };
+    const auto by_banks = [&]<BankStorage Storage, HistorySource Source>() {
+        // The constructor admits only the family's odd bank counts.
+        switch (config.numBanks) {
+          case 1:
+            build.template operator()<1, Storage, Source>();
+            break;
+          case 3:
+            build.template operator()<3, Storage, Source>();
+            break;
+          case 5:
+            build.template operator()<5, Storage, Source>();
+            break;
+          default:
+            panic("gskewed: bank count outside the skewing family");
+        }
+    };
+    if (config.historySource == HistorySource::PerAddress) {
+        by_banks.template operator()<BankStorage::Counters,
+                                     HistorySource::PerAddress>();
+    } else if (config.storage == BankStorage::SharedHysteresis) {
+        by_banks.template operator()<BankStorage::SharedHysteresis,
+                                     HistorySource::Global>();
+    } else {
+        by_banks.template operator()<BankStorage::Counters,
+                                     HistorySource::Global>();
     }
-    if (config.enhanced && bank == 0) {
-        // e-gskew: bank 0 sees the address alone (bit truncation).
-        return addressIndex(pc, config.bankIndexBits);
+}
+
+u64
+SkewedPredictor::historyFor(Addr pc) const
+{
+    if (config.historySource == HistorySource::PerAddress) {
+        return localHistories[addressIndex(pc, config.bhtIndexBits)];
     }
-    const u64 v = packInfoVector(pc, history.raw(), config.historyBits);
-    return skewIndex(bank, v, config.bankIndexBits);
+    return history.raw();
 }
 
 std::vector<u64>
@@ -152,7 +365,7 @@ SkewedPredictor::bankIndices(Addr pc) const
 {
     std::vector<u64> indices(config.numBanks);
     for (unsigned bank = 0; bank < config.numBanks; ++bank) {
-        indices[bank] = bankIndexOf(bank, pc);
+        indices[bank] = bankIndexOf(config, bank, pc, historyFor(pc));
     }
     return indices;
 }
@@ -160,9 +373,12 @@ SkewedPredictor::bankIndices(Addr pc) const
 bool
 SkewedPredictor::predict(Addr pc)
 {
+    // Under shared hysteresis the group holds the 1-bit prediction
+    // entries, so predictTaken() reads the direction either way.
+    const u64 h = historyFor(pc);
     unsigned votes_taken = 0;
     for (unsigned bank = 0; bank < config.numBanks; ++bank) {
-        if (banks.predictTaken(bank, bankIndexOf(bank, pc))) {
+        if (banks.predictTaken(bank, bankIndexOf(config, bank, pc, h))) {
             ++votes_taken;
         }
     }
@@ -172,68 +388,40 @@ SkewedPredictor::predict(Addr pc)
 void
 SkewedPredictor::update(Addr pc, bool taken)
 {
-    // Compute per-bank indices and predictions with the pre-branch
-    // history (update() contract), then apply the update policy,
-    // publishing each decision when a probe is attached. This is the
-    // reference the block kernels' skewedVote() is pinned to; it
-    // shares none of their code.
-    unsigned votes_taken = 0;
-    u64 indices[maxSkewBanks];
-    bool bank_predictions[maxSkewBanks];
-    for (unsigned bank = 0; bank < config.numBanks; ++bank) {
-        indices[bank] = bankIndexOf(bank, pc);
-        bank_predictions[bank] =
-            banks.predictTaken(bank, indices[bank]);
-        if (bank_predictions[bank]) {
-            ++votes_taken;
+    // The block step's train helper resolves the branch with the
+    // pre-branch history (update() contract); with a probe attached,
+    // each decision is then published from its result.
+    withBlockState([&]<typename State>(State &state) {
+        const typename State::Resolution r = state.resolve(pc, taken);
+        state.commit();
+        if (!probeSink) [[likely]] {
+            return;
         }
-    }
-    const bool overall = votes_taken * 2 > config.numBanks;
-    const bool overall_correct = overall == taken;
-
-    if (probeSink) [[unlikely]] {
-        probeSink->onResolved({pc, overall, taken});
-        for (unsigned bank = 0; bank < config.numBanks; ++bank) {
-            probeSink->onBankVote(
-                {pc, bank, bank_predictions[bank], overall, taken});
+        const SkewedVote<State::numBanks> &vote = r.vote;
+        probeSink->onResolved({pc, vote.prediction, taken});
+        const u8 threshold =
+            State::storage == BankStorage::Counters
+                ? state.banks[0].threshold
+                : u8(2);
+        for (unsigned bank = 0; bank < State::numBanks; ++bank) {
+            probeSink->onBankVote({pc, bank, r.values[bank] >= threshold,
+                                   vote.prediction, taken});
         }
-    }
-
-    const bool partial =
-        config.updatePolicy == UpdatePolicy::Partial ||
-        config.updatePolicy == UpdatePolicy::PartialLazy;
-    for (unsigned bank = 0; bank < config.numBanks; ++bank) {
-        const bool bank_correct = bank_predictions[bank] == taken;
-        if (partial && overall_correct && !bank_correct) {
-            // The bank disagreed but the vote was right: its entry
-            // likely serves another substream, so leave it alone.
-            if (probeSink) [[unlikely]] {
+        for (unsigned bank = 0; bank < State::numBanks; ++bank) {
+            if ((vote.protectedBanks >> bank) & 1) {
+                // The bank disagreed but the vote was right: its
+                // entry likely serves another substream.
                 probeSink->onUpdateSkip(
                     {bank, UpdateSkipEvent::Reason::PartialProtect});
-            }
-            continue;
-        }
-        const u8 before = banks.value(bank, indices[bank]);
-        if (config.updatePolicy == UpdatePolicy::PartialLazy &&
-            bank_correct &&
-            before == (taken ? u8(mask(config.counterBits)) : u8(0))) {
-            // Skip the write when the counter is already saturated
-            // toward the outcome; its value would not change.
-            if (probeSink) [[unlikely]] {
+            } else if ((vote.saturatedBanks >> bank) & 1) {
                 probeSink->onUpdateSkip(
                     {bank, UpdateSkipEvent::Reason::LazySaturated});
+            } else if (vote.next[bank] != r.values[bank]) {
+                probeSink->onCounterWrite(
+                    {bank, r.values[bank], vote.next[bank]});
             }
-            continue;
         }
-        banks.update(bank, indices[bank], taken);
-        if (probeSink && banks.value(bank, indices[bank]) != before)
-            [[unlikely]] {
-            probeSink->onCounterWrite(
-                {bank, before, banks.value(bank, indices[bank])});
-        }
-        ++bankWriteCount;
-    }
-    history.shiftIn(taken);
+    });
 }
 
 void
@@ -248,128 +436,143 @@ SkewedPredictor::replayBlock(const BranchRecord *records,
         return;
     }
     const bool phase_split = scratch &&
+        config.storage == BankStorage::Counters &&
         skewedTableFits(config.numBanks, config.counterBits) &&
         simdSkewGeometryOk(config.bankIndexBits, config.historyBits) &&
         resolveSimdMode(scratch->mode) == SimdMode::Avx2;
-    // Covers both gskewed and e-gskew (one kernel instantiation per
-    // bank count): the inlined block step computes each bank index
-    // once per branch and the loop carries no virtual calls at all.
-    // The phase-split variant (skewed_kernel_simd.hh) precomputes
-    // every bank's indices for the block with the vectorized f0..f4
-    // kernels first — exact,
-    // because history advances on outcomes, never predictions — and
-    // resolves each conditional with one transition-table lookup.
-    // Groups too wide for a table take the block kernel.
-    const auto run = [&]<unsigned NumBanks>() {
-        if (phase_split) {
-            const bool identical =
-                config.indexing == BankIndexing::IdenticalGshare;
-            // One u8 counter per entry per bank: the group's total
-            // footprint decides whether the resolve pass prefetches.
-            const bool prefetch = simdWantsCounterPrefetch(
-                u64(NumBanks) << config.bankIndexBits);
-            const u64 history_out = replayTiled(
-                records, count, history.raw(), *scratch, NumBanks,
-                [&](const ReplayTile &tile, u8 *mask) {
-                    const u64 *pcs = tile.pc;
-                    const u64 *hists = tile.history;
-                    const std::size_t conditionals = tile.conditionals;
-                    if (identical) {
-                        // Pure replication: one shared index set.
-                        fillTableIndices(TableIndex::Xor, pcs, hists,
-                                         conditionals,
-                                         config.historyBits,
-                                         config.bankIndexBits,
-                                         scratch->indices[0].data());
-                    } else {
-                        // One fused pass: the banks share the packed
-                        // vector and the four H permutation values,
-                        // and e-gskew's address-only bank 0 rides
-                        // along on the loaded pc lanes.
-                        u32 *outs[NumBanks];
-                        for (unsigned bank = 0; bank < NumBanks;
-                             ++bank) {
-                            outs[bank] = (config.enhanced && bank == 0)
-                                ? nullptr
-                                : scratch->indices[bank].data();
+    // One kernel instantiation per bank count, storage and history
+    // source: the inlined block step computes each bank index once per
+    // branch and the loop carries no virtual calls at all. The
+    // phase-split variant (skewed_kernel_simd.hh) precomputes every
+    // bank's indices for each tile with the vectorized f0..f4 kernels
+    // first — exact, because history advances on outcomes, never
+    // predictions — and resolves each conditional with one
+    // transition-table lookup. Groups too wide for a table and
+    // shared-hysteresis storage take the block kernel.
+    withBlockState([&]<typename State>(State &state) {
+        constexpr unsigned NumBanks = State::numBanks;
+        constexpr bool local = State::source == HistorySource::PerAddress;
+        if constexpr (State::storage == BankStorage::Counters) {
+            if (phase_split) {
+                const bool identical =
+                    config.indexing == BankIndexing::IdenticalGshare;
+                const bool enhanced =
+                    config.indexing == BankIndexing::Enhanced;
+                // One u8 counter per entry per bank: the group's total
+                // footprint decides whether the resolve pass
+                // prefetches.
+                const bool prefetch = simdWantsCounterPrefetch(
+                    u64(NumBanks) << config.bankIndexBits);
+                if (local) {
+                    scratch->ensureLocalHistories(simdTileRecords);
+                }
+                const u64 history_out = replayTiled(
+                    records, count, history.raw(), *scratch, NumBanks,
+                    [&](const ReplayTile &tile, u8 *mask) {
+                        const u64 *pcs = tile.pc;
+                        const u64 *hists = tile.history;
+                        const std::size_t conditionals =
+                            tile.conditionals;
+                        if constexpr (local) {
+                            // pskew: local histories depend only on
+                            // outcomes, so a scalar pass walks the
+                            // table in trace order first, writing each
+                            // conditional's pre-branch local history
+                            // to the walk's own buffer. The staged
+                            // tile, which gang members share, stays
+                            // untouched.
+                            u64 *out = scratch->localHistories.data();
+                            for (std::size_t j = 0; j < conditionals;
+                                 ++j) {
+                                u16 &entry = localHistories[addressIndex(
+                                    pcs[j], config.bhtIndexBits)];
+                                out[j] = entry;
+                                entry = nextLocalHistory(
+                                    entry, tile.taken[j] != 0,
+                                    config.historyBits);
+                            }
+                            hists = out;
                         }
-                        fillSkewIndexGroup(
-                            pcs, hists, conditionals,
-                            config.historyBits, config.bankIndexBits,
-                            NumBanks, outs,
-                            config.enhanced
-                                ? scratch->indices[0].data()
-                                : nullptr);
-                    }
-                    const u32 *idx[NumBanks];
-                    for (unsigned bank = 0; bank < NumBanks; ++bank) {
-                        idx[bank] = identical
-                            ? scratch->indices[0].data()
-                            : scratch->indices[bank].data();
-                    }
-                    resolveBankGroup(
-                        banks.bankView(0), idx, tile.taken,
-                        conditionals, config.updatePolicy, prefetch,
-                        counters, bankWriteCount, mask,
-                        [&](unsigned bank, std::size_t j) -> u64 {
-                            if (identical) {
-                                return u64(gshareIndex(
-                                    pcs[j], hists[j],
-                                    config.historyBits,
-                                    config.bankIndexBits));
+                        if (identical) {
+                            // Pure replication: one shared index set.
+                            fillTableIndices(TableIndex::Xor, pcs, hists,
+                                             conditionals,
+                                             config.historyBits,
+                                             config.bankIndexBits,
+                                             scratch->indices[0].data());
+                        } else {
+                            // One fused pass: the banks share the
+                            // packed vector and the four H permutation
+                            // values, and e-gskew's address-only bank 0
+                            // rides along on the loaded pc lanes.
+                            u32 *outs[NumBanks];
+                            for (unsigned bank = 0; bank < NumBanks;
+                                 ++bank) {
+                                outs[bank] = enhanced && bank == 0
+                                    ? nullptr
+                                    : scratch->indices[bank].data();
                             }
-                            if (config.enhanced && bank == 0) {
-                                return u64(addressIndex(
-                                    pcs[j], config.bankIndexBits));
-                            }
-                            return u64(skewIndex(
-                                bank,
-                                packInfoVector(pcs[j], hists[j],
-                                               config.historyBits),
-                                config.bankIndexBits));
-                        });
-                });
-            history.set(history_out);
-            return;
+                            fillSkewIndexGroup(
+                                pcs, hists, conditionals,
+                                config.historyBits, config.bankIndexBits,
+                                NumBanks, outs,
+                                enhanced ? scratch->indices[0].data()
+                                         : nullptr);
+                        }
+                        const u32 *idx[NumBanks];
+                        for (unsigned bank = 0; bank < NumBanks; ++bank) {
+                            idx[bank] =
+                                scratch->indices[identical ? 0 : bank]
+                                    .data();
+                        }
+                        resolveBankGroup(
+                            banks.bankView(0), idx, tile.taken,
+                            conditionals, config.updatePolicy, prefetch,
+                            counters, bankWriteCount, mask,
+                            [&](unsigned bank, std::size_t j) {
+                                return bankIndexOf(config, bank, pcs[j],
+                                                   hists[j]);
+                            });
+                    });
+                if constexpr (!local) {
+                    history.set(history_out);
+                }
+                return;
+            }
         }
-        SkewedBlockState<NumBanks> state{};
-        for (unsigned bank = 0; bank < NumBanks; ++bank) {
-            state.banks[bank] = banks.bankView(bank);
-        }
-        state.config = config;
-        state.history = history;
-        state.historyOut = &history;
-        state.bankWritesOut = &bankWriteCount;
-        replayBlockWithState(state, records, count, counters,
-                             scratch);
-    };
-    // The constructor admits only the family's odd bank counts.
-    switch (config.numBanks) {
-      case 1:
-        run.template operator()<1>();
-        break;
-      case 3:
-        run.template operator()<3>();
-        break;
-      case 5:
-        run.template operator()<5>();
-        break;
-      default:
-        panic("gskewed: bank count outside the skewing family");
-    }
+        replayBlockWithState(state, records, count, counters, scratch);
+    });
 }
 
 void
 SkewedPredictor::notifyUnconditional(Addr)
 {
-    history.shiftIn(true);
+    if (config.historySource == HistorySource::Global) {
+        history.shiftIn(true);
+    }
 }
 
 std::string
 SkewedPredictor::name() const
 {
-    std::string label = config.enhanced ? "e-gskew" : "gskewed";
+    std::string label = schemeLabel(config);
     label += '-';
+    if (config.historySource == HistorySource::PerAddress) {
+        // pskew-<BHT entries>x<local bits>-<banks>x<entries>; only
+        // total update is named, since partial and partial-lazy differ
+        // in write traffic alone and pskew snapshots no write count.
+        label += formatEntries(localHistories.size());
+        label += 'x';
+        label += std::to_string(config.historyBits);
+        label += '-';
+        label += std::to_string(config.numBanks);
+        label += 'x';
+        label += formatEntries(entriesPerBank());
+        if (config.updatePolicy == UpdatePolicy::Total) {
+            label += "-total";
+        }
+        return label;
+    }
     label += std::to_string(config.numBanks);
     label += 'x';
     label += formatEntries(entriesPerBank());
@@ -383,7 +586,10 @@ SkewedPredictor::name() const
         label += "-partial";
         break;
       case UpdatePolicy::PartialLazy:
-        label += "-partial-lazy";
+        // Shared hysteresis snapshots no write count either.
+        label += config.storage == BankStorage::SharedHysteresis
+            ? "-partial"
+            : "-partial-lazy";
         break;
     }
     if (config.indexing == BankIndexing::IdenticalGshare) {
@@ -395,13 +601,16 @@ SkewedPredictor::name() const
 u64
 SkewedPredictor::storageBits() const
 {
-    return banks.storageBits();
+    return banks.storageBits() + hysteresis.storageBits() +
+        u64(localHistories.size()) * config.historyBits;
 }
 
 void
 SkewedPredictor::reset()
 {
     banks.reset();
+    hysteresis.reset(1);
+    std::fill(localHistories.begin(), localHistories.end(), u16(0));
     history.reset();
     bankWriteCount = 0;
 }
@@ -409,8 +618,25 @@ SkewedPredictor::reset()
 void
 SkewedPredictor::saveState(ByteWriter &out) const
 {
-    // Bank-by-bank framing, byte-identical to the pre-bank-group
-    // sequence of standalone SatCounterArray snapshots.
+    // Per-scheme framing, byte-identical to the snapshots of the
+    // classes this one replaced: bank groups write one standalone
+    // SatCounterArray run per bank.
+    if (config.historySource == HistorySource::PerAddress) {
+        out.putU64(localHistories.size());
+        for (const u16 entry : localHistories) {
+            out.putU16(entry);
+        }
+        banks.saveState(out);
+        return;
+    }
+    if (config.storage == BankStorage::SharedHysteresis) {
+        for (unsigned bank = 0; bank < config.numBanks; ++bank) {
+            putBitRun(out, banks, bank);
+            putBitRun(out, hysteresis, bank);
+        }
+        out.putU64(history.raw());
+        return;
+    }
     banks.saveState(out);
     out.putU64(history.raw());
     out.putU64(bankWriteCount);
@@ -419,6 +645,47 @@ SkewedPredictor::saveState(ByteWriter &out) const
 void
 SkewedPredictor::loadState(ByteReader &in)
 {
+    if (config.historySource == HistorySource::PerAddress) {
+        const u64 count = in.getU64();
+        if (count != localHistories.size()) {
+            fatal("pskew snapshot: history table size mismatch (stored " +
+                  std::to_string(count) + ", predictor has " +
+                  std::to_string(localHistories.size()) + ")");
+        }
+        std::vector<u16> restored(localHistories.size());
+        for (u16 &entry : restored) {
+            entry = in.getU16();
+            if (entry > mask(config.historyBits)) {
+                fatal("pskew snapshot: local history exceeds " +
+                      std::to_string(config.historyBits) + " bits");
+            }
+        }
+        banks.loadState(in);
+        localHistories = std::move(restored);
+        return;
+    }
+    if (config.storage == BankStorage::SharedHysteresis) {
+        // Every run is checked before any entry changes.
+        const char *scheme = schemeLabel(config);
+        const u8 *runs[2 * maxSkewBanks];
+        for (unsigned bank = 0; bank < config.numBanks; ++bank) {
+            runs[2 * bank] =
+                takeBitRun(in, banks.entriesPerBank(), scheme);
+            runs[2 * bank + 1] =
+                takeBitRun(in, hysteresis.entriesPerBank(), scheme);
+        }
+        const u64 restored = in.getU64();
+        for (unsigned bank = 0; bank < config.numBanks; ++bank) {
+            for (u64 i = 0; i < banks.entriesPerBank(); ++i) {
+                banks.set(bank, i, runs[2 * bank][i]);
+            }
+            for (u64 i = 0; i < hysteresis.entriesPerBank(); ++i) {
+                hysteresis.set(bank, i, runs[2 * bank + 1][i]);
+            }
+        }
+        history.set(restored);
+        return;
+    }
     banks.loadState(in);
     history.set(in.getU64());
     bankWriteCount = in.getU64();
@@ -433,9 +700,7 @@ makeEnhancedConfig(unsigned bank_index_bits, unsigned history_bits,
     config.bankIndexBits = bank_index_bits;
     config.historyBits = history_bits;
     config.counterBits = counter_bits;
-    config.updatePolicy = UpdatePolicy::Partial;
-    config.indexing = BankIndexing::Skewed;
-    config.enhanced = true;
+    config.indexing = BankIndexing::Enhanced;
     return config;
 }
 

@@ -1,7 +1,9 @@
 /**
  * @file
- * The skewed branch predictor (gskewed) and its enhanced variant
- * (e-gskew) — the paper's primary contribution.
+ * The skewed branch predictor family — the paper's primary
+ * contribution: gskewed (§4), e-gskew (§6), and §7's two
+ * extensions, the shared-hysteresis encoding (gskewedsh, egskewsh)
+ * and per-address history (pskew).
  */
 
 #pragma once
@@ -16,11 +18,17 @@
 namespace bpred
 {
 
-/** How each bank computes its index (the skewing ablation knob). */
+/** How each bank computes its index. */
 enum class BankIndexing
 {
     /** The f0/f1/f2... skewing family — the paper's design. */
     Skewed,
+
+    /**
+     * e-gskew (§6): bank 0 sees the branch address alone (plain bit
+     * truncation), the other banks skew as above.
+     */
+    Enhanced,
 
     /**
      * Every bank uses the same gshare index: pure replication.
@@ -30,17 +38,62 @@ enum class BankIndexing
     IdenticalGshare,
 };
 
+/** What each bank entry stores. */
+enum class BankStorage
+{
+    /** One saturating counter per entry. */
+    Counters,
+
+    /**
+     * §7's distributed encoding: a private prediction bit per entry
+     * plus a hysteresis bit shared by the entry pair {2i, 2i + 1},
+     * 1.5 bits per entry instead of 2. The pair is one 2-bit
+     * counter, prediction bit high; prediction bits start at 0 and
+     * hysteresis bits at 1 (weakly not-taken). The direction bit
+     * stays private, so the vote reads no neighbour state; only the
+     * strengthening state can be perturbed by the neighbour entry.
+     * This is the direction the Alpha EV8 predictor (derived from
+     * e-gskew) later took.
+     */
+    SharedHysteresis,
+};
+
+/** Where the history half of the information vector comes from. */
+enum class HistorySource
+{
+    /** The global outcome register. */
+    Global,
+
+    /**
+     * §7's per-address history: a first-level table of local
+     * histories, picked by the low address bits, feeds the banks in
+     * place of the global register (a PAg whose pattern table is
+     * replaced by skewed banks). Different branches with the same
+     * local history fight over one PAg counter; the skewed banks mix
+     * the address in and separate them.
+     */
+    PerAddress,
+};
+
 /**
- * The skewed branch predictor: an odd number of tag-less
- * saturating-counter banks, each indexed by a different skewing
- * hash of the same (address, history) vector, combined by majority
- * vote.
+ * The skewed branch predictor: an odd number of tag-less banks,
+ * each indexed by a different skewing hash of the same (address,
+ * history) vector, combined by majority vote.
  *
  * The enhanced variant (§6) indexes bank 0 with the branch address
- * alone (plain bit truncation): when a long history blows up the
- * substream working set and banks 1/2 thrash, bank 0's short
- * "history" (none) keeps its last-use distances small and its vote
- * trustworthy — recovering capacity without giving up history.
+ * alone: when a long history blows up the substream working set and
+ * banks 1/2 thrash, bank 0's short "history" (none) keeps its
+ * last-use distances small and its vote trustworthy — recovering
+ * capacity without giving up history.
+ *
+ * Every scheme of the family is a Config: the factory maps gskewed,
+ * egskew, gskewedsh, egskewsh and pskew onto one each, and the
+ * constructor rejects any combination none of them (or the ablation
+ * knobs of Config) produces. One split predict()/update() pair is
+ * the reference the replay kernels are tested against, beside the
+ * textbook oracle in tests/paper_reference.hh. replayBlock() runs
+ * the block kernel or, for counter storage under a vector SimdMode,
+ * the phase-split kernels.
  */
 class SkewedPredictor : public Predictor
 {
@@ -54,18 +107,27 @@ class SkewedPredictor : public Predictor
         /** log2 of each bank's entry count. */
         unsigned bankIndexBits = 12;
 
-        /** Global-history length k. */
+        /**
+         * History length k: global, at most maxKeyHistoryBits, or
+         * local (1..16) under HistorySource::PerAddress.
+         */
         unsigned historyBits = 12;
 
-        /** Counter width (1 or 2). */
+        /** Counter width (1..8; 2 under shared hysteresis). */
         unsigned counterBits = 2;
 
         UpdatePolicy updatePolicy = UpdatePolicy::Partial;
 
+        /** Skewed or Enhanced only for the §7 extensions. */
         BankIndexing indexing = BankIndexing::Skewed;
 
-        /** True selects the enhanced (e-gskew) bank-0 indexing. */
-        bool enhanced = false;
+        BankStorage storage = BankStorage::Counters;
+
+        /** PerAddress needs Skewed indexing and counter storage. */
+        HistorySource historySource = HistorySource::Global;
+
+        /** log2 of the local-history table (PerAddress only, else 0). */
+        unsigned bhtIndexBits = 0;
     };
 
     explicit SkewedPredictor(const Config &config);
@@ -108,32 +170,52 @@ class SkewedPredictor : public Predictor
     std::vector<u64> bankIndices(Addr pc) const;
 
     /**
-     * Counter-array writes performed so far (the predictor-port
-     * pressure metric the PartialLazy policy reduces).
+     * Bank-entry writes performed so far (the predictor-port
+     * pressure metric the PartialLazy policy reduces). Only gskewed
+     * and e-gskew snapshot it.
      */
     u64 bankWrites() const { return bankWriteCount; }
 
   private:
     /**
-     * Validate @p config (fatal() on a bad bank count / geometry)
-     * and pass it through — runs in the member-initializer list so
-     * the checks precede the bank-group construction.
+     * Validate @p config (fatal() on a combination no scheme
+     * produces or a bad geometry) and pass it through — runs in the
+     * member-initializer list so the checks precede the bank-group
+     * construction.
      */
     static const Config &validated(const Config &config);
 
-    u64 bankIndexOf(unsigned bank, Addr pc) const;
+    /** The history value bank indices read for a branch at @p pc. */
+    u64 historyFor(Addr pc) const;
+
+    /**
+     * Call @p body with a fresh block state (see the .cc) over this
+     * predictor's banks and history: one instantiation per bank
+     * count, storage and history source the constructor admits.
+     */
+    template <typename Body>
+    void withBlockState(Body &&body);
 
     Config config;
 
     /**
      * All banks in one interleaved allocation (entry-major): the
-     * counters the majority vote reads for one branch sit near each
+     * entries the majority vote reads for one branch sit near each
      * other, and the phase-split resolve prefetches whole lines that
-     * serve every bank. The group's saveState()/loadState() keep the
-     * per-bank snapshot framing.
+     * serve every bank. Holds the counters, or under shared
+     * hysteresis the 1-bit prediction entries.
      */
     SatCounterBankGroup banks;
+
+    /** Shared hysteresis: one bit per entry pair; else empty. */
+    SatCounterBankGroup hysteresis;
+
+    /** PerAddress: the local histories; else empty. */
+    std::vector<u16> localHistories;
+
+    /** Global: the history register (unused under PerAddress). */
     GlobalHistory history;
+
     u64 bankWriteCount = 0;
 };
 
@@ -143,4 +225,3 @@ SkewedPredictor::Config makeEnhancedConfig(unsigned bank_index_bits,
                                            unsigned counter_bits = 2);
 
 } // namespace bpred
-

@@ -79,18 +79,31 @@ struct SkewedVote
     u8 next[NumBanks];
     bool prediction;
     u8 writes;
+
+    /**
+     * Bit b set: the partial policy left bank b alone (it disagreed
+     * with a correct vote).
+     */
+    u8 protectedBanks;
+
+    /**
+     * Bit b set: the lazy policy left bank b alone (it agreed and
+     * was already saturated toward the outcome).
+     */
+    u8 saturatedBanks;
 };
 
 /**
  * The vote and update policy over one bank group's counter
  * @p values for a conditional resolving @p taken. It is the one
- * definition behind the skewed block kernel and the transition
- * tables below, so the two cannot drift; the split update() paths
- * stay the independent references. The policy skips are data (the
- * outcome and per-bank agreement), so they combine as bitwise bools
- * and fold into the next value multiplicatively: no data-dependent
- * branch for the host CPU to mispredict. A skipped bank keeps its
- * value and is not counted.
+ * definition behind the skewed predictor's block step and split
+ * update() and the transition tables below, so none of them can
+ * drift; the textbook oracle in tests/paper_reference.hh is the
+ * independent reference. The policy skips are data (the outcome and
+ * per-bank agreement), so they combine as bitwise bools and fold
+ * into the next value multiplicatively: no data-dependent branch
+ * for the host CPU to mispredict. A skipped bank keeps its value and
+ * is not counted.
  */
 template <unsigned NumBanks>
 constexpr SkewedVote<NumBanks>
@@ -123,6 +136,8 @@ skewedVote(const u8 (&values)[NumBanks], bool taken, u8 max,
         const int up = int(taken) & int(value < max);
         const int down = int(!taken) & int(value > 0);
         vote.next[bank] = static_cast<u8>(value + write * (up - down));
+        vote.protectedBanks |= static_cast<u8>(skip_partial << bank);
+        vote.saturatedBanks |= static_cast<u8>(skip_lazy << bank);
         writes += unsigned(write);
     }
     vote.writes = static_cast<u8>(writes);

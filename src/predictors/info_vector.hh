@@ -23,13 +23,21 @@ namespace bpred
 {
 
 /**
+ * Longest history an information-vector key holds: past it the
+ * history shifts the address out of the 64-bit key (and at 64 bits
+ * the shift itself is undefined).
+ */
+constexpr unsigned maxKeyHistoryBits = 44;
+
+/**
  * Pack an (address, history) pair into the information vector
  * V = (a_N...a_2, h_k...h_1).
  *
  * The result doubles as the unique identity of a branch substream,
  * so it is also the key used by tagged tables and the unaliased
  * predictor. With @p history_bits up to 20 and word-aligned PCs
- * below 2^44 this is collision-free in 64 bits.
+ * below 2^44 this is collision-free in 64 bits. Constructors bound
+ * @p history_bits by maxKeyHistoryBits.
  *
  * @param pc Branch address (word-aligned; bits 1..0 are dropped).
  * @param history Global history register contents.
@@ -38,7 +46,7 @@ namespace bpred
 inline u64
 packInfoVector(Addr pc, History history, HistWidth history_bits)
 {
-    BP_DCHECK(history_bits.get() <= 44,
+    BP_DCHECK(history_bits.get() <= maxKeyHistoryBits,
               "info vector history field overflows 64 bits");
     return ((pc >> 2) << history_bits.get()) |
         (history & mask(history_bits.get()));

@@ -186,17 +186,10 @@ constexpr unsigned maxIndexBits = 28;
 unsigned checkedIndexBits(std::string_view scheme, unsigned bits);
 
 /**
- * Longest history an information-vector key (predictors/
- * info_vector.hh) holds: past it the history shifts the address out
- * of the 64-bit key.
- */
-constexpr unsigned maxKeyHistoryBits = 44;
-
-/**
  * @p bits, checked as a global-history length for @p scheme: fatal()
  * over @p max_bits, by default 64, the width of the history
  * register. Schemes keyed by the information vector pass
- * maxKeyHistoryBits.
+ * maxKeyHistoryBits (predictors/info_vector.hh).
  */
 unsigned checkedHistoryBits(std::string_view scheme, unsigned bits,
                             unsigned max_bits = 64);

@@ -115,6 +115,13 @@ struct ReplayScratch
     std::array<AlignedVector<u32>, maxReplayIndexSets> indices;
 
     /**
+     * Per-address history schemes (pskew): each conditional's
+     * pre-branch local history for the tile being resolved, written
+     * by the predictor's own pass so the staged tiles stay shared.
+     */
+    AlignedVector<u64> localHistories;
+
+    /**
      * When set, replayBlock() fills `mispredicted` for the call.
      * Re-stamped by the owning session on every feed, like mode, so
      * gang members sharing one scratch can differ.
@@ -258,6 +265,15 @@ struct ReplayScratch
                        isCacheAligned(history.data()) &&
                        isCacheAligned(taken.data())),
                   "replay scratch: staging arrays not cache aligned");
+    }
+
+    /** Grow localHistories (never shrinking) to @p count entries. */
+    void
+    ensureLocalHistories(std::size_t count)
+    {
+        if (localHistories.size() < count) {
+            localHistories.resize(count);
+        }
     }
 
     /**

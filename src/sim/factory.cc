@@ -3,8 +3,6 @@
 #include <sstream>
 
 #include "aliasing/falru_predictor.hh"
-#include "core/shared_hysteresis.hh"
-#include "core/skewed_local.hh"
 #include "core/skewed_predictor.hh"
 #include "predictors/agree.hh"
 #include "predictors/bimodal.hh"
@@ -159,7 +157,7 @@ SchemeInfo::usage() const
  * table-indexed schemes where index arithmetic dominates; the
  * schemes below either have no table (static), are tag/LRU bound
  * (yags, falru), or replay through per-address history chains the
- * kernels cannot batch (pag, pskew). Revisit when profiling says
+ * kernels cannot batch (pag). Revisit when profiling says
  * otherwise; dropping a waiver makes scheme-coverage demand a
  * kernel.
  *
@@ -168,9 +166,6 @@ SchemeInfo::usage() const
  * bp_lint: scalar-only(agree)
  * bp_lint: scalar-only(bimode)
  * bp_lint: scalar-only(yags)
- * bp_lint: scalar-only(gskewedsh)
- * bp_lint: scalar-only(egskewsh)
- * bp_lint: scalar-only(pskew)
  * bp_lint: scalar-only(falru)
  * bp_lint: scalar-only(unaliased)
  */
@@ -443,8 +438,7 @@ makePredictor(const PredictorSpec &spec)
         config.historyBits = numberAt(spec, 2);
         config.updatePolicy = policyAt(spec, 3);
         if (scheme == "gskewedsh") {
-            return std::make_unique<SharedHysteresisSkewedPredictor>(
-                config);
+            config.storage = BankStorage::SharedHysteresis;
         }
         return std::make_unique<SkewedPredictor>(config);
     }
@@ -453,15 +447,19 @@ makePredictor(const PredictorSpec &spec)
             numberAt(spec, 0), numberAt(spec, 1));
         config.updatePolicy = policyAt(spec, 2);
         if (scheme == "egskewsh") {
-            return std::make_unique<SharedHysteresisSkewedPredictor>(
-                config);
+            config.storage = BankStorage::SharedHysteresis;
         }
         return std::make_unique<SkewedPredictor>(config);
     }
     if (scheme == "pskew") {
-        return std::make_unique<SkewedLocalPredictor>(
-            numberAt(spec, 0), numberAt(spec, 1), numberAt(spec, 2),
-            numberAt(spec, 3), policyAt(spec, 4));
+        SkewedPredictor::Config config;
+        config.historySource = HistorySource::PerAddress;
+        config.bhtIndexBits = numberAt(spec, 0);
+        config.historyBits = numberAt(spec, 1);
+        config.numBanks = numberAt(spec, 2);
+        config.bankIndexBits = numberAt(spec, 3);
+        config.updatePolicy = policyAt(spec, 4);
+        return std::make_unique<SkewedPredictor>(config);
     }
     if (scheme == "falru") {
         const u64 entries = numberAt(spec, 0);

@@ -123,6 +123,20 @@ TEST(Factory, RejectsBadNumbers)
     EXPECT_NO_THROW(makePredictor("yags:10:8:11:16"));
 }
 
+TEST(Factory, SkewedHistoryStopsAtTheKeyWidth)
+{
+    // The skewed schemes pack (address, history) into one 64-bit
+    // information vector: a 45-bit history would shift address bits
+    // out of it, so the constructor refuses it as gshare refuses 65.
+    for (const std::string prefix :
+         {"gskewed:3:12:", "egskew:12:", "gskewedsh:3:12:",
+          "egskewsh:12:"}) {
+        EXPECT_NO_THROW(makePredictor(prefix + "44")) << prefix;
+        EXPECT_THROW(makePredictor(prefix + "45"), FatalError) << prefix;
+        EXPECT_THROW(makePredictor(prefix + "70"), FatalError) << prefix;
+    }
+}
+
 TEST(Factory, RejectsBadPolicy)
 {
     EXPECT_THROW(makePredictor("gskewed:3:10:4:sometimes"),

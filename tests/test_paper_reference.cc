@@ -359,11 +359,9 @@ expectSkewedStateMatches(const Predictor &predictor,
         }
     }
     EXPECT_TRUE(in.atEnd());
-    if (const auto *skewed =
-            dynamic_cast<const SkewedPredictor *>(&predictor);
-        skewed && shape.entry == paper::Entry::Counter && !local) {
-        EXPECT_EQ(skewed->bankWrites(), oracle.writes());
-    }
+    const auto *skewed = dynamic_cast<const SkewedPredictor *>(&predictor);
+    ASSERT_NE(skewed, nullptr);
+    EXPECT_EQ(skewed->bankWrites(), oracle.writes());
 }
 
 /** Replay @p shape through the oracle and production, both modes. */

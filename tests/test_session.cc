@@ -927,6 +927,65 @@ TEST(GangSession, HeterogeneousMembersMatchTheirSoloRuns)
     }
 }
 
+TEST(GangSession, SkewedFamilyMembersMatchTheirSoloRuns)
+{
+    // pskew runs the phase split over a local-history buffer of its
+    // own and the shared-hysteresis schemes the block kernel; both
+    // sit between gskewed members that share every block's staging.
+    // Each member must match its solo run in tallies, top sites and
+    // final snapshot bytes, under both dispatch modes.
+    const Trace trace = sessionTrace(54, 30000);
+    const Trace training = sessionTrace(55, 5000);
+    const std::vector<std::string> specs = {
+        "gskewed:3:9:8",       "pskew:8:6:3:9",
+        "gskewed:3:9:8:total", "gskewedsh:3:9:8",
+        "egskew:9:8",          "egskewsh:9:8:total",
+        "pskew:9:8:5:9:total", "gskewed:5:9:10",
+        "pskew:8:6:1:8",       "gskewedsh:5:9:6:partial-lazy",
+        "gskewed:3:9:8",
+    };
+    // The second-to-last member resumes a trained pskew snapshot.
+    const std::size_t restored = specs.size() - 2;
+    auto trained = makePredictor(specs[restored]);
+    simulate(*trained, training);
+    const std::string snapshot = snapshotOf(*trained);
+    const auto build = [&](std::size_t i) {
+        auto predictor = makePredictor(specs[i]);
+        if (i == restored) {
+            loadPredictorState(*predictor, snapshot);
+        }
+        return predictor;
+    };
+    for (const SimdMode mode : {SimdMode::Scalar, SimdMode::Avx2}) {
+        SimOptions options;
+        options.simd = mode;
+        options.topSites = 4;
+        std::vector<SimResult> want;
+        std::vector<std::string> wantState;
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            auto predictor = build(i);
+            want.push_back(simulateWithOptions(*predictor, trace, options));
+            wantState.push_back(snapshotOf(*predictor));
+        }
+        std::vector<std::unique_ptr<Predictor>> ganged;
+        GangSession gang;
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            ganged.push_back(build(i));
+            gang.add(*ganged.back(), options, trace.name());
+        }
+        gang.feed(trace);
+        const std::vector<SimResult> got = gang.finish();
+        ASSERT_EQ(want.size(), got.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            SCOPED_TRACE("member " + std::to_string(i) + " " + specs[i] +
+                         " mode=" + std::string(simdModeName(mode)));
+            EXPECT_EQ(gang.memberError(i), nullptr);
+            expectSameResult(want[i], got[i]);
+            EXPECT_EQ(snapshotOf(*ganged[i]), wantState[i]);
+        }
+    }
+}
+
 /**
  * A member that stages its blocks through the phase-split tile walk
  * like a real scheme, then throws from a tile's resolve partway

@@ -1,11 +1,12 @@
 /**
  * @file
- * Unit tests for the shared-hysteresis skewed predictor encoding.
+ * Unit tests for the shared-hysteresis bank encoding of the skewed
+ * predictor (gskewedsh, egskewsh).
  */
 
 #include <gtest/gtest.h>
 
-#include "core/shared_hysteresis.hh"
+#include "core/skewed_predictor.hh"
 #include "sim/driver.hh"
 #include "support/logging.hh"
 #include "workloads/presets.hh"
@@ -24,16 +25,25 @@ shConfig(unsigned bank_bits = 6, unsigned history = 4)
     config.historyBits = history;
     config.counterBits = 2;
     config.updatePolicy = UpdatePolicy::Partial;
+    config.storage = BankStorage::SharedHysteresis;
+    return config;
+}
+
+/** @p config with full 2-bit counter banks. */
+SkewedPredictor::Config
+fullConfig(SkewedPredictor::Config config)
+{
+    config.storage = BankStorage::Counters;
     return config;
 }
 
 TEST(SharedHysteresis, StorageIsOnePointFiveBitsPerEntry)
 {
-    SharedHysteresisSkewedPredictor predictor(shConfig(10));
+    SkewedPredictor predictor(shConfig(10));
     // 3 banks x (1024 prediction bits + 512 hysteresis bits).
     EXPECT_EQ(predictor.storageBits(), 3u * (1024 + 512));
     // 25% cheaper than the full 2-bit encoding.
-    SkewedPredictor full(shConfig(10));
+    SkewedPredictor full(fullConfig(shConfig(10)));
     EXPECT_EQ(predictor.storageBits() * 4, full.storageBits() * 3);
 }
 
@@ -41,7 +51,7 @@ TEST(SharedHysteresis, RejectsNonTwoBitCounters)
 {
     SkewedPredictor::Config config = shConfig();
     config.counterBits = 1;
-    EXPECT_THROW(SharedHysteresisSkewedPredictor{config},
+    EXPECT_THROW(SkewedPredictor{config},
                  FatalError);
 }
 
@@ -49,13 +59,13 @@ TEST(SharedHysteresis, RejectsEvenBanks)
 {
     SkewedPredictor::Config config = shConfig();
     config.numBanks = 4;
-    EXPECT_THROW(SharedHysteresisSkewedPredictor{config},
+    EXPECT_THROW(SkewedPredictor{config},
                  FatalError);
 }
 
 TEST(SharedHysteresis, LearnsBiasedBranch)
 {
-    SharedHysteresisSkewedPredictor predictor(shConfig());
+    SkewedPredictor predictor(shConfig());
     const Addr pc = 0x200;
     for (int i = 0; i < 12; ++i) {
         predictor.predict(pc);
@@ -66,7 +76,7 @@ TEST(SharedHysteresis, LearnsBiasedBranch)
 
 TEST(SharedHysteresis, LearnsAlternatingBranch)
 {
-    SharedHysteresisSkewedPredictor predictor(shConfig());
+    SkewedPredictor predictor(shConfig());
     const Addr pc = 0x400;
     bool outcome = false;
     int wrong = 0;
@@ -86,7 +96,7 @@ TEST(SharedHysteresis, NeighbourSharingOnlyTouchesHysteresis)
     // share a hysteresis bit but never a prediction bit; a
     // direction learned strongly by one cannot be *flipped* by a
     // single opposing update from the neighbour.
-    SharedHysteresisSkewedPredictor predictor(shConfig(6, 0));
+    SkewedPredictor predictor(shConfig(6, 0));
     const Addr pc = 0x100;
     for (int i = 0; i < 8; ++i) {
         predictor.update(pc, true);
@@ -99,8 +109,8 @@ TEST(SharedHysteresis, CloseToFullEncodingAccuracy)
     // On a real workload the 1.5-bit encoding should track the
     // 2-bit encoding within a modest margin at equal geometry.
     const Trace trace = makeIbsTrace("verilog", 0.02);
-    SharedHysteresisSkewedPredictor sh(shConfig(10, 8));
-    SkewedPredictor full(shConfig(10, 8));
+    SkewedPredictor sh(shConfig(10, 8));
+    SkewedPredictor full(fullConfig(shConfig(10, 8)));
     const double sh_rate = simulate(sh, trace).mispredictRatio();
     const double full_rate =
         simulate(full, trace).mispredictRatio();
@@ -111,7 +121,8 @@ TEST(SharedHysteresis, CloseToFullEncodingAccuracy)
 TEST(SharedHysteresis, EnhancedVariantWorks)
 {
     SkewedPredictor::Config config = makeEnhancedConfig(6, 4);
-    SharedHysteresisSkewedPredictor predictor(config);
+    config.storage = BankStorage::SharedHysteresis;
+    SkewedPredictor predictor(config);
     EXPECT_EQ(predictor.name(), "e-gskew-sh-3x64-h4-partial");
     for (int i = 0; i < 12; ++i) {
         predictor.update(0x40, true);
@@ -121,7 +132,7 @@ TEST(SharedHysteresis, EnhancedVariantWorks)
 
 TEST(SharedHysteresis, NameAndReset)
 {
-    SharedHysteresisSkewedPredictor predictor(shConfig(12, 8));
+    SkewedPredictor predictor(shConfig(12, 8));
     EXPECT_EQ(predictor.name(), "gskewed-sh-3x4K-h8-partial");
     for (int i = 0; i < 12; ++i) {
         predictor.update(0x40, true);

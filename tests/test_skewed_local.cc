@@ -5,9 +5,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/skewed_local.hh"
+#include "core/skewed_predictor.hh"
 #include "predictors/local_two_level.hh"
 #include "sim/driver.hh"
+#include "sim/factory.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "workloads/presets.hh"
@@ -17,9 +18,28 @@ namespace bpred
 namespace
 {
 
+/**
+ * pskew: 2^@p bht_bits local histories of @p local_bits feeding
+ * @p banks skewed banks of 2^@p bank_bits counters.
+ */
+SkewedPredictor::Config
+pskewConfig(unsigned bht_bits, unsigned local_bits, unsigned banks,
+            unsigned bank_bits,
+            UpdatePolicy policy = UpdatePolicy::Partial)
+{
+    SkewedPredictor::Config config;
+    config.historySource = HistorySource::PerAddress;
+    config.bhtIndexBits = bht_bits;
+    config.historyBits = local_bits;
+    config.numBanks = banks;
+    config.bankIndexBits = bank_bits;
+    config.updatePolicy = policy;
+    return config;
+}
+
 TEST(SkewedLocal, LearnsShortLocalPattern)
 {
-    SkewedLocalPredictor predictor(8, 8, 3, 8);
+    SkewedPredictor predictor(pskewConfig(8, 8, 3, 8));
     const Addr pc = 0x40;
     const bool pattern[3] = {true, true, false};
     int wrong = 0;
@@ -35,28 +55,56 @@ TEST(SkewedLocal, LearnsShortLocalPattern)
 
 TEST(SkewedLocal, RejectsBadGeometry)
 {
-    EXPECT_THROW(SkewedLocalPredictor(8, 8, 2, 8), FatalError);
-    EXPECT_THROW(SkewedLocalPredictor(8, 0, 3, 8), FatalError);
-    EXPECT_THROW(SkewedLocalPredictor(8, 17, 3, 8), FatalError);
+    EXPECT_THROW(SkewedPredictor(pskewConfig(8, 8, 2, 8)), FatalError);
+    EXPECT_THROW(SkewedPredictor(pskewConfig(8, 0, 3, 8)), FatalError);
+    EXPECT_THROW(SkewedPredictor(pskewConfig(8, 17, 3, 8)), FatalError);
 }
 
 TEST(SkewedLocal, StorageAccountsBhtAndBanks)
 {
-    SkewedLocalPredictor predictor(10, 8, 3, 9, UpdatePolicy::Partial,
-                                   2);
+    SkewedPredictor::Config config = pskewConfig(10, 8, 3, 9);
+    config.counterBits = 2;
+    SkewedPredictor predictor(config);
     EXPECT_EQ(predictor.storageBits(),
               1024u * 8 + 3u * 512 * 2);
 }
 
 TEST(SkewedLocal, Name)
 {
-    SkewedLocalPredictor predictor(10, 8, 3, 12);
+    SkewedPredictor predictor(pskewConfig(10, 8, 3, 12));
     EXPECT_EQ(predictor.name(), "pskew-1Kx8-3x4K");
+}
+
+TEST(SkewedLocal, NameCarriesTotalUpdate)
+{
+    // Partial and partial-lazy share a name: they predict alike, and
+    // pskew snapshots no write count. Total predicts differently.
+    EXPECT_EQ(makePredictor("pskew:10:8:3:12:total")->name(),
+              "pskew-1Kx8-3x4K-total");
+    EXPECT_EQ(makePredictor("pskew:10:8:3:12:partial")->name(),
+              "pskew-1Kx8-3x4K");
+    EXPECT_EQ(makePredictor("pskew:10:8:3:12:partial-lazy")->name(),
+              "pskew-1Kx8-3x4K");
+}
+
+TEST(SkewedLocal, TotalSnapshotDoesNotLoadIntoPartial)
+{
+    const Trace trace = makeIbsTrace("groff", 0.005);
+    auto total = makePredictor("pskew:10:8:3:12:total");
+    simulate(*total, trace);
+    std::string bytes;
+    savePredictorState(*total, bytes);
+    auto partial = makePredictor("pskew:10:8:3:12");
+    EXPECT_THROW(loadPredictorState(*partial, bytes), FatalError);
+    auto lazy = makePredictor("pskew:10:8:3:12:partial-lazy");
+    std::string partial_bytes;
+    savePredictorState(*partial, partial_bytes);
+    EXPECT_NO_THROW(loadPredictorState(*lazy, partial_bytes));
 }
 
 TEST(SkewedLocal, ResetForgets)
 {
-    SkewedLocalPredictor predictor(6, 4, 3, 6);
+    SkewedPredictor predictor(pskewConfig(6, 4, 3, 6));
     for (int i = 0; i < 30; ++i) {
         predictor.update(0x10, true);
     }
@@ -95,7 +143,7 @@ runConflictPair(P &predictor)
 TEST(SkewedLocal, SeparatesDestructivePatternConflicts)
 {
     LocalTwoLevelPredictor pag(8, 2);
-    SkewedLocalPredictor pskew(8, 2, 3, 6);
+    SkewedPredictor pskew(pskewConfig(8, 2, 3, 6));
     const int pag_wrong = runConflictPair(pag);
     const int pskew_wrong = runConflictPair(pskew);
     EXPECT_EQ(pskew_wrong, 0);
@@ -113,7 +161,7 @@ TEST(SkewedLocal, WinsOnConflictHeavyWorkload)
     // four values — the classes overlap on 01/10 with opposite
     // outcomes, so PAg's four shared pattern entries thrash.
     LocalTwoLevelPredictor pag(10, 2);
-    SkewedLocalPredictor pskew(10, 2, 3, 9);
+    SkewedPredictor pskew(pskewConfig(10, 2, 3, 9));
     Rng rng(77);
     std::vector<u32> phase(256, 0);
 
@@ -145,7 +193,7 @@ TEST(SkewedLocal, PagSharingWinsWhenAliasingIsConstructive)
     // not silently lost.
     const Trace trace = makeIbsTrace("nroff", 0.02);
     LocalTwoLevelPredictor pag(10, 10);
-    SkewedLocalPredictor pskew(10, 10, 3, 10);
+    SkewedPredictor pskew(pskewConfig(10, 10, 3, 10));
     const double pag_rate = simulate(pag, trace).mispredictRatio();
     const double pskew_rate =
         simulate(pskew, trace).mispredictRatio();
