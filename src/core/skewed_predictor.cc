@@ -118,6 +118,21 @@ struct SkewedBlockState
         }
     }
 
+    /** The largest entry value. */
+    u8
+    maxValue() const
+    {
+        return Storage == BankStorage::Counters ? banks[0].max : u8(3);
+    }
+
+    /** Entry values from this one up vote taken. */
+    u8
+    threshold() const
+    {
+        return Storage == BankStorage::Counters ? banks[0].threshold
+                                                : u8(2);
+    }
+
     /** Entry @p index of @p bank as one counter value. */
     u8
     read(unsigned bank, u64 index) const
@@ -158,10 +173,7 @@ struct SkewedBlockState
         }
         // A policy-skipped bank stores its old value back; bankWrites
         // still counts exactly the writes the policy performs.
-        constexpr bool counters = Storage == BankStorage::Counters;
-        r.vote = skewedVote(r.values, taken,
-                            counters ? banks[0].max : u8(3),
-                            counters ? banks[0].threshold : u8(2),
+        r.vote = skewedVote(r.values, taken, maxValue(), threshold(),
                             config.updatePolicy);
 #pragma GCC unroll 8
         for (unsigned bank = 0; bank < NumBanks; ++bank) {
@@ -363,9 +375,10 @@ SkewedPredictor::historyFor(Addr pc) const
 std::vector<u64>
 SkewedPredictor::bankIndices(Addr pc) const
 {
+    const u64 h = historyFor(pc);
     std::vector<u64> indices(config.numBanks);
     for (unsigned bank = 0; bank < config.numBanks; ++bank) {
-        indices[bank] = bankIndexOf(config, bank, pc, historyFor(pc));
+        indices[bank] = bankIndexOf(config, bank, pc, h);
     }
     return indices;
 }
@@ -399,12 +412,9 @@ SkewedPredictor::update(Addr pc, bool taken)
         }
         const SkewedVote<State::numBanks> &vote = r.vote;
         probeSink->onResolved({pc, vote.prediction, taken});
-        const u8 threshold =
-            State::storage == BankStorage::Counters
-                ? state.banks[0].threshold
-                : u8(2);
         for (unsigned bank = 0; bank < State::numBanks; ++bank) {
-            probeSink->onBankVote({pc, bank, r.values[bank] >= threshold,
+            probeSink->onBankVote({pc, bank,
+                                   r.values[bank] >= state.threshold(),
                                    vote.prediction, taken});
         }
         for (unsigned bank = 0; bank < State::numBanks; ++bank) {
