@@ -54,7 +54,6 @@ SkewedPredictor
 makePskew(unsigned local_bits)
 {
     SkewedPredictor::Config config;
-    config.historySource = HistorySource::PerAddress;
     config.bhtIndexBits = 10;
     config.historyBits = local_bits;
     config.numBanks = 3;

@@ -20,11 +20,18 @@ namespace
 
 using Config = SkewedPredictor::Config;
 
+/** pskew: a local-history table feeds the banks (see Config). */
+constexpr bool
+perAddress(const Config &config)
+{
+    return config.bhtIndexBits > 0;
+}
+
 /** The label name() starts with; errors name the scheme by it. */
 const char *
 schemeLabel(const Config &config)
 {
-    if (config.historySource == HistorySource::PerAddress) {
+    if (perAddress(config)) {
         return "pskew";
     }
     const bool enhanced = config.indexing == BankIndexing::Enhanced;
@@ -68,7 +75,7 @@ nextLocalHistory(u16 local, bool taken, unsigned bits)
  * write tally, so the vote/update loop runs entirely out of
  * registers and the (inlined) skewing hashes. The bank count, the
  * storage and the history source are template parameters —
- * withBlockState() dispatches over the combinations the constructor
+ * withShape() dispatches over the combinations the constructor
  * admits — so the bank loops fully unroll, the skewH/skewHInverse
  * subexpressions the f0/f1/f2 functions share are computed once per
  * branch, not once per bank, and neither storage nor history source
@@ -78,14 +85,12 @@ nextLocalHistory(u16 local, bool taken, unsigned bits)
  * tests/paper_reference.hh is the independent reference all paths
  * are pinned to.
  */
-template <unsigned NumBanks, BankStorage Storage, HistorySource Source>
+template <unsigned NumBanks, BankStorage Storage, bool PerAddress>
 struct SkewedBlockState
 {
     static_assert(NumBanks >= 1 && NumBanks <= maxSkewBanks);
 
     static constexpr unsigned numBanks = NumBanks;
-    static constexpr BankStorage storage = Storage;
-    static constexpr HistorySource source = Source;
 
     /** One conditional: each bank's index and entry, and the vote. */
     struct Resolution
@@ -111,10 +116,10 @@ struct SkewedBlockState
     u64
     historyFor(Addr pc) const
     {
-        if constexpr (Source == HistorySource::Global) {
-            return history.raw();
-        } else {
+        if constexpr (PerAddress) {
             return localHistories[addressIndex(pc, config.bhtIndexBits)];
+        } else {
+            return history.raw();
         }
     }
 
@@ -180,12 +185,12 @@ struct SkewedBlockState
             write(bank, r.indices[bank], r.vote.next[bank]);
         }
         bankWrites += r.vote.writes;
-        if constexpr (Source == HistorySource::Global) {
-            history.shiftIn(taken);
-        } else {
+        if constexpr (PerAddress) {
             u16 &local =
                 localHistories[addressIndex(pc, config.bhtIndexBits)];
             local = nextLocalHistory(local, taken, config.historyBits);
+        } else {
+            history.shiftIn(taken);
         }
         return r;
     }
@@ -199,7 +204,7 @@ struct SkewedBlockState
     void
     unconditional(Addr)
     {
-        if constexpr (Source == HistorySource::Global) {
+        if constexpr (!PerAddress) {
             history.shiftIn(true);
         }
     }
@@ -256,7 +261,7 @@ SkewedPredictor::validated(const Config &config)
     if (config.counterBits < 1 || config.counterBits > 8) {
         fatal(scheme + ": bad counter width");
     }
-    if (config.historySource == HistorySource::PerAddress) {
+    if (perAddress(config)) {
         if (config.indexing != BankIndexing::Skewed ||
             config.storage != BankStorage::Counters) {
             fatal(scheme + ": per-address history takes skewed "
@@ -267,10 +272,6 @@ SkewedPredictor::validated(const Config &config)
             fatal(scheme + ": local history length out of range");
         }
     } else {
-        if (config.bhtIndexBits != 0) {
-            fatal(scheme + ": a local-history table needs per-address "
-                  "history");
-        }
         checkedHistoryBits(scheme, config.historyBits,
                            maxKeyHistoryBits);
     }
@@ -298,7 +299,7 @@ SkewedPredictor::SkewedPredictor(const Config &cfg)
                      ? u64(1) << (config.bankIndexBits - 1)
                      : 0,
                  1, BankLayout::Interleaved, 1),
-      localHistories(config.historySource == HistorySource::PerAddress
+      localHistories(perAddress(config)
                          ? std::size_t(1) << config.bhtIndexBits
                          : 0,
                      0)
@@ -317,56 +318,57 @@ SkewedPredictor::SkewedPredictor(unsigned num_banks,
 
 template <typename Body>
 void
-SkewedPredictor::withBlockState(Body &&body)
+SkewedPredictor::withShape(Body &&body)
 {
-    const auto build = [&]<unsigned NumBanks, BankStorage Storage,
-                           HistorySource Source>() {
-        SkewedBlockState<NumBanks, Storage, Source> state{};
-        for (unsigned bank = 0; bank < NumBanks; ++bank) {
-            state.banks[bank] = banks.bankView(bank);
-            if constexpr (Storage == BankStorage::SharedHysteresis) {
-                state.hysteresis[bank] = hysteresis.bankView(bank);
-            }
-        }
-        state.config = config;
-        state.history = history;
-        state.localHistories = localHistories.data();
-        state.historyOut = &history;
-        state.bankWritesOut = &bankWriteCount;
-        body(state);
-    };
-    const auto by_banks = [&]<BankStorage Storage, HistorySource Source>() {
+    const auto by_banks = [&]<BankStorage Storage, bool PerAddress>() {
         // The constructor admits only the family's odd bank counts.
         switch (config.numBanks) {
           case 1:
-            build.template operator()<1, Storage, Source>();
+            body.template operator()<1, Storage, PerAddress>();
             break;
           case 3:
-            build.template operator()<3, Storage, Source>();
+            body.template operator()<3, Storage, PerAddress>();
             break;
           case 5:
-            build.template operator()<5, Storage, Source>();
+            body.template operator()<5, Storage, PerAddress>();
             break;
           default:
             panic("gskewed: bank count outside the skewing family");
         }
     };
-    if (config.historySource == HistorySource::PerAddress) {
-        by_banks.template operator()<BankStorage::Counters,
-                                     HistorySource::PerAddress>();
+    if (perAddress(config)) {
+        by_banks.template operator()<BankStorage::Counters, true>();
     } else if (config.storage == BankStorage::SharedHysteresis) {
         by_banks.template operator()<BankStorage::SharedHysteresis,
-                                     HistorySource::Global>();
+                                     false>();
     } else {
-        by_banks.template operator()<BankStorage::Counters,
-                                     HistorySource::Global>();
+        by_banks.template operator()<BankStorage::Counters, false>();
     }
+}
+
+template <unsigned NumBanks, BankStorage Storage, bool PerAddress>
+auto
+SkewedPredictor::blockState()
+{
+    SkewedBlockState<NumBanks, Storage, PerAddress> state{};
+    for (unsigned bank = 0; bank < NumBanks; ++bank) {
+        state.banks[bank] = banks.bankView(bank);
+        if constexpr (Storage == BankStorage::SharedHysteresis) {
+            state.hysteresis[bank] = hysteresis.bankView(bank);
+        }
+    }
+    state.config = config;
+    state.history = history;
+    state.localHistories = localHistories.data();
+    state.historyOut = &history;
+    state.bankWritesOut = &bankWriteCount;
+    return state;
 }
 
 u64
 SkewedPredictor::historyFor(Addr pc) const
 {
-    if (config.historySource == HistorySource::PerAddress) {
+    if (perAddress(config)) {
         return localHistories[addressIndex(pc, config.bhtIndexBits)];
     }
     return history.raw();
@@ -404,20 +406,22 @@ SkewedPredictor::update(Addr pc, bool taken)
     // The block step's train helper resolves the branch with the
     // pre-branch history (update() contract); with a probe attached,
     // each decision is then published from its result.
-    withBlockState([&]<typename State>(State &state) {
-        const typename State::Resolution r = state.resolve(pc, taken);
+    withShape([&]<unsigned NumBanks, BankStorage Storage,
+                  bool PerAddress>() {
+        auto state = blockState<NumBanks, Storage, PerAddress>();
+        const auto r = state.resolve(pc, taken);
         state.commit();
         if (!probeSink) [[likely]] {
             return;
         }
-        const SkewedVote<State::numBanks> &vote = r.vote;
+        const SkewedVote<NumBanks> &vote = r.vote;
         probeSink->onResolved({pc, vote.prediction, taken});
-        for (unsigned bank = 0; bank < State::numBanks; ++bank) {
+        for (unsigned bank = 0; bank < NumBanks; ++bank) {
             probeSink->onBankVote({pc, bank,
                                    r.values[bank] >= state.threshold(),
                                    vote.prediction, taken});
         }
-        for (unsigned bank = 0; bank < State::numBanks; ++bank) {
+        for (unsigned bank = 0; bank < NumBanks; ++bank) {
             if ((vote.protectedBanks >> bank) & 1) {
                 // The bank disagreed but the vote was right: its
                 // entry likely serves another substream.
@@ -458,11 +462,11 @@ SkewedPredictor::replayBlock(const BranchRecord *records,
     // first — exact, because history advances on outcomes, never
     // predictions — and resolves each conditional with one
     // transition-table lookup. Groups too wide for a table and
-    // shared-hysteresis storage take the block kernel.
-    withBlockState([&]<typename State>(State &state) {
-        constexpr unsigned NumBanks = State::numBanks;
-        constexpr bool local = State::source == HistorySource::PerAddress;
-        if constexpr (State::storage == BankStorage::Counters) {
+    // shared-hysteresis storage take the block kernel, and only they
+    // build a block state.
+    withShape([&]<unsigned NumBanks, BankStorage Storage,
+                  bool PerAddress>() {
+        if constexpr (Storage == BankStorage::Counters) {
             if (phase_split) {
                 const bool identical =
                     config.indexing == BankIndexing::IdenticalGshare;
@@ -473,7 +477,7 @@ SkewedPredictor::replayBlock(const BranchRecord *records,
                 // prefetches.
                 const bool prefetch = simdWantsCounterPrefetch(
                     u64(NumBanks) << config.bankIndexBits);
-                if (local) {
+                if (PerAddress) {
                     scratch->ensureLocalHistories(simdTileRecords);
                 }
                 const u64 history_out = replayTiled(
@@ -483,7 +487,7 @@ SkewedPredictor::replayBlock(const BranchRecord *records,
                         const u64 *hists = tile.history;
                         const std::size_t conditionals =
                             tile.conditionals;
-                        if constexpr (local) {
+                        if constexpr (PerAddress) {
                             // pskew: local histories depend only on
                             // outcomes, so a scalar pass walks the
                             // table in trace order first, writing each
@@ -544,20 +548,21 @@ SkewedPredictor::replayBlock(const BranchRecord *records,
                                                    hists[j]);
                             });
                     });
-                if constexpr (!local) {
+                if constexpr (!PerAddress) {
                     history.set(history_out);
                 }
                 return;
             }
         }
-        replayBlockWithState(state, records, count, counters, scratch);
+        replayBlockWithState(blockState<NumBanks, Storage, PerAddress>(),
+                             records, count, counters, scratch);
     });
 }
 
 void
 SkewedPredictor::notifyUnconditional(Addr)
 {
-    if (config.historySource == HistorySource::Global) {
+    if (!perAddress(config)) {
         history.shiftIn(true);
     }
 }
@@ -567,7 +572,7 @@ SkewedPredictor::name() const
 {
     std::string label = schemeLabel(config);
     label += '-';
-    if (config.historySource == HistorySource::PerAddress) {
+    if (perAddress(config)) {
         // pskew-<BHT entries>x<local bits>-<banks>x<entries>; only
         // total update is named, since partial and partial-lazy differ
         // in write traffic alone and pskew snapshots no write count.
@@ -631,7 +636,7 @@ SkewedPredictor::saveState(ByteWriter &out) const
     // Per-scheme framing, byte-identical to the snapshots of the
     // classes this one replaced: bank groups write one standalone
     // SatCounterArray run per bank.
-    if (config.historySource == HistorySource::PerAddress) {
+    if (perAddress(config)) {
         out.putU64(localHistories.size());
         for (const u16 entry : localHistories) {
             out.putU16(entry);
@@ -655,7 +660,7 @@ SkewedPredictor::saveState(ByteWriter &out) const
 void
 SkewedPredictor::loadState(ByteReader &in)
 {
-    if (config.historySource == HistorySource::PerAddress) {
+    if (perAddress(config)) {
         const u64 count = in.getU64();
         if (count != localHistories.size()) {
             fatal("pskew snapshot: history table size mismatch (stored " +

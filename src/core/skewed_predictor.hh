@@ -58,23 +58,6 @@ enum class BankStorage
     SharedHysteresis,
 };
 
-/** Where the history half of the information vector comes from. */
-enum class HistorySource
-{
-    /** The global outcome register. */
-    Global,
-
-    /**
-     * §7's per-address history: a first-level table of local
-     * histories, picked by the low address bits, feeds the banks in
-     * place of the global register (a PAg whose pattern table is
-     * replaced by skewed banks). Different branches with the same
-     * local history fight over one PAg counter; the skewed banks mix
-     * the address in and separate them.
-     */
-    PerAddress,
-};
-
 /**
  * The skewed branch predictor: an odd number of tag-less banks,
  * each indexed by a different skewing hash of the same (address,
@@ -109,7 +92,7 @@ class SkewedPredictor : public Predictor
 
         /**
          * History length k: global, at most maxKeyHistoryBits, or
-         * local (1..16) under HistorySource::PerAddress.
+         * local (1..16) under per-address history.
          */
         unsigned historyBits = 12;
 
@@ -123,10 +106,18 @@ class SkewedPredictor : public Predictor
 
         BankStorage storage = BankStorage::Counters;
 
-        /** PerAddress needs Skewed indexing and counter storage. */
-        HistorySource historySource = HistorySource::Global;
-
-        /** log2 of the local-history table (PerAddress only, else 0). */
+        /**
+         * Where the history half of the information vector comes
+         * from. 0: the global outcome register. Otherwise §7's
+         * per-address history (pskew) with 2^bhtIndexBits entries: a
+         * first-level table of local histories, picked by the low
+         * address bits, feeds the banks in place of the global
+         * register (a PAg whose pattern table is replaced by skewed
+         * banks). Different branches with the same local history
+         * fight over one PAg counter; the skewed banks mix the
+         * address in and separate them. Needs Skewed indexing and
+         * counter storage.
+         */
         unsigned bhtIndexBits = 0;
     };
 
@@ -189,12 +180,16 @@ class SkewedPredictor : public Predictor
     u64 historyFor(Addr pc) const;
 
     /**
-     * Call @p body with a fresh block state (see the .cc) over this
-     * predictor's banks and history: one instantiation per bank
-     * count, storage and history source the constructor admits.
+     * Call @p body.template operator()<NumBanks, Storage, PerAddress>()
+     * for this predictor's shape: one instantiation per bank count,
+     * storage and history source the constructor admits.
      */
     template <typename Body>
-    void withBlockState(Body &&body);
+    void withShape(Body &&body);
+
+    /** A fresh block state (see the .cc) over the banks and history. */
+    template <unsigned NumBanks, BankStorage Storage, bool PerAddress>
+    auto blockState();
 
     Config config;
 
@@ -210,10 +205,10 @@ class SkewedPredictor : public Predictor
     /** Shared hysteresis: one bit per entry pair; else empty. */
     SatCounterBankGroup hysteresis;
 
-    /** PerAddress: the local histories; else empty. */
+    /** Per-address history: the local histories; else empty. */
     std::vector<u16> localHistories;
 
-    /** Global: the history register (unused under PerAddress). */
+    /** The global history register (unused under per-address). */
     GlobalHistory history;
 
     u64 bankWriteCount = 0;

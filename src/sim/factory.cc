@@ -453,8 +453,9 @@ makePredictor(const PredictorSpec &spec)
     }
     if (scheme == "pskew") {
         SkewedPredictor::Config config;
-        config.historySource = HistorySource::PerAddress;
-        config.bhtIndexBits = numberAt(spec, 0);
+        // A nonzero table selects per-address history; 0 would
+        // quietly build a global-history gskewed instead.
+        config.bhtIndexBits = checkedIndexBits("pskew", numberAt(spec, 0));
         config.historyBits = numberAt(spec, 1);
         config.numBanks = numberAt(spec, 2);
         config.bankIndexBits = numberAt(spec, 3);

@@ -111,10 +111,10 @@ TEST(Factory, RejectsBadNumbers)
           "agree:14:70:12", "bimode:64:10:12", "bimode:13:10:64",
           "bimode:13:70:12", "pag:64:8", "pag:0:8", "pag:10:17",
           "pag:10:0", "yags:64:8:11", "yags:10:8:64", "yags:10:70:11",
-          "pskew:64:8:3:12", "pskew:10:8:3:64", "pskew:10:8:3:0",
-          "yags:10:8:11:17", "yags:10:8:11:20", "unaliased:70",
-          "unaliased:45", "unaliased:64", "falru:4096:70",
-          "falru:4096:45"}) {
+          "pskew:64:8:3:12", "pskew:0:8:3:12", "pskew:10:8:3:64",
+          "pskew:10:8:3:0", "yags:10:8:11:17", "yags:10:8:11:20",
+          "unaliased:70", "unaliased:45", "unaliased:64",
+          "falru:4096:70", "falru:4096:45"}) {
         EXPECT_THROW(makePredictor(spec), FatalError) << spec;
     }
     EXPECT_NO_THROW(makePredictor("gshare:12:64"));

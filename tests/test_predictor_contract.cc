@@ -556,10 +556,7 @@ TEST(ReplayBlockContract, SimdMatchesScalarAcrossBlockSizesAndModes)
         if (geometry.enhanced) {
             config.indexing = BankIndexing::Enhanced;
         }
-        if (geometry.bht > 0) {
-            config.historySource = HistorySource::PerAddress;
-            config.bhtIndexBits = geometry.bht;
-        }
+        config.bhtIndexBits = geometry.bht;
         SkewedPredictor reference(config);
         const ReplayCounters want = replayScalar(reference, trace);
         for (const std::size_t block : blockSizes) {

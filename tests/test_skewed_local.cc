@@ -28,7 +28,6 @@ pskewConfig(unsigned bht_bits, unsigned local_bits, unsigned banks,
             UpdatePolicy policy = UpdatePolicy::Partial)
 {
     SkewedPredictor::Config config;
-    config.historySource = HistorySource::PerAddress;
     config.bhtIndexBits = bht_bits;
     config.historyBits = local_bits;
     config.numBanks = banks;
@@ -58,6 +57,14 @@ TEST(SkewedLocal, RejectsBadGeometry)
     EXPECT_THROW(SkewedPredictor(pskewConfig(8, 8, 2, 8)), FatalError);
     EXPECT_THROW(SkewedPredictor(pskewConfig(8, 0, 3, 8)), FatalError);
     EXPECT_THROW(SkewedPredictor(pskewConfig(8, 17, 3, 8)), FatalError);
+    // No scheme feeds local histories to an address-indexed bank 0 or
+    // to shared-hysteresis banks.
+    SkewedPredictor::Config enhanced = pskewConfig(8, 8, 3, 8);
+    enhanced.indexing = BankIndexing::Enhanced;
+    EXPECT_THROW(SkewedPredictor{enhanced}, FatalError);
+    SkewedPredictor::Config shared = pskewConfig(8, 8, 3, 8);
+    shared.storage = BankStorage::SharedHysteresis;
+    EXPECT_THROW(SkewedPredictor{shared}, FatalError);
 }
 
 TEST(SkewedLocal, StorageAccountsBhtAndBanks)
