@@ -1,6 +1,8 @@
 #include "aliasing/falru_predictor.hh"
 
 #include "predictors/info_vector.hh"
+#include "support/check.hh"
+#include "support/sat_counter.hh"
 #include "support/serialize.hh"
 
 namespace bpred
@@ -9,11 +11,12 @@ namespace bpred
 FaLruPredictor::FaLruPredictor(u64 capacity, unsigned history_bits,
                                unsigned counter_bits)
     : table(capacity),
-      prototype(counter_bits),
       historyBits(
           checkedHistoryBits("falru", history_bits, maxKeyHistoryBits)),
       counterBits(counter_bits)
 {
+    BP_CHECK(counter_bits >= 1 && counter_bits <= 8,
+             "counter width outside 1..8");
 }
 
 u64
@@ -29,21 +32,17 @@ FaLruPredictor::predict(Addr pc)
     if (payload == nullptr) {
         return true; // static always-taken fallback
     }
-    SatCounter counter(counterBits, *payload);
-    return counter.predictTaken();
+    return *payload >= counterThreshold(counterBits);
 }
 
 void
 FaLruPredictor::update(Addr pc, bool taken)
 {
     // A fresh entry starts strongly toward the outcome.
-    SatCounter fresh(counterBits);
-    fresh.setStrong(taken);
-    u8 *payload = table.access(keyOf(pc), fresh.value());
+    const u8 max = counterMax(counterBits);
+    u8 *payload = table.access(keyOf(pc), taken ? max : 0);
     if (payload != nullptr) {
-        SatCounter counter(counterBits, *payload);
-        counter.update(taken);
-        *payload = counter.value();
+        *payload = counterStep(*payload, taken, max);
     }
     history.shiftIn(taken);
 }

@@ -8,7 +8,6 @@
 #include "aliasing/fa_lru_table.hh"
 #include "predictors/history.hh"
 #include "predictors/predictor.hh"
-#include "support/sat_counter.hh"
 
 namespace bpred
 {
@@ -62,7 +61,6 @@ class FaLruPredictor : public Predictor
 
     FullyAssociativeLruTable table;
     GlobalHistory history;
-    SatCounter prototype;
     unsigned historyBits;
     unsigned counterBits;
 };

@@ -3,6 +3,7 @@
 #include "aliasing/tagged_table.hh"
 #include "predictors/history.hh"
 #include "predictors/info_vector.hh"
+#include "support/sat_counter.hh"
 #include "support/site_table.hh"
 
 namespace bpred
@@ -33,7 +34,8 @@ classifyInterference(const Trace &trace, const IndexFunction &function,
     const ResolvedIndex index_of = function.resolve();
     SatCounterArray table(u64(1) << function.indexBits, counter_bits);
     TaggedDirectMappedTable shadow(function.indexBits);
-    FlatTable<SatCounter> twins;
+    FlatTable<u8> twins;
+    const u8 max = counterMax(counter_bits);
     GlobalHistory history;
     RatioStat mispredicts;
     InterferenceResult result;
@@ -55,10 +57,10 @@ classifyInterference(const Trace &trace, const IndexFunction &function,
             // First encounter: the twin is seeded with the outcome
             // (the unaliased-predictor convention); the reference
             // itself is compulsory, not interference.
-            twin = SatCounter(counter_bits);
-            twin.setStrong(record.taken);
+            twin = record.taken ? max : 0;
         }
-        const bool twin_prediction = twin.predictTaken();
+        const bool twin_prediction =
+            twin >= counterThreshold(counter_bits);
 
         const auto outcome = shadow.probe(index, key);
         if (is_new) {
@@ -80,7 +82,7 @@ classifyInterference(const Trace &trace, const IndexFunction &function,
         mispredicts.sample(real_prediction != record.taken);
         table.update(index, record.taken);
         if (!is_new) {
-            twin.update(record.taken);
+            twin = counterStep(twin, record.taken, max);
         }
         history.shiftIn(record.taken);
     }

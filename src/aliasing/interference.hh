@@ -7,7 +7,6 @@
 #pragma once
 
 #include "aliasing/index_function.hh"
-#include "support/sat_counter.hh"
 #include "support/stats.hh"
 #include "trace/trace.hh"
 

@@ -127,7 +127,8 @@ struct SkewedBlockState
     u8
     maxValue() const
     {
-        return Storage == BankStorage::Counters ? banks[0].max : u8(3);
+        return Storage == BankStorage::Counters ? banks[0].max
+                                                : counterMax(2);
     }
 
     /** Entry values from this one up vote taken. */
@@ -135,7 +136,7 @@ struct SkewedBlockState
     threshold() const
     {
         return Storage == BankStorage::Counters ? banks[0].threshold
-                                                : u8(2);
+                                                : counterThreshold(2);
     }
 
     /** Entry @p index of @p bank as one counter value. */
@@ -219,7 +220,7 @@ struct SkewedBlockState
 
 /** One bank's run of 1-bit entries, in the -sh snapshot framing. */
 void
-putBitRun(ByteWriter &out, const SatCounterBankGroup &group,
+putBitRun(ByteWriter &out, const SatCounterArray &group,
           unsigned bank)
 {
     out.putU64(group.entriesPerBank());
@@ -290,15 +291,15 @@ SkewedPredictor::validated(const Config &config)
 
 SkewedPredictor::SkewedPredictor(const Config &cfg)
     : config(validated(cfg)),
-      banks(config.numBanks, u64(1) << config.bankIndexBits,
+      banks(u64(1) << config.bankIndexBits,
             config.storage == BankStorage::Counters ? config.counterBits
                                                     : 1,
-            BankLayout::Interleaved),
-      hysteresis(config.numBanks,
-                 config.storage == BankStorage::SharedHysteresis
+            coldCounter, config.numBanks),
+      hysteresis(config.storage == BankStorage::SharedHysteresis
                      ? u64(1) << (config.bankIndexBits - 1)
                      : 0,
-                 1, BankLayout::Interleaved, 1),
+                 1, 1 /* weak: see support/sat_counter.hh */,
+                 config.numBanks),
       localHistories(perAddress(config)
                          ? std::size_t(1) << config.bhtIndexBits
                          : 0,
@@ -352,9 +353,9 @@ SkewedPredictor::blockState()
 {
     SkewedBlockState<NumBanks, Storage, PerAddress> state{};
     for (unsigned bank = 0; bank < NumBanks; ++bank) {
-        state.banks[bank] = banks.bankView(bank);
+        state.banks[bank] = banks.view(bank);
         if constexpr (Storage == BankStorage::SharedHysteresis) {
-            state.hysteresis[bank] = hysteresis.bankView(bank);
+            state.hysteresis[bank] = hysteresis.view(bank);
         }
     }
     state.config = config;
@@ -540,7 +541,7 @@ SkewedPredictor::replayBlock(const BranchRecord *records,
                                     .data();
                         }
                         resolveBankGroup(
-                            banks.bankView(0), idx, tile.taken,
+                            banks.view(0), idx, tile.taken,
                             conditionals, config.updatePolicy, prefetch,
                             counters, bankWriteCount, mask,
                             [&](unsigned bank, std::size_t j) {
@@ -634,8 +635,8 @@ void
 SkewedPredictor::saveState(ByteWriter &out) const
 {
     // Per-scheme framing, byte-identical to the snapshots of the
-    // classes this one replaced: bank groups write one standalone
-    // SatCounterArray run per bank.
+    // classes this one replaced: the counter table writes one run
+    // per bank.
     if (perAddress(config)) {
         out.putU64(localHistories.size());
         for (const u16 entry : localHistories) {

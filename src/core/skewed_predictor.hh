@@ -200,10 +200,10 @@ class SkewedPredictor : public Predictor
      * serve every bank. Holds the counters, or under shared
      * hysteresis the 1-bit prediction entries.
      */
-    SatCounterBankGroup banks;
+    SatCounterArray banks;
 
     /** Shared hysteresis: one bit per entry pair; else empty. */
-    SatCounterBankGroup hysteresis;
+    SatCounterArray hysteresis;
 
     /** Per-address history: the local histories; else empty. */
     std::vector<u16> localHistories;

@@ -24,7 +24,7 @@ AgreePredictor::AgreePredictor(unsigned index_bits,
                  counter_bits,
                  // Initialize weakly "agree": cold branches follow
                  // their bias, the design's whole premise.
-                 static_cast<u8>(u8(1) << (counter_bits - 1))),
+                 counterThreshold(counter_bits)),
       biasTable(u64(1) << checkedIndexBits("agree", bias_index_bits),
                 biasUnset),
       indexBits(index_bits),
@@ -120,8 +120,7 @@ AgreePredictor::storageBits() const
 void
 AgreePredictor::reset()
 {
-    agreeTable.reset(
-        static_cast<u8>(u8(1) << (agreeTable.width() - 1)));
+    agreeTable.reset(counterThreshold(agreeTable.width()));
     std::fill(biasTable.begin(), biasTable.end(), biasUnset);
     history.reset();
 }

@@ -36,6 +36,7 @@
 #include <cstddef>
 
 #include "support/logging.hh"
+#include "support/sat_counter.hh"
 #include "support/types.hh"
 
 namespace bpred
@@ -95,7 +96,8 @@ struct SkewedVote
 
 /**
  * The vote and update policy over one bank group's counter
- * @p values for a conditional resolving @p taken. It is the one
+ * @p values for a conditional resolving @p taken; every bank the
+ * policy writes takes one counterStep(). It is the one
  * definition behind the skewed predictor's block step and split
  * update() and the transition tables below, so none of them can
  * drift; the textbook oracle in tests/paper_reference.hh is the
@@ -133,9 +135,8 @@ skewedVote(const u8 (&values)[NumBanks], bool taken, u8 max,
         const int skip_lazy = int(lazy) & int(bank_correct) &
             int(value == saturated);
         const int write = 1 & ~(skip_partial | skip_lazy);
-        const int up = int(taken) & int(value < max);
-        const int down = int(!taken) & int(value > 0);
-        vote.next[bank] = static_cast<u8>(value + write * (up - down));
+        vote.next[bank] = static_cast<u8>(
+            value + write * counterDelta(value, taken, max));
         vote.protectedBanks |= static_cast<u8>(skip_partial << bank);
         vote.saturatedBanks |= static_cast<u8>(skip_lazy << bank);
         writes += unsigned(write);
@@ -169,8 +170,8 @@ constexpr unsigned skewedEntryMispredictShift = 15;
 
 /**
  * The table entry (see file comment) for counter @p values and
- * outcome @p taken: skewedVote() over SatCounterArray's counter
- * convention (max 2^bits - 1, taken from 2^(bits - 1)).
+ * outcome @p taken: skewedVote() over the counter convention of
+ * support/sat_counter.hh at CounterBits bits.
  */
 template <unsigned NumBanks, unsigned CounterBits>
 constexpr u16
@@ -178,8 +179,8 @@ skewedEntry(const u8 (&values)[NumBanks], bool taken,
             UpdatePolicy policy)
 {
     const SkewedVote<NumBanks> vote =
-        skewedVote(values, taken, u8((1u << CounterBits) - 1),
-                   u8(1u << (CounterBits - 1)), policy);
+        skewedVote(values, taken, counterMax(CounterBits),
+                   counterThreshold(CounterBits), policy);
     unsigned entry =
         unsigned(vote.prediction != taken) << skewedEntryMispredictShift |
         unsigned(vote.writes) << skewedEntryWritesShift;

@@ -15,11 +15,10 @@ BiModePredictor::BiModePredictor(unsigned direction_index_bits,
                                             direction_index_bits),
                  counter_bits,
                  // Direction tables start leaning their way.
-                 static_cast<u8>(mask(counter_bits))),
-      notTakenTable(u64(1) << direction_index_bits, counter_bits, 0),
+                 counterMax(counter_bits)),
+      notTakenTable(u64(1) << direction_index_bits, counter_bits),
       choiceTable(u64(1) << checkedIndexBits("bimode", choice_index_bits),
-                  counter_bits,
-                  static_cast<u8>(u8(1) << (counter_bits - 1))),
+                  counter_bits, counterThreshold(counter_bits)),
       directionIndexBits(direction_index_bits),
       historyBits(checkedHistoryBits("bimode", history_bits)),
       choiceIndexBits(choice_index_bits)
@@ -91,10 +90,9 @@ BiModePredictor::storageBits() const
 void
 BiModePredictor::reset()
 {
-    takenTable.reset(static_cast<u8>(mask(takenTable.width())));
-    notTakenTable.reset(0);
-    choiceTable.reset(
-        static_cast<u8>(u8(1) << (choiceTable.width() - 1)));
+    takenTable.reset(counterMax(takenTable.width()));
+    notTakenTable.reset();
+    choiceTable.reset(counterThreshold(choiceTable.width()));
     history.reset();
 }
 

@@ -42,11 +42,12 @@ struct ChooserWalk
         // Strengthen toward the component that was right, when
         // exactly one was.
         const int disagree = first_wrong ^ second_wrong;
-        const int up = disagree & (first_wrong ^ 1) &
-            int(counter < chooser.max);
-        const int down = disagree & first_wrong & int(counter > 0);
-        counter = static_cast<u8>(counter + up - down);
-        const int wrong = use_first ? first_wrong : second_wrong;
+        counter = static_cast<u8>(
+            counter +
+            disagree * counterDelta(counter, first_wrong ^ 1, chooser.max));
+        // The chosen component's answer, selected by arithmetic: as a
+        // ternary, GCC may emit a branch on the chooser's direction.
+        const int wrong = second_wrong ^ (disagree & int(use_first));
         return taken != (wrong != 0);
     }
 

@@ -5,6 +5,7 @@
 
 #include "predictors/info_vector.hh"
 #include "support/logging.hh"
+#include "support/sat_counter.hh"
 #include "support/serialize.hh"
 #include "support/table.hh"
 
@@ -17,6 +18,8 @@ UnaliasedPredictor::UnaliasedPredictor(unsigned history_bits,
                                      maxKeyHistoryBits)),
       counterBits(counter_bits)
 {
+    BP_CHECK(counter_bits >= 1 && counter_bits <= 8,
+             "counter width outside 1..8");
 }
 
 u64
@@ -28,11 +31,12 @@ UnaliasedPredictor::keyOf(Addr pc) const
 bool
 UnaliasedPredictor::predict(Addr pc)
 {
-    const SatCounter *counter = counters.find(keyOf(pc));
+    const u8 *counter = counters.find(keyOf(pc));
     lastWasCold = counter == nullptr;
     // Cold entries have no information; predict taken (the static
     // fallback), but the miss will not be charged as a misprediction.
-    lastPrediction = lastWasCold ? true : counter->predictTaken();
+    lastPrediction =
+        lastWasCold ? true : *counter >= counterThreshold(counterBits);
     lastPredictionValid = true;
     return lastPrediction;
 }
@@ -43,23 +47,25 @@ UnaliasedPredictor::update(Addr pc, bool taken)
     const u64 key = keyOf(pc);
     if (!lastPredictionValid) {
         // update() without a paired predict(): recompute.
-        const SatCounter *counter = counters.find(key);
+        const u8 *counter = counters.find(key);
         lastWasCold = counter == nullptr;
-        lastPrediction = lastWasCold ? true : counter->predictTaken();
+        lastPrediction = lastWasCold
+            ? true
+            : *counter >= counterThreshold(counterBits);
     }
     lastPredictionValid = false;
 
     ++dynamicCount;
     staticBranches.at(pc);
 
-    SatCounter &counter = counters.at(key);
+    u8 &counter = counters.at(key);
+    const u8 max = counterMax(counterBits);
     if (lastWasCold) {
         ++compulsoryCount;
-        counter = SatCounter(counterBits);
-        counter.setStrong(taken);
+        counter = taken ? max : 0; // strongly toward the outcome
     } else {
         warmMispredicts.sample(lastPrediction != taken);
-        counter.update(taken);
+        counter = counterStep(counter, taken, max);
     }
     history.shiftIn(taken);
 }
@@ -102,8 +108,8 @@ UnaliasedPredictor::saveState(ByteWriter &out) const
     // bp_lint: allow(reserve-untrusted): sized by this predictor's
     // own in-memory table, not by any decoded field.
     sorted_counters.reserve(counters.size());
-    counters.forEach([&](u64 key, const SatCounter &counter) {
-        sorted_counters.emplace_back(key, counter.value());
+    counters.forEach([&](u64 key, u8 counter) {
+        sorted_counters.emplace_back(key, counter);
     });
     std::sort(sorted_counters.begin(), sorted_counters.end());
     out.putU64(sorted_counters.size());
@@ -136,11 +142,11 @@ UnaliasedPredictor::loadState(ByteReader &in)
     const u64 counter_count = in.getU64();
     // No reserve: counter_count is untrusted, so the table grows
     // only as entries actually arrive (truncation stops the loop).
-    FlatTable<SatCounter> restored_counters;
+    FlatTable<u8> restored_counters;
     for (u64 i = 0; i < counter_count; ++i) {
         const u64 key = in.getU64();
         const u8 value = in.getU8();
-        if (value > mask(counterBits)) {
+        if (value > counterMax(counterBits)) {
             fatal("unaliased snapshot: counter value exceeds " +
                   std::to_string(counterBits) + " bits");
         }
@@ -148,7 +154,7 @@ UnaliasedPredictor::loadState(ByteReader &in)
         if (!inserted) {
             fatal("unaliased snapshot: duplicate counter key");
         }
-        counter = SatCounter(counterBits, value);
+        counter = value;
     }
 
     const u64 branch_count = in.getU64();

@@ -8,7 +8,6 @@
 
 #include "predictors/history.hh"
 #include "predictors/predictor.hh"
-#include "support/sat_counter.hh"
 #include "support/site_table.hh"
 #include "support/stats.hh"
 
@@ -88,7 +87,7 @@ class UnaliasedPredictor : public Predictor
   private:
     u64 keyOf(Addr pc) const;
 
-    FlatTable<SatCounter> counters;
+    FlatTable<u8> counters;
     FlatTable<NoValue> staticBranches;
     GlobalHistory history;
     RatioStat warmMispredicts;

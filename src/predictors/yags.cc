@@ -62,7 +62,7 @@ YagsPredictor::predict(Addr pc)
     const auto &cache = bias ? notTakenCache : takenCache;
     const CacheEntry &entry = cache[cacheIndexOf(pc)];
     if (entry.valid && entry.tag == tagOf(pc)) {
-        return entry.counter >= 2;
+        return entry.counter >= counterThreshold(2);
     }
     return bias;
 }
@@ -78,15 +78,7 @@ YagsPredictor::update(Addr pc, bool taken)
 
     if (tag_hit) {
         // Train the exception entry.
-        if (taken) {
-            if (entry.counter < 3) {
-                ++entry.counter;
-            }
-        } else {
-            if (entry.counter > 0) {
-                --entry.counter;
-            }
-        }
+        entry.counter = counterStep(entry.counter, taken, counterMax(2));
     } else if (taken != bias) {
         // A new exception: allocate (replacing whatever was there).
         entry.valid = true;
@@ -96,7 +88,8 @@ YagsPredictor::update(Addr pc, bool taken)
 
     // Choice table trains like bi-mode: skip the update when the
     // bias was wrong but the exception cache covered it.
-    const bool covered = tag_hit && (entry.counter >= 2) == taken;
+    const bool covered =
+        tag_hit && (entry.counter >= counterThreshold(2)) == taken;
     if (!(bias != taken && covered)) {
         choiceTable.update(choice_index, taken);
     }
@@ -166,7 +159,7 @@ YagsPredictor::loadState(ByteReader &in)
             entry.tag = in.getU16();
             entry.counter = in.getU8();
             const u8 valid = in.getU8();
-            if (entry.tag > mask(tagBits) || entry.counter > 3 ||
+            if (entry.tag > mask(tagBits) || entry.counter > counterMax(2) ||
                 valid > 1) {
                 fatal("yags snapshot: invalid cache entry");
             }

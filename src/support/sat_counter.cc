@@ -1,5 +1,6 @@
 #include "support/sat_counter.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "support/logging.hh"
@@ -12,7 +13,7 @@ namespace bpred
 namespace
 {
 
-/** Bytes of a SatCounterArray header: u64 entry count + u8 width. */
+/** Bytes of a bank run's header: u64 entry count + u8 width. */
 constexpr std::size_t runHeaderBytes = 9;
 
 /**
@@ -39,13 +40,16 @@ countersFit(const u8 *run, u64 size, u8 max)
 
 } // namespace
 
-SatCounterArray::SatCounterArray(u64 num_entries, unsigned width,
-                                 u8 initial)
-    : values(num_entries, initial),
+SatCounterArray::SatCounterArray(u64 entries_per_bank, unsigned width,
+                                 u8 initial, unsigned num_banks)
+    : values(u64(num_banks) * entries_per_bank, initial),
+      entriesPerBank_(entries_per_bank),
+      numBanks_(num_banks),
       width_(static_cast<u8>(width)),
-      maxCounterValue(static_cast<u8>(mask(width))),
-      thresholdValue(static_cast<u8>(u8(1) << (width - 1)))
+      maxCounterValue(counterMax(width)),
+      thresholdValue(counterThreshold(width))
 {
+    BP_CHECK(num_banks >= 1, "counter table needs at least one bank");
     BP_CHECK(width >= 1 && width <= 8,
              "counter width outside 1..8");
     BP_CHECK(initial <= maxCounterValue,
@@ -63,81 +67,9 @@ SatCounterArray::reset(u8 initial)
 void
 SatCounterArray::saveState(ByteWriter &out) const
 {
-    out.putU64(values.size());
-    out.putU8(width_);
-    out.putBytes(values.data(), values.size());
-}
-
-void
-SatCounterArray::loadState(ByteReader &in)
-{
-    const u64 stored_size = in.getU64();
-    const u8 stored_width = in.getU8();
-    if (stored_size != values.size() || stored_width != width_) {
-        fatal("sat counter array: snapshot geometry mismatch");
-    }
-    const u8 *run = in.take(values.size());
-    if (!countersFit(run, values.size(), maxCounterValue)) {
-        fatal("sat counter array: snapshot counter out of range");
-    }
-    std::memcpy(values.data(), run, values.size());
-}
-
-SatCounterBankGroup::SatCounterBankGroup(unsigned num_banks,
-                                         u64 entries_per_bank,
-                                         unsigned width,
-                                         BankLayout layout, u8 initial)
-    : values(u64(num_banks) * entries_per_bank, initial),
-      entriesPerBank_(entries_per_bank),
-      numBanks_(num_banks),
-      layout_(layout),
-      width_(static_cast<u8>(width)),
-      maxCounterValue(static_cast<u8>(mask(width))),
-      thresholdValue(static_cast<u8>(u8(1) << (width - 1)))
-{
-    BP_CHECK(num_banks >= 1, "bank group needs at least one bank");
-    BP_CHECK(width >= 1 && width <= 8,
-             "counter width outside 1..8");
-    BP_CHECK(initial <= maxCounterValue,
-             "initial counter value exceeds its width");
-}
-
-SatCounterArray::View
-SatCounterBankGroup::bankView(unsigned bank)
-{
-    BP_CHECK(bank < numBanks_, "bank view out of range");
-    if (layout_ == BankLayout::Planar) {
-        return {values.data() + u64(bank) * entriesPerBank_,
-                maxCounterValue, thresholdValue, 1};
-    }
-    return {values.data() + bank, maxCounterValue, thresholdValue,
-            numBanks_};
-}
-
-void
-SatCounterBankGroup::set(unsigned bank, u64 index, u8 new_value)
-{
-    BP_CHECK(bank < numBanks_ && index < entriesPerBank_,
-             "bank counter write out of range");
-    BP_CHECK(new_value <= maxCounterValue,
-             "counter value exceeds its width");
-    values[offsetOf(bank, index)] = new_value;
-}
-
-void
-SatCounterBankGroup::reset(u8 initial)
-{
-    BP_CHECK(initial <= maxCounterValue,
-             "reset counter value exceeds its width");
-    std::fill(values.begin(), values.end(), initial);
-}
-
-void
-SatCounterBankGroup::saveState(ByteWriter &out, SimdMode mode) const
-{
-    // One SatCounterArray run per bank: header, then the bank's
-    // counters as a flat run of bytes, filled in once all are laid
-    // out (no later write moves the buffer).
+    // One run per bank: header, then the bank's counters as a flat
+    // run of bytes, filled in once all are laid out (no later write
+    // moves the buffer).
     u8 *last = nullptr;
     for (unsigned bank = 0; bank < numBanks_; ++bank) {
         out.putU64(entriesPerBank_);
@@ -145,21 +77,13 @@ SatCounterBankGroup::saveState(ByteWriter &out, SimdMode mode) const
         last = out.grow(entriesPerBank_);
     }
     const std::size_t stride = runHeaderBytes + entriesPerBank_;
-    u8 *first = last - (numBanks_ - 1) * stride;
-    if (layout_ == BankLayout::Planar) {
-        for (unsigned bank = 0; bank < numBanks_; ++bank) {
-            std::memcpy(first + bank * stride,
-                        values.data() + bank * entriesPerBank_,
-                        entriesPerBank_);
-        }
-    } else {
-        gatherBanks(resolveSimdMode(mode), values.data(), numBanks_,
-                    entriesPerBank_, first, stride);
-    }
+    gatherBanks(resolveSimdMode(SimdMode::Auto), values.data(),
+                numBanks_, entriesPerBank_,
+                last - (numBanks_ - 1) * stride, stride);
 }
 
 void
-SatCounterBankGroup::loadState(ByteReader &in, SimdMode mode)
+SatCounterArray::loadState(ByteReader &in)
 {
     // Validate every bank's run in place, then copy them in at once.
     const u8 *first = nullptr;
@@ -167,27 +91,20 @@ SatCounterBankGroup::loadState(ByteReader &in, SimdMode mode)
         const u64 stored_size = in.getU64();
         const u8 stored_width = in.getU8();
         if (stored_size != entriesPerBank_ || stored_width != width_) {
-            fatal("sat counter bank: snapshot geometry mismatch");
+            fatal("sat counter array: snapshot geometry mismatch");
         }
         const u8 *run = in.take(entriesPerBank_);
         if (!countersFit(run, entriesPerBank_, maxCounterValue)) {
-            fatal("sat counter bank: snapshot counter out of range");
+            fatal("sat counter array: snapshot counter out of range");
         }
         if (bank == 0) {
             first = run;
         }
     }
     // The runs sit back to back in the span, one header apart.
-    const std::size_t stride = runHeaderBytes + entriesPerBank_;
-    if (layout_ == BankLayout::Planar) {
-        for (unsigned bank = 0; bank < numBanks_; ++bank) {
-            std::memcpy(values.data() + bank * entriesPerBank_,
-                        first + bank * stride, entriesPerBank_);
-        }
-    } else {
-        scatterBanks(resolveSimdMode(mode), first, stride, numBanks_,
-                     entriesPerBank_, values.data());
-    }
+    scatterBanks(resolveSimdMode(SimdMode::Auto), first,
+                 runHeaderBytes + entriesPerBank_, numBanks_,
+                 entriesPerBank_, values.data());
 }
 
 } // namespace bpred

@@ -1,11 +1,11 @@
 /**
  * @file
- * Bank transpose kernels for SatCounterBankGroup snapshots.
+ * Bank transpose kernels for SatCounterArray snapshots.
  *
- * An Interleaved bank group stores counter (bank, index) at
+ * A counter table stores counter (bank, index) at
  * index * banks + bank, but BPS1 writes each bank as one flat run of
- * counters (the SatCounterArray encoding), so every save gathers the
- * banks apart and every load scatters them back together. The scalar
+ * counters, so every save gathers the banks apart and every load
+ * scatters them back together (one bank is a plain copy). The scalar
  * loops below are the reference and the only path of a scalar-only
  * build; the AVX2 kernels move 32 entries of every bank per step
  * with in-lane byte shuffles (one pshufb per bank and source
@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 
 #include "support/simd.hh"
 #include "support/types.hh"
@@ -205,14 +206,18 @@ scatterBanksAvx2(const u8 *flat, std::size_t stride, u64 entries,
 /**
  * Gather @p banks interleaved banks of @p entries counters each into
  * flat runs @p stride bytes apart, on the kernel @p mode selects (a
- * resolved mode: Avx2 or Scalar). Only three banks (the paper's
- * e-gskew and gskewed) take the vector kernel; other counts run the
- * scalar loop.
+ * resolved mode: Avx2 or Scalar). One bank is a copy; only three
+ * banks (the paper's e-gskew and gskewed) take the vector kernel;
+ * other counts run the scalar loop.
  */
 inline void
 gatherBanks(SimdMode mode, const u8 *interleaved, unsigned banks,
             u64 entries, u8 *flat, std::size_t stride)
 {
+    if (banks == 1) {
+        std::memcpy(flat, interleaved, entries);
+        return;
+    }
     u64 done = 0;
 #if BPRED_HAVE_AVX2
     if (mode == SimdMode::Avx2 && banks == 3) {
@@ -229,6 +234,10 @@ inline void
 scatterBanks(SimdMode mode, const u8 *flat, std::size_t stride,
              unsigned banks, u64 entries, u8 *interleaved)
 {
+    if (banks == 1) {
+        std::memcpy(interleaved, flat, entries);
+        return;
+    }
     u64 done = 0;
 #if BPRED_HAVE_AVX2
     if (mode == SimdMode::Avx2 && banks == 3) {

@@ -1,16 +1,22 @@
 /**
  * @file
- * SIMD dispatch policy for the phase-split replay kernels.
+ * SIMD dispatch policy for the replay kernels.
  *
- * The vectorized index/hash kernels (predictors/block_kernel_simd.hh)
- * exist in two implementations: an AVX2 one and a scalar one that is
- * bit-identical by contract (the contract tests sweep every scheme
- * under both). Which one runs is decided once per session:
+ * A replay runs on one of two paths, bit-identical by contract (the
+ * contract tests sweep every scheme under both): Avx2, the
+ * phase-split kernels (predictors/block_kernel_simd.hh), whose
+ * index/hash fills exist only as AVX2 code; and Scalar, the block
+ * kernel (predictors/block_kernel.hh), which computes each index
+ * inline as it walks the block. The counter tables' bank transposes
+ * (support/sat_counter_simd.hh) follow the same mode. Which path
+ * runs is decided once per session:
  *
  *  - Build time: the CMake cache variable BPRED_SIMD
  *    (auto | avx2 | scalar) decides whether the AVX2 kernels are
  *    compiled at all. `scalar` defines BPRED_SIMD_SCALAR_ONLY and
- *    the tree contains no vector code — that build is the reference.
+ *    the tree contains no vector code: the block kernel and the
+ *    scalar bank transposes are its only paths, and that build is
+ *    the reference.
  *  - Run time: the BPRED_SIMD environment variable (auto | avx2 |
  *    scalar) or the per-run SimOptions::simd knob picks among the
  *    compiled paths; `auto` probes the CPU with
@@ -38,7 +44,7 @@
 namespace bpred
 {
 
-/** Which index/hash kernel implementation a replay pass uses. */
+/** Which replay path (and bank-transpose kernel) a pass uses. */
 enum class SimdMode : u8
 {
     /** Defer to BPRED_SIMD in the environment, then the CPU probe. */
@@ -47,7 +53,7 @@ enum class SimdMode : u8
     /** The AVX2 kernels (falls back to Scalar when unavailable). */
     Avx2,
 
-    /** The scalar reference kernels. */
+    /** The scalar block kernel and bank transposes: the reference. */
     Scalar,
 };
 

@@ -91,11 +91,24 @@ TEST(CheckedSatCounterArray, BoundsViolationsPanic)
     EXPECT_TRUE(table.value(15) == 1);
     EXPECT_DEATH(table.set(16, 0), "counter write out of range");
     EXPECT_DEATH(table.set(0, 4), "counter value exceeds its width");
+    // A banked table checks the bank as well as the entry.
+    SatCounterArray banks(16, 2, coldCounter, 3);
+    EXPECT_DEATH(banks.set(3, 0, 0), "counter write out of range");
+    EXPECT_DEATH(banks.set(0, 16, 0), "counter write out of range");
+    EXPECT_DEATH(banks.view(3), "bank view out of range");
+    EXPECT_DEATH(banks.view(), "flat view of a banked table");
+    // The flat accessors index a 1-bank table only.
+    EXPECT_DEATH(banks.set(u64(0), 0), "flat counter write out of range");
 #ifndef NDEBUG
     // The per-prediction accessors use BP_DCHECK, which NDEBUG
     // compiles out even in checked builds.
     EXPECT_DEATH(table.update(16, true), "counter write out of range");
     EXPECT_DEATH(table.value(16), "counter read out of range");
+    EXPECT_DEATH(banks.update(3, 0, true), "counter write out of range");
+    EXPECT_DEATH(banks.value(0, 16), "counter read out of range");
+    EXPECT_DEATH(banks.update(u64(0), true),
+                 "flat counter write out of range");
+    EXPECT_DEATH(banks.value(u64(0)), "flat counter read out of range");
 #endif
 }
 
@@ -165,7 +178,7 @@ TEST(PhaseSplitDeathTest, SkewedResolveVerifiesEveryLookup)
     // The checked skewed resolve runs the transition-table span and
     // verifies both its indices and each looked-up entry against
     // skewedVote(). Either mismatch aborts.
-    SatCounterBankGroup banks(3, 16, 2, BankLayout::Interleaved);
+    SatCounterArray banks(16, 2, coldCounter, 3);
     const u32 b0[2] = {3, 5};
     const u32 b1[2] = {4, 5};
     const u32 b2[2] = {9, 1};
@@ -177,13 +190,13 @@ TEST(PhaseSplitDeathTest, SkewedResolveVerifiesEveryLookup)
     const auto exact = [&](unsigned bank, std::size_t j) {
         return u64(idx[bank][j]);
     };
-    resolveBankGroup(banks.bankView(0), idx, taken, 2,
+    resolveBankGroup(banks.view(0), idx, taken, 2,
                      UpdatePolicy::Total, false, counters, writes, mask,
                      exact);
     EXPECT_EQ(counters.conditionals, 2u);
     EXPECT_EQ(u64(mask[0]) + mask[1], counters.mispredicts);
     EXPECT_EQ(writes, 6u);
-    EXPECT_DEATH(resolveBankGroup(banks.bankView(0), idx, taken, 2,
+    EXPECT_DEATH(resolveBankGroup(banks.view(0), idx, taken, 2,
                                   UpdatePolicy::Total, false, counters,
                                   writes, nullptr,
                                   [](unsigned, std::size_t) {
