@@ -820,6 +820,76 @@ TEST(Corpus, ClassificationMatchesSplitReference)
     }
 }
 
+TEST(Corpus, StatsAndTalliesDoNotDependOnTopSites)
+{
+    // Static-site counts and per-spec tallies are part of every
+    // report, classified or not: at topSites 0 and 12 each file's
+    // stats equal computeTraceStats() on the trace it was written
+    // from, and every spec's tally is the same in both runs.
+    ScratchDir dir("topsites");
+    std::map<std::string, Trace> traces;
+    traces.emplace("groff.bpt", makeIbsTrace("groff", 0.01));
+    traces.emplace("gcc.txt", makeIbsTrace("real_gcc", 0.005));
+    saveBinaryTrace(dir.file("groff.bpt"), traces.at("groff.bpt"));
+    {
+        std::ofstream os(dir.file("gcc.txt"));
+        writeTextTrace(os, traces.at("gcc.txt"));
+    }
+    if (gzSupported()) {
+        traces.emplace("nroff.bpt.gz", makeIbsTrace("nroff", 0.005));
+        ASSERT_TRUE(writeGzFile(dir.file("nroff.bpt.gz"),
+                                bptBytes(traces.at("nroff.bpt.gz"))));
+    }
+
+    CorpusOptions options;
+    options.specs = {"gshare:10:8", "bimodal:10", "egskew:9:8"};
+    options.threads = 2;
+    options.sim.warmupBranches = 1500;
+    options.sim.flushInterval = 4000;
+    options.topSites = 0;
+    const CorpusReport bare = runCorpus(dir.str(), options);
+    options.topSites = 12;
+    const CorpusReport ranked = runCorpus(dir.str(), options);
+
+    ASSERT_EQ(bare.files.size(), traces.size());
+    ASSERT_EQ(ranked.files.size(), traces.size());
+    for (std::size_t f = 0; f < bare.files.size(); ++f) {
+        for (const CorpusReport *report : {&bare, &ranked}) {
+            const CorpusFileResult &file = report->files[f];
+            SCOPED_TRACE(file.file + " topSites=" +
+                         std::to_string(report == &bare ? 0 : 12));
+            ASSERT_TRUE(file.error.empty()) << file.error;
+            const TraceStats want =
+                computeTraceStats(traces.at(file.file));
+            EXPECT_EQ(file.stats.dynamicConditional,
+                      want.dynamicConditional);
+            EXPECT_EQ(file.stats.staticConditional,
+                      want.staticConditional);
+            EXPECT_EQ(file.stats.dynamicUnconditional,
+                      want.dynamicUnconditional);
+            EXPECT_EQ(file.stats.staticUnconditional,
+                      want.staticUnconditional);
+            EXPECT_EQ(file.stats.takenConditional,
+                      want.takenConditional);
+        }
+        const CorpusFileResult &a = bare.files[f];
+        const CorpusFileResult &b = ranked.files[f];
+        SCOPED_TRACE(a.file);
+        EXPECT_EQ(a.file, b.file);
+        EXPECT_EQ(a.records, b.records);
+        ASSERT_EQ(a.results.size(), options.specs.size());
+        ASSERT_EQ(b.results.size(), options.specs.size());
+        for (std::size_t s = 0; s < options.specs.size(); ++s) {
+            EXPECT_EQ(a.results[s].conditionals,
+                      b.results[s].conditionals) << options.specs[s];
+            EXPECT_EQ(a.results[s].mispredicts,
+                      b.results[s].mispredicts) << options.specs[s];
+        }
+        EXPECT_TRUE(a.results[0].topSites.empty());
+        EXPECT_EQ(b.results[0].topSites.size(), options.topSites);
+    }
+}
+
 TEST(Corpus, CorruptFileIsIsolated)
 {
     ScratchDir dir("isolate");
