@@ -1,7 +1,6 @@
 #include "aliasing/falru_predictor.hh"
 
 #include "predictors/info_vector.hh"
-#include "support/check.hh"
 #include "support/sat_counter.hh"
 #include "support/serialize.hh"
 
@@ -13,10 +12,8 @@ FaLruPredictor::FaLruPredictor(u64 capacity, unsigned history_bits,
     : table(capacity),
       historyBits(
           checkedHistoryBits("falru", history_bits, maxKeyHistoryBits)),
-      counterBits(counter_bits)
+      counterBits(checkedCounterBits("falru", counter_bits))
 {
-    BP_CHECK(counter_bits >= 1 && counter_bits <= 8,
-             "counter width outside 1..8");
 }
 
 u64

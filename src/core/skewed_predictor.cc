@@ -259,9 +259,7 @@ SkewedPredictor::validated(const Config &config)
               std::to_string(config.numBanks) + ")");
     }
     checkedIndexBits(scheme, config.bankIndexBits);
-    if (config.counterBits < 1 || config.counterBits > 8) {
-        fatal(scheme + ": bad counter width");
-    }
+    checkedCounterBits(scheme, config.counterBits);
     if (perAddress(config)) {
         if (config.indexing != BankIndexing::Skewed ||
             config.storage != BankStorage::Counters) {

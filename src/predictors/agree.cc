@@ -24,7 +24,8 @@ AgreePredictor::AgreePredictor(unsigned index_bits,
                  counter_bits,
                  // Initialize weakly "agree": cold branches follow
                  // their bias, the design's whole premise.
-                 counterThreshold(counter_bits)),
+                 counterThreshold(
+                     checkedCounterBits("agree", counter_bits))),
       biasTable(u64(1) << checkedIndexBits("agree", bias_index_bits),
                 biasUnset),
       indexBits(index_bits),

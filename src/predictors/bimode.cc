@@ -15,7 +15,7 @@ BiModePredictor::BiModePredictor(unsigned direction_index_bits,
                                             direction_index_bits),
                  counter_bits,
                  // Direction tables start leaning their way.
-                 counterMax(counter_bits)),
+                 counterMax(checkedCounterBits("bimode", counter_bits))),
       notTakenTable(u64(1) << direction_index_bits, counter_bits),
       choiceTable(u64(1) << checkedIndexBits("bimode", choice_index_bits),
                   counter_bits, counterThreshold(counter_bits)),

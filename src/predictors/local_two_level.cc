@@ -29,7 +29,7 @@ LocalTwoLevelPredictor::LocalTwoLevelPredictor(unsigned bht_index_bits,
                                                unsigned counter_bits)
     : historyTable(u64(1) << checkedIndexBits("pag", bht_index_bits), 0),
       patternTable(u64(1) << checkedLocalHistoryBits(local_history_bits),
-                   counter_bits),
+                   checkedCounterBits("pag", counter_bits)),
       bhtIndexBits(bht_index_bits),
       localHistoryBits(local_history_bits)
 {

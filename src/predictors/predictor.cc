@@ -74,6 +74,16 @@ checkedHistoryBits(std::string_view scheme, unsigned bits,
     return bits;
 }
 
+unsigned
+checkedCounterBits(std::string_view scheme, unsigned bits)
+{
+    if (bits < 1 || bits > 8) {
+        fatal(std::string(scheme) + ": counter width " +
+              std::to_string(bits) + " outside 1..8");
+    }
+    return bits;
+}
+
 void
 Predictor::saveState(ByteWriter &) const
 {

@@ -194,6 +194,13 @@ unsigned checkedIndexBits(std::string_view scheme, unsigned bits);
 unsigned checkedHistoryBits(std::string_view scheme, unsigned bits,
                             unsigned max_bits = 64);
 
+/**
+ * @p bits, checked as a saturating-counter width for @p scheme:
+ * fatal() outside 1..8, the widths a u8 counter cell holds. Runs
+ * before any counter maximum or threshold is derived from it.
+ */
+unsigned checkedCounterBits(std::string_view scheme, unsigned bits);
+
 /*
  * savePredictorState()/loadPredictorState() take snapshot bytes or a
  * stream (read to its end or written in full); files have their own

@@ -84,7 +84,7 @@ SingleTablePredictor::SingleTablePredictor(TableIndex index,
                                            unsigned counter_bits)
     : index(index),
       table(u64(1) << checkedIndexBits(schemeName(index), index_bits),
-            counter_bits),
+            checkedCounterBits(schemeName(index), counter_bits)),
       indexBits(index_bits),
       historyBits_(checkedHistoryBits(schemeName(index), history_bits))
 {

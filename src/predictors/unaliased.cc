@@ -16,10 +16,8 @@ UnaliasedPredictor::UnaliasedPredictor(unsigned history_bits,
                                        unsigned counter_bits)
     : historyBits(checkedHistoryBits("unaliased", history_bits,
                                      maxKeyHistoryBits)),
-      counterBits(counter_bits)
+      counterBits(checkedCounterBits("unaliased", counter_bits))
 {
-    BP_CHECK(counter_bits >= 1 && counter_bits <= 8,
-             "counter width outside 1..8");
 }
 
 u64

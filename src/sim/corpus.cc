@@ -114,22 +114,23 @@ runFile(const std::string &path, const std::string &file_name,
 
         // The reference member (specs[0]) tallies exact per-site
         // outcomes — warmup branches included — from its replay
-        // kernel's mispredict mask; its top-K sites come along.
+        // kernel's mispredict mask. The tally is always kept: its
+        // size is the file's static conditional count, and it feeds
+        // the classification; the member's top sites come along.
         GangSession gang(opt.blockRecords);
         SiteTable tally;
         for (std::size_t i = 0; i < predictors.size(); ++i) {
             SimOptions member = opt.sim;
             // A shared registry would race across pool jobs.
             member.metrics = nullptr;
-            if (i == 0 && opt.topSites > 0) {
+            if (i == 0) {
                 member.siteTally = &tally;
                 member.topSites = opt.topSites;
             }
             gang.add(*predictors[i], member, result.traceName);
         }
 
-        SiteTable conditional_sites;
-        SiteTable unconditional_sites;
+        FlatTable<NoValue> unconditional_sites;
         AlignedVector<BranchRecord> buffer(gang.blockRecords());
         while (const std::size_t n =
                    source->pull(buffer.data(), buffer.size())) {
@@ -139,20 +140,19 @@ runFile(const std::string &path, const std::string &file_name,
                     ++result.stats.dynamicConditional;
                     result.stats.takenConditional +=
                         record.taken ? 1 : 0;
-                    ++conditional_sites.at(record.pc).branches;
                 } else {
                     ++result.stats.dynamicUnconditional;
-                    ++unconditional_sites.at(record.pc).branches;
+                    unconditional_sites.at(record.pc);
                 }
             }
             result.records += n;
             gang.feed(buffer.data(), n);
         }
-        result.stats.staticConditional = conditional_sites.size();
-        result.stats.staticUnconditional =
-            unconditional_sites.size();
 
         result.results = gang.finish();
+        result.stats.staticConditional = tally.size();
+        result.stats.staticUnconditional =
+            unconditional_sites.size();
         for (std::size_t i = 0; i < opt.specs.size(); ++i) {
             if (const std::exception_ptr error = gang.memberError(i)) {
                 try {

@@ -53,8 +53,9 @@ struct CorpusOptions
     std::size_t blockRecords = 0;
 
     /**
-     * Hardest-site list length in the report, and the reference
-     * member's top-K capacity. 0 disables classification.
+     * Length of the report's hardest-site list and of the reference
+     * member's top_sites. 0 disables classification; the file stats
+     * and per-spec tallies do not depend on it.
      */
     std::size_t topSites = 16;
 

@@ -49,7 +49,6 @@ SimResult::toJson() const
             JsonValue entry = JsonValue::object();
             entry["pc"] = formatPc(site.pc);
             entry["mispredicts"] = site.mispredicts;
-            entry["overcount"] = site.overcount;
             sites.push(std::move(entry));
         }
         result["top_sites"] = std::move(sites);

@@ -45,15 +45,8 @@ struct SiteCount
 {
     Addr pc = 0;
 
-    /**
-     * Estimated mispredictions at this site. Sites are tracked with
-     * a bounded counter (support/topk.hh), so the estimate may
-     * exceed the true count by at most overcount.
-     */
+    /** Scored mispredictions at this site (warmup excluded); exact. */
     u64 mispredicts = 0;
-
-    /** Upper bound on the estimate's excess. */
-    u64 overcount = 0;
 };
 
 /** Knobs for simulateWithOptions(); defaults reproduce simulate(). */
@@ -77,8 +70,10 @@ struct SimOptions
     u64 windowSize = 0;
 
     /**
-     * Attribute mispredictions to branch sites, keeping the top N
-     * sites in a bounded counter. 0 disables.
+     * Attribute scored mispredictions to branch sites and report the
+     * N sites with the most, exactly (ties by pc ascending). The
+     * session counts every mispredicting site, so memory grows with
+     * the distinct mispredicting sites, not with N. 0 disables.
      */
     std::size_t topSites = 0;
 

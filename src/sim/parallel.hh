@@ -16,7 +16,7 @@
  *    shared between jobs.
  *  - The Trace a job references is read-only for the duration of
  *    run(); traces may be shared freely across jobs.
- *  - Per-run state (StatRegistry, TopKCounter, windows, any Rng) is
+ *  - Per-run state (StatRegistry, site tables, windows, any Rng) is
  *    owned by the job. A ProbeSink passed via SimOptions must not
  *    be shared between jobs unless it is itself thread-safe.
  *  - Workers self-schedule from a shared atomic cursor (the

@@ -26,8 +26,7 @@ constexpr std::size_t attributionBlockRecords = 8192;
 
 SimSession::SimSession(Predictor &predictor, const SimOptions &options,
                        std::string trace_name)
-    : predictor(predictor), options(options),
-      sites(options.topSites > 0 ? options.topSites : 1)
+    : predictor(predictor), options(options)
 {
     result.predictorName = predictor.name();
     result.traceName = std::move(trace_name);
@@ -188,12 +187,11 @@ SimSession::attribute(const BranchRecord *records, std::size_t count,
     if (options.topSites == 0 || in_warmup) {
         return;
     }
-    // Mispredicted scored sites reach the top-K counter in trace
-    // order, exactly as a per-branch loop would add them. They are
-    // compacted branch-free first: both the conditional bit and the
-    // mask byte are data no host predictor guesses well. Reading
-    // mask[k] at an unconditional record stays in bounds (k is then
-    // below the segment's record count) and is discarded.
+    // Mispredicted scored sites are compacted branch-free first:
+    // both the conditional bit and the mask byte are data no host
+    // predictor guesses well. Reading mask[k] at an unconditional
+    // record stays in bounds (k is then below the segment's record
+    // count) and is discarded.
     constexpr std::size_t batch = 256;
     Addr missed[batch];
     std::size_t k = 0;
@@ -207,7 +205,7 @@ SimSession::attribute(const BranchRecord *records, std::size_t count,
             k += conditional;
         }
         for (std::size_t j = 0; j < n; ++j) {
-            sites.add(missed[j]);
+            ++siteMispredicts.at(missed[j]);
         }
     }
 }
@@ -230,10 +228,21 @@ SimSession::finish()
         window = WindowSample();
     }
     if (options.topSites > 0) {
-        for (const TopKCounter::Item &item : sites.items()) {
-            result.topSites.push_back(
-                {item.key, item.count, item.overcount});
-        }
+        // Exact: by scored mispredicts descending, then pc ascending.
+        std::vector<SiteCount> ranked;
+        ranked.reserve(siteMispredicts.size());
+        siteMispredicts.forEach([&](Addr pc, u64 mispredicts) {
+            ranked.push_back({pc, mispredicts});
+        });
+        const auto keep = ranked.begin() +
+            std::ptrdiff_t(std::min(ranked.size(), options.topSites));
+        std::partial_sort(ranked.begin(), keep, ranked.end(),
+                          [](const SiteCount &a, const SiteCount &b) {
+                              return a.mispredicts != b.mispredicts
+                                  ? a.mispredicts > b.mispredicts
+                                  : a.pc < b.pc;
+                          });
+        result.topSites.assign(ranked.begin(), keep);
     }
     if (options.probe) {
         predictor.attachProbe(previousProbe);

@@ -3,9 +3,9 @@
  * Incremental (streaming) simulation sessions.
  *
  * A SimSession carries the full mid-run state of simulateWithOptions
- * — warmup progress, flush phase, the open window, the top-site
- * counter — so a trace can be fed in arbitrary chunks and still
- * produce a SimResult byte-identical to the batch loop. The batch
+ * — warmup progress, flush phase, the open window, the per-site
+ * mispredict counts — so a trace can be fed in arbitrary chunks and
+ * still produce a SimResult byte-identical to the batch loop. The batch
  * entry points in sim/driver.hh are implemented on top of it.
  */
 
@@ -16,7 +16,7 @@
 #include "predictors/predictor.hh"
 #include "predictors/replay_scratch.hh"
 #include "sim/driver.hh"
-#include "support/topk.hh"
+#include "support/site_table.hh"
 #include "trace/stream.hh"
 #include "trace/trace.hh"
 
@@ -123,7 +123,7 @@ class SimSession
     /**
      * Per-branch attribution of one replayed segment from the
      * scratch's mispredict mask: site tallies (every conditional)
-     * and top-K sites (scored conditionals only).
+     * and per-site mispredict counts (scored conditionals only).
      */
     void attribute(const BranchRecord *records, std::size_t count,
                    bool in_warmup);
@@ -140,7 +140,10 @@ class SimSession
     ReplayScratch *scratch = &ownScratch;
 
     SimResult result;
-    TopKCounter sites;
+
+    /** Scored mispredicts per site, for the top sites finish()
+     * ranks; holds only sites that have mispredicted. */
+    FlatTable<u64> siteMispredicts;
     WindowSample window;
     u64 seen = 0;
     u64 sinceFlush = 0;

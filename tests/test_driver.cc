@@ -179,8 +179,7 @@ TEST(Driver, TopSitesAttributeMispredictions)
     ASSERT_FALSE(result.topSites.empty());
     EXPECT_EQ(result.topSites[0].pc, 0x104u);
     EXPECT_EQ(result.topSites[0].mispredicts, result.mispredicts);
-    EXPECT_EQ(result.topSites[0].overcount, 0u);
-    // The always-correct site never enters the counter.
+    // The always-correct site never enters the ranking.
     EXPECT_EQ(result.topSites.size(), 1u);
 }
 

@@ -99,10 +99,10 @@ TEST(Factory, RejectsBadNumbers)
     EXPECT_THROW(makePredictor("bimodal:99999999999"), FatalError);
     EXPECT_THROW(makePredictor("falru:0:4"), FatalError);
     // Index widths outside 1..28, history lengths over 64 and, for
-    // the schemes keyed by the information vector, over 44, and yags
-    // tags wider than the u16 that stores them: every constructor
-    // refuses them instead of shifting past a u64 (a crash for the
-    // table widths) or masking silently.
+    // the schemes keyed by the information vector, over 44, counter
+    // widths outside 1..8 and yags tags wider than the u16 that
+    // stores them: every constructor refuses them instead of shifting
+    // past a u64 (a crash for the table widths) or masking silently.
     for (const char *spec :
          {"gshare:64:12", "gshare:0:4", "gshare:29:4", "gshare:12:70",
           "gshare:12:65", "bimodal:64", "bimodal:0", "gselect:64:4",
@@ -114,13 +114,18 @@ TEST(Factory, RejectsBadNumbers)
           "pskew:64:8:3:12", "pskew:0:8:3:12", "pskew:10:8:3:64",
           "pskew:10:8:3:0", "yags:10:8:11:17", "yags:10:8:11:20",
           "unaliased:70", "unaliased:45", "unaliased:64",
-          "falru:4096:70", "falru:4096:45"}) {
+          "falru:4096:70", "falru:4096:45", "bimodal:10:0",
+          "gshare:10:8:9", "unaliased:8:9", "gselect:8:4:0",
+          "pag:8:6:9", "agree:8:6:8:0", "bimode:8:6:8:9",
+          "falru:4096:6:9"}) {
         EXPECT_THROW(makePredictor(spec), FatalError) << spec;
     }
     EXPECT_NO_THROW(makePredictor("gshare:12:64"));
     EXPECT_NO_THROW(makePredictor("pag:10:16"));
     EXPECT_NO_THROW(makePredictor("unaliased:44"));
     EXPECT_NO_THROW(makePredictor("yags:10:8:11:16"));
+    EXPECT_NO_THROW(makePredictor("bimodal:10:1"));
+    EXPECT_NO_THROW(makePredictor("gshare:10:8:8"));
 }
 
 TEST(Factory, SkewedHistoryStopsAtTheKeyWidth)

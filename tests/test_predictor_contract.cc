@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,12 +24,15 @@
 #include "predictors/static_pred.hh"
 #include "sim/driver.hh"
 #include "sim/factory.hh"
+#include "sim/gang.hh"
+#include "sim/session.hh"
 #include "support/probe.hh"
 #include "support/rng.hh"
 #include "support/serialize.hh"
 #include "support/simd.hh"
-#include "support/topk.hh"
+#include "trace/stream.hh"
 #include "trace/trace.hh"
+#include "workloads/presets.hh"
 
 namespace bpred
 {
@@ -304,15 +308,16 @@ TEST(ReplayBlockContract, ProbedBlockMatchesScalarEventStream)
 /**
  * The session reference: a split predict()/update() loop over
  * @p trace that honours warmup, flush, windows and top sites the way
- * SimSession's block path must — one conditional at a time, top-K
- * sites added in trace order.
+ * SimSession's block path must — one conditional at a time, scored
+ * mispredicts counted per site in a std::map and ranked by count
+ * descending, then pc ascending.
  */
 SimResult
 referenceSession(Predictor &predictor, const Trace &trace,
                  const SimOptions &options)
 {
     SimResult result;
-    TopKCounter sites(options.topSites > 0 ? options.topSites : 1);
+    std::map<Addr, u64> sites;
     WindowSample window;
     u64 seen = 0;
     u64 since_flush = 0;
@@ -335,8 +340,8 @@ referenceSession(Predictor &predictor, const Trace &trace,
         const bool wrong = prediction != record.taken;
         ++result.conditionals;
         result.mispredicts += u64(wrong);
-        if (wrong && options.topSites > 0) {
-            sites.add(record.pc);
+        if (wrong) {
+            ++sites[record.pc];
         }
         if (options.windowSize > 0) {
             ++window.branches;
@@ -350,12 +355,16 @@ referenceSession(Predictor &predictor, const Trace &trace,
     if (window.branches > 0) {
         result.windows.push_back(window);
     }
-    if (options.topSites > 0) {
-        for (const TopKCounter::Item &item : sites.items()) {
-            result.topSites.push_back(
-                {item.key, item.count, item.overcount});
-        }
+    for (const auto &[pc, count] : sites) {
+        result.topSites.push_back({pc, count});
     }
+    // Stable: equal counts keep the map's ascending pc order.
+    std::stable_sort(result.topSites.begin(), result.topSites.end(),
+                     [](const SiteCount &a, const SiteCount &b) {
+                         return a.mispredicts > b.mispredicts;
+                     });
+    result.topSites.resize(
+        std::min(result.topSites.size(), options.topSites));
     return result;
 }
 
@@ -376,8 +385,6 @@ expectSameSession(const SimResult &want, const SimResult &got)
         EXPECT_EQ(want.topSites[i].pc, got.topSites[i].pc);
         EXPECT_EQ(want.topSites[i].mispredicts,
                   got.topSites[i].mispredicts);
-        EXPECT_EQ(want.topSites[i].overcount,
-                  got.topSites[i].overcount);
     }
 }
 
@@ -804,6 +811,65 @@ TEST(ReplayBlockContract, SessionSimdPathMatchesScalarAtBoundaries)
         const SimResult b =
             simulateWithOptions(*scalarSide, trace, scalarOptions);
         expectSameSession(b, a);
+    }
+}
+
+TEST(ReplayBlockContract, TopSitesExactWhenSitesOutnumberK)
+{
+    // An IBS trace has thousands of mispredicting sites against K
+    // slots, so a bounded counter would have to evict and estimate.
+    // Top sites must still equal the split loop's exact ranking
+    // through every session driver: solo, a gang member beside
+    // another predictor, and simulateSource in odd-sized chunks,
+    // under both dispatch modes.
+    const Trace trace = makeIbsTrace("real_gcc", 0.01);
+    const char *const specs[] = {"gshare:10:8", "egskew:9:8"};
+    const std::size_t capacities[] = {4, 16};
+    const SimdMode modes[] = {SimdMode::Scalar, SimdMode::Avx2};
+    SimOptions options;
+    options.warmupBranches = 1234;
+    options.flushInterval = 34567;
+    for (const char *spec : specs) {
+        // Every mispredicting site, ranked; each K keeps its head.
+        SimOptions all = options;
+        all.topSites = ~std::size_t(0);
+        auto referenceSide = makePredictor(spec);
+        const SimResult every =
+            referenceSession(*referenceSide, trace, all);
+        ASSERT_GT(every.topSites.size(), 50 * capacities[1]);
+        for (const std::size_t capacity : capacities) {
+            options.topSites = capacity;
+            SimResult want = every;
+            want.topSites.resize(capacity);
+
+            for (const SimdMode mode : modes) {
+                SCOPED_TRACE(std::string(spec) + " K=" +
+                             std::to_string(capacity) + " mode=" +
+                             std::string(simdModeName(mode)));
+                SimOptions run = options;
+                run.simd = mode;
+
+                auto solo = makePredictor(spec);
+                expectSameSession(
+                    want, simulateWithOptions(*solo, trace, run));
+
+                auto member = makePredictor(spec);
+                auto neighbour = makePredictor("bimodal:10");
+                GangSession gang(4096);
+                gang.add(*neighbour, SimOptions(), trace.name());
+                gang.add(*member, run, trace.name());
+                gang.feed(trace);
+                const std::vector<SimResult> members = gang.finish();
+                ASSERT_EQ(members.size(), 2u);
+                EXPECT_TRUE(members[0].topSites.empty());
+                expectSameSession(want, members[1]);
+
+                auto streamed = makePredictor(spec);
+                MemoryTraceSource source(trace);
+                expectSameSession(
+                    want, simulateSource(*streamed, source, run, 5000));
+            }
+        }
     }
 }
 

@@ -751,13 +751,13 @@ referenceClassification(const std::string &spec, const Trace &trace,
     return classes;
 }
 
-TEST(Corpus, ClassificationMatchesSplitReference)
+/**
+ * IBS traces written into @p dir as .bpt, .txt and (with zlib)
+ * .bpt.gz corpus files, keyed by file name.
+ */
+std::map<std::string, Trace>
+writeMixedCorpus(const ScratchDir &dir)
 {
-    // Pins the reference member's site tallies: warmup branches are
-    // counted, flushes apply, and every class count, the hard-site
-    // mispredicts and the hardest list equal a split-loop
-    // recomputation — across .bpt, .bpt.gz and .txt ingest.
-    ScratchDir dir("classify");
     std::map<std::string, Trace> traces;
     traces.emplace("groff.bpt", makeIbsTrace("groff", 0.01));
     traces.emplace("gcc.txt", makeIbsTrace("real_gcc", 0.005));
@@ -768,9 +768,20 @@ TEST(Corpus, ClassificationMatchesSplitReference)
     }
     if (gzSupported()) {
         traces.emplace("nroff.bpt.gz", makeIbsTrace("nroff", 0.005));
-        ASSERT_TRUE(writeGzFile(dir.file("nroff.bpt.gz"),
+        EXPECT_TRUE(writeGzFile(dir.file("nroff.bpt.gz"),
                                 bptBytes(traces.at("nroff.bpt.gz"))));
     }
+    return traces;
+}
+
+TEST(Corpus, ClassificationMatchesSplitReference)
+{
+    // Pins the reference member's site tallies: warmup branches are
+    // counted, flushes apply, and every class count, the hard-site
+    // mispredicts and the hardest list equal a split-loop
+    // recomputation — across .bpt, .bpt.gz and .txt ingest.
+    ScratchDir dir("classify");
+    const std::map<std::string, Trace> traces = writeMixedCorpus(dir);
 
     CorpusOptions options;
     options.specs = {"gshare:10:8", "bimodal:10"};
@@ -827,19 +838,7 @@ TEST(Corpus, StatsAndTalliesDoNotDependOnTopSites)
     // stats equal computeTraceStats() on the trace it was written
     // from, and every spec's tally is the same in both runs.
     ScratchDir dir("topsites");
-    std::map<std::string, Trace> traces;
-    traces.emplace("groff.bpt", makeIbsTrace("groff", 0.01));
-    traces.emplace("gcc.txt", makeIbsTrace("real_gcc", 0.005));
-    saveBinaryTrace(dir.file("groff.bpt"), traces.at("groff.bpt"));
-    {
-        std::ofstream os(dir.file("gcc.txt"));
-        writeTextTrace(os, traces.at("gcc.txt"));
-    }
-    if (gzSupported()) {
-        traces.emplace("nroff.bpt.gz", makeIbsTrace("nroff", 0.005));
-        ASSERT_TRUE(writeGzFile(dir.file("nroff.bpt.gz"),
-                                bptBytes(traces.at("nroff.bpt.gz"))));
-    }
+    const std::map<std::string, Trace> traces = writeMixedCorpus(dir);
 
     CorpusOptions options;
     options.specs = {"gshare:10:8", "bimodal:10", "egskew:9:8"};
