@@ -46,6 +46,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <unistd.h>
 #include <vector>
 
@@ -60,6 +61,7 @@
 #include "trace/adapters.hh"
 #include "trace/bpt_format.hh"
 #include "trace/mmap_source.hh"
+#include "trace/text_source.hh"
 #include "trace/trace_io.hh"
 #include "workloads/presets.hh"
 
@@ -366,7 +368,7 @@ main(int argc, char **argv)
     // gz inflate + image decode over .bpt.gz. Each must decode
     // exactly the original records; CBP text has no unconditional
     // branches, so it must decode them all as conditional.
-    std::vector<BranchRecord> cbp_records;
+    Trace cbp_trace(trace.name());
     struct MaterializedPath
     {
         const char *label;
@@ -375,17 +377,19 @@ main(int argc, char **argv)
         const std::vector<BranchRecord> &expected;
     };
     std::vector<MaterializedPath> materialized;
+    std::string native_text;
+    std::string cbp_text;
     {
         std::ostringstream text;
         writeTextTrace(text, trace);
+        native_text = text.str();
         const std::string txt_path = path + ".txt";
-        std::ofstream(txt_path, std::ios::binary) << text.str();
+        std::ofstream(txt_path, std::ios::binary) << native_text;
         materialized.push_back({"txt (text scanner)",
                                 "ingest_records_per_s_text", txt_path,
                                 trace.records()});
-        std::string cbp_text;
         for (const BranchRecord &record : trace) {
-            cbp_records.push_back({record.pc, record.taken, true});
+            cbp_trace.appendConditional(record.pc, record.taken);
             cbp_text += std::to_string(record.pc);
             cbp_text += record.taken ? " 1\n" : " 0\n";
         }
@@ -393,14 +397,14 @@ main(int argc, char **argv)
         std::ofstream(cbp_path, std::ios::binary) << cbp_text;
         materialized.push_back({"cbp txt (text scanner)",
                                 "ingest_records_per_s_cbp", cbp_path,
-                                cbp_records});
+                                cbp_trace.records()});
         if (gzSupported()) {
             std::ifstream is(path, std::ios::binary);
             writeGzFile(path + ".gz", readAllBytes(is));
             materialized.push_back({"bpt.gz (materialize)",
                                     "ingest_records_per_s_gz", path + ".gz",
                                     trace.records()});
-            writeGzFile(txt_path + ".gz", text.str());
+            writeGzFile(txt_path + ".gz", native_text);
             materialized.push_back({"txt.gz (inflate + scan)",
                                     "ingest_records_per_s_text_gz",
                                     txt_path + ".gz", trace.records()});
@@ -427,6 +431,47 @@ main(int argc, char **argv)
         std::filesystem::remove(file.file);
     }
     bench::emitTable("ingest-materialized", materialized_table);
+
+    // The text scanner alone, as the corpus runner drives it: a
+    // TextTraceSource over bytes already in memory, pulled into one
+    // replay-block buffer, on each scan path. Informational.
+    TextTable scan_table({"text", "path", "Mrec/s", "vs scalar"});
+    for (const auto &[label, bytes, expected] :
+         {std::tuple{"native", &native_text, &trace},
+          std::tuple{"cbp", &cbp_text, &cbp_trace}}) {
+        MemoryTraceSource reference(*expected);
+        const u64 want = drainChecksum(reference, block).checksum;
+        std::vector<std::function<double()>> scans;
+        for (const SimdMode mode : {SimdMode::Scalar, SimdMode::Avx2}) {
+            TextTraceSource check(*bytes, "", TextDialect::detect, mode);
+            if (drainChecksum(check, block).checksum != want) {
+                std::cerr << "FAIL: " << label << " text scan ("
+                          << simdModeName(mode)
+                          << ") decoded different records\n";
+                identical = false;
+            }
+            scans.push_back([&, mode] {
+                TextTraceSource source(*bytes, "", TextDialect::detect,
+                                       mode);
+                return drainTimed(source, block);
+            });
+        }
+        const std::vector<std::vector<double>> scan_seconds =
+            bench::interleavedSamples(timingRepetitions, scans);
+        const double records = static_cast<double>(expected->size());
+        const double scalar = records / bench::median(scan_seconds[0]);
+        const double avx2 = records / bench::median(scan_seconds[1]);
+        scan_table.row().cell(label).cell("scalar");
+        scan_table.cell(scalar / 1e6, 2).cell(1.0, 2);
+        scan_table.row().cell(label).cell(
+            simdModeName(resolveSimdMode(SimdMode::Avx2)));
+        scan_table.cell(avx2 / 1e6, 2).cell(avx2 / scalar, 2);
+        const std::string key =
+            std::string("ingest_text_scan_records_per_s_") + label;
+        bench::recordReportField(key + "_scalar", scalar);
+        bench::recordReportField(key + "_avx2", avx2);
+    }
+    bench::emitTable("ingest-text-scan", scan_table);
 
     // Sim identity sweep: every factory scheme, all three ingest
     // paths, comparing tallies and snapshot bytes.

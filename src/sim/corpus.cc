@@ -55,6 +55,9 @@ classify(const SiteTable &tally, const CorpusOptions &opt)
     // in-memory site table, not by any decoded field.
     all.reserve(tally.size());
     tally.forEach([&](Addr pc, const SiteCounts &cell) {
+        if (cell.branches == 0) {
+            return; // an unconditional-only site
+        }
         SitePredictability site;
         site.pc = pc;
         site.branches = cell.branches;
@@ -78,21 +81,36 @@ classify(const SiteTable &tally, const CorpusOptions &opt)
         }
         all.push_back(site);
     });
-    std::sort(all.begin(), all.end(),
-              [](const SitePredictability &a,
-                 const SitePredictability &b) {
-                  if (a.mispredicts != b.mispredicts) {
-                      return a.mispredicts > b.mispredicts;
-                  }
-                  return a.pc < b.pc;
-              });
-    if (all.size() > opt.topSites) {
-        // bp_lint: allow(reserve-untrusted): shrinking to the
-        // caller's top-K request, never to a decoded count.
-        all.resize(opt.topSites);
-    }
+    // A strict total order, so the top K are the same whichever
+    // sites the selection leaves unsorted.
+    const auto keep = all.begin() +
+        std::ptrdiff_t(std::min(all.size(), opt.topSites));
+    std::partial_sort(all.begin(), keep, all.end(),
+                      [](const SitePredictability &a,
+                         const SitePredictability &b) {
+                          if (a.mispredicts != b.mispredicts) {
+                              return a.mispredicts > b.mispredicts;
+                          }
+                          return a.pc < b.pc;
+                      });
+    all.erase(keep, all.end());
     classes.hardest = std::move(all);
     return classes;
+}
+
+/** A file's stats from the reference member's census. */
+TraceStats
+censusStats(const SiteTable &tally)
+{
+    TraceStats stats;
+    tally.forEach([&](Addr, const SiteCounts &site) {
+        stats.dynamicConditional += site.branches;
+        stats.takenConditional += site.taken;
+        stats.dynamicUnconditional += site.unconditionals;
+        stats.staticConditional += site.branches != 0 ? 1 : 0;
+        stats.staticUnconditional += site.unconditionals != 0 ? 1 : 0;
+    });
+    return stats;
 }
 
 CorpusFileResult
@@ -112,11 +130,11 @@ runFile(const std::string &path, const std::string &file_name,
             predictors.push_back(makePredictor(spec));
         }
 
-        // The reference member (specs[0]) tallies exact per-site
-        // outcomes — warmup branches included — from its replay
-        // kernel's mispredict mask. The tally is always kept: its
-        // size is the file's static conditional count, and it feeds
-        // the classification; the member's top sites come along.
+        // The reference member (specs[0]) keeps the file's census:
+        // every record, warmup included, counted per site with its
+        // exact mispredicts from the replay kernel's mask. The file
+        // stats, the classification and the member's top sites all
+        // come from it, so this loop touches no record itself.
         GangSession gang(opt.blockRecords);
         SiteTable tally;
         for (std::size_t i = 0; i < predictors.size(); ++i) {
@@ -130,29 +148,14 @@ runFile(const std::string &path, const std::string &file_name,
             gang.add(*predictors[i], member, result.traceName);
         }
 
-        FlatTable<NoValue> unconditional_sites;
         AlignedVector<BranchRecord> buffer(gang.blockRecords());
         while (const std::size_t n =
                    source->pull(buffer.data(), buffer.size())) {
-            for (std::size_t i = 0; i < n; ++i) {
-                const BranchRecord &record = buffer[i];
-                if (record.conditional) {
-                    ++result.stats.dynamicConditional;
-                    result.stats.takenConditional +=
-                        record.taken ? 1 : 0;
-                } else {
-                    ++result.stats.dynamicUnconditional;
-                    unconditional_sites.at(record.pc);
-                }
-            }
             result.records += n;
             gang.feed(buffer.data(), n);
         }
 
         result.results = gang.finish();
-        result.stats.staticConditional = tally.size();
-        result.stats.staticUnconditional =
-            unconditional_sites.size();
         for (std::size_t i = 0; i < opt.specs.size(); ++i) {
             if (const std::exception_ptr error = gang.memberError(i)) {
                 try {
@@ -164,6 +167,7 @@ runFile(const std::string &path, const std::string &file_name,
             }
         }
 
+        result.stats = censusStats(tally);
         if (opt.topSites > 0) {
             result.classes = classify(tally, opt);
         }
@@ -324,10 +328,11 @@ runCorpus(const std::string &directory, const CorpusOptions &options)
     if (options.specs.empty()) {
         fatal("corpus: no predictor specs given");
     }
-    // Fail on a malformed spec before any trace is touched, with
-    // the factory's own diagnostic.
+    // Fail on a spec the factory cannot build — malformed, or with
+    // a field out of range — before any trace is touched, with the
+    // factory's own diagnostic, not as an error row per file.
     for (const std::string &spec : options.specs) {
-        parseSpec(spec);
+        makePredictor(spec).reset();
     }
     const std::vector<std::string> names = listTraceFiles(directory);
     if (names.empty()) {

@@ -181,7 +181,8 @@ std::vector<std::string> listTraceFiles(const std::string &directory);
 /**
  * Replay every spec over every trace file in @p directory.
  *
- * @throws FatalError on an empty spec list, a malformed spec, or a
+ * @throws FatalError on an empty spec list, a spec the factory
+ *         cannot build (malformed or out of range), or a
  *         directory with no trace files. Per-file failures are
  *         parked in CorpusFileResult::error instead.
  */

@@ -85,12 +85,14 @@ struct SimOptions
     ProbeSink *probe = nullptr;
 
     /**
-     * Exact per-site tallies: when set, the session adds every
-     * conditional branch it replays — warmup included — to this
-     * table as {branches, mispredicts}, read from the replay
+     * Exact per-site census: when set, the session adds every
+     * record it replays — warmup included, either kind — to this
+     * table (see SiteCounts), reading mispredicts from the replay
      * kernels' mispredict mask (predictors/replay_scratch.hh). The
-     * table is caller-owned and NOT thread-safe: one per session.
-     * Null (the default) records nothing.
+     * session's top sites are then ranked from the table's scored
+     * mispredicts, so it must start empty. The table is
+     * caller-owned and NOT thread-safe: one per session. Null (the
+     * default) records nothing.
      */
     SiteTable *siteTally = nullptr;
 

@@ -173,25 +173,34 @@ SimSession::attribute(const BranchRecord *records, std::size_t count,
                       bool in_warmup)
 {
     // The k-th conditional record of the segment owns mask byte k.
+    // Reading mask[k] at an unconditional record stays in bounds (k
+    // is then below the segment's record count) and is discarded.
     const u8 *mask = scratch->mispredicted.data();
     if (SiteTable *const tally = options.siteTally) {
+        // The census: every record, either kind, is hashed once and
+        // counted branch-free — the kind bit and the mask byte are
+        // data no host predictor guesses well. finish() ranks the
+        // top sites from the scored mispredicts kept here.
+        const u64 scored = in_warmup ? 0 : 1;
         std::size_t k = 0;
         for (std::size_t i = 0; i < count; ++i) {
-            if (records[i].conditional) {
-                SiteCounts &site = tally->at(records[i].pc);
-                ++site.branches;
-                site.mispredicts += mask[k++];
-            }
+            const BranchRecord &record = records[i];
+            const u64 conditional = u64(record.conditional);
+            const u64 missed = u64(mask[k]) & conditional;
+            SiteCounts &site = tally->at(record.pc);
+            site.branches += conditional;
+            site.unconditionals += conditional ^ 1;
+            site.taken += u64(record.taken) & conditional;
+            site.mispredicts += missed;
+            site.scoredMispredicts += missed & scored;
+            k += conditional;
         }
+        return;
     }
     if (options.topSites == 0 || in_warmup) {
         return;
     }
-    // Mispredicted scored sites are compacted branch-free first:
-    // both the conditional bit and the mask byte are data no host
-    // predictor guesses well. Reading mask[k] at an unconditional
-    // record stays in bounds (k is then below the segment's record
-    // count) and is discarded.
+    // Mispredicted scored sites are compacted branch-free first.
     constexpr std::size_t batch = 256;
     Addr missed[batch];
     std::size_t k = 0;
@@ -230,10 +239,18 @@ SimSession::finish()
     if (options.topSites > 0) {
         // Exact: by scored mispredicts descending, then pc ascending.
         std::vector<SiteCount> ranked;
-        ranked.reserve(siteMispredicts.size());
-        siteMispredicts.forEach([&](Addr pc, u64 mispredicts) {
-            ranked.push_back({pc, mispredicts});
-        });
+        if (const SiteTable *const tally = options.siteTally) {
+            tally->forEach([&](Addr pc, const SiteCounts &site) {
+                if (site.scoredMispredicts > 0) {
+                    ranked.push_back({pc, site.scoredMispredicts});
+                }
+            });
+        } else {
+            ranked.reserve(siteMispredicts.size());
+            siteMispredicts.forEach([&](Addr pc, u64 mispredicts) {
+                ranked.push_back({pc, mispredicts});
+            });
+        }
         const auto keep = ranked.begin() +
             std::ptrdiff_t(std::min(ranked.size(), options.topSites));
         std::partial_sort(ranked.begin(), keep, ranked.end(),

@@ -122,8 +122,9 @@ class SimSession
 
     /**
      * Per-branch attribution of one replayed segment from the
-     * scratch's mispredict mask: site tallies (every conditional)
-     * and per-site mispredict counts (scored conditionals only).
+     * scratch's mispredict mask: with a site tally, the census of
+     * every record (SimOptions::siteTally); otherwise, when top
+     * sites are asked for, per-site scored mispredict counts.
      */
     void attribute(const BranchRecord *records, std::size_t count,
                    bool in_warmup);
@@ -142,7 +143,8 @@ class SimSession
     SimResult result;
 
     /** Scored mispredicts per site, for the top sites finish()
-     * ranks; holds only sites that have mispredicted. */
+     * ranks when no site tally is kept; holds only sites that have
+     * mispredicted. */
     FlatTable<u64> siteMispredicts;
     WindowSample window;
     u64 seen = 0;

@@ -24,14 +24,28 @@
 namespace bpred
 {
 
-/** Exact dynamic counts for one branch site. */
+/**
+ * Exact dynamic counts for one branch site: a session's per-record
+ * census (SimOptions::siteTally) keeps every field, so a trace's
+ * static and dynamic counts, its per-site predictability and its
+ * top sites all come from one table.
+ */
 struct SiteCounts
 {
     /** Conditional executions. */
     u64 branches = 0;
 
-    /** Mispredicted executions among them. */
+    /** Mispredicted executions among them (warmup included). */
     u64 mispredicts = 0;
+
+    /** Mispredicts among scored (post-warmup) executions. */
+    u64 scoredMispredicts = 0;
+
+    /** Taken conditional executions. */
+    u64 taken = 0;
+
+    /** Unconditional executions. */
+    u64 unconditionals = 0;
 };
 
 /** A FlatTable value that carries nothing: the table is a key set. */
@@ -249,7 +263,7 @@ class FlatTable
     Value emptyKeyValue{};
 };
 
-/** Addr -> SiteCounts: the corpus runner's exact per-site tally. */
+/** Addr -> SiteCounts: a session's exact per-site census. */
 using SiteTable = FlatTable<SiteCounts>;
 
 } // namespace bpred

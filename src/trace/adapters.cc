@@ -6,6 +6,7 @@
 #include "support/logging.hh"
 #include "support/tracing.hh"
 #include "trace/mmap_source.hh"
+#include "trace/text_source.hh"
 #include "trace/trace_io.hh"
 
 #if BPRED_HAVE_ZLIB
@@ -97,16 +98,15 @@ isBinaryTraceName(const std::string &path)
     return endsWith(path, ".bpt") || endsWith(path, ".bpt.gz");
 }
 
-/** Parse a .txt/.trace file, inflating it first when gzipped. */
-Trace
-loadTextTrace(const std::string &path)
+/** A .txt/.trace file's bytes, inflated when gzipped. */
+std::string
+readTextFile(const std::string &path)
 {
     if (!isTraceFileName(path)) {
         fatal("trace: unsupported trace file '" + path + "'");
     }
-    return parseTextTrace(endsWith(path, ".gz") ? inflateFile(path)
-                                                : readWholeFile(path),
-                          traceNameFromPath(path));
+    return endsWith(path, ".gz") ? inflateFile(path)
+                                 : readWholeFile(path);
 }
 
 } // namespace
@@ -171,7 +171,7 @@ loadRealTrace(const std::string &path)
     if (isBinaryTraceName(path)) {
         return drainSource(*openCorpusSource(path));
     }
-    return loadTextTrace(path);
+    return parseTextTrace(readTextFile(path), traceNameFromPath(path));
 }
 
 std::unique_ptr<TraceSource>
@@ -189,7 +189,8 @@ openCorpusSource(const std::string &path, std::string &ingest)
         return std::make_unique<MmapTraceSource>(
             MappedTrace::fromBytes(inflateFile(path)));
     }
-    return std::make_unique<MemoryTraceSource>(loadTextTrace(path));
+    return std::make_unique<TextTraceSource>(readTextFile(path),
+                                             traceNameFromPath(path));
 }
 
 std::unique_ptr<TraceSource>

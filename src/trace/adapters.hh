@@ -68,12 +68,16 @@ Trace loadRealTrace(const std::string &path);
  * Open @p path for streaming, dispatching on the extension: a .bpt
  * is imaged by MappedTrace::open (mmap'd, or read whole when it
  * cannot be mapped), a .bpt.gz is inflated and imaged in memory,
- * and text is parsed whole into a MemoryTraceSource. Every BPT1
- * form is decoded by the same MmapTraceSource.
+ * and text is read (or inflated) whole and scanned pull by pull by
+ * a TextTraceSource (trace/text_source.hh), so no Trace is built.
+ * Every BPT1 form is decoded by the same MmapTraceSource.
  *
  * @param ingest Out: the path the bytes took, as the corpus report
  *        names it: "mmap", "stream" (a .bpt read whole) or "memory"
- *        (inflated or parsed in memory).
+ *        (inflated or read whole, then decoded in memory).
+ *
+ * A malformed text line surfaces as a FatalError from the pull
+ * that reaches it, not from this call.
  *
  * @throws FatalError on unsupported or malformed files.
  */

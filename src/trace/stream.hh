@@ -4,17 +4,18 @@
  *
  * A TraceSource delivers a branch trace in bounded-memory chunks, so
  * a SimSession (sim/session.hh) can consume traces far larger than
- * memory. There are three kinds: MemoryTraceSource below, over an
- * in-memory Trace (the batch path and parsed text); MmapTraceSource
+ * memory. There are four kinds: MemoryTraceSource below, over an
+ * in-memory Trace (the batch path); MmapTraceSource
  * (trace/mmap_source.hh), which decodes a BPT1 image record block by
- * record block; and WorkloadStream (workloads/stream_source.hh),
- * which generates records on the fly. Sources are single-pass unless
- * they document otherwise.
+ * record block; TextTraceSource (trace/text_source.hh), which scans
+ * text held in memory line by line into each pull, so text enters
+ * the pipeline without a Trace being built; and WorkloadStream
+ * (workloads/stream_source.hh), which generates records on the fly.
+ * Sources are single-pass unless they document otherwise.
  */
 
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "trace/trace.hh"
@@ -50,22 +51,14 @@ class TraceSource
 };
 
 /**
- * A TraceSource over an in-memory Trace, either borrowed (the Trace
- * must outlive the source) or owned (how text inputs, which are
- * parsed whole, enter the streaming pipeline). Supports rewind(), so
- * one materialized trace can feed many streaming runs.
+ * A TraceSource over a borrowed in-memory Trace, which must outlive
+ * the source. Supports rewind(), so one materialized trace can feed
+ * many streaming runs.
  */
 class MemoryTraceSource : public TraceSource
 {
   public:
-    /** Borrow @p trace. */
     explicit MemoryTraceSource(const Trace &trace) : trace_(&trace) {}
-
-    /** Own @p trace. */
-    explicit MemoryTraceSource(Trace &&trace)
-        : owned(std::make_unique<const Trace>(std::move(trace))),
-          trace_(owned.get())
-    {}
 
     const std::string &name() const override { return trace_->name(); }
     std::size_t pull(BranchRecord *out, std::size_t max) override;
@@ -75,7 +68,6 @@ class MemoryTraceSource : public TraceSource
     void rewind() { next = 0; }
 
   private:
-    std::unique_ptr<const Trace> owned;
     const Trace *trace_;
     std::size_t next = 0;
 };

@@ -30,9 +30,12 @@
 #include "support/rng.hh"
 #include "support/serialize.hh"
 #include "support/simd.hh"
+#include "support/site_table.hh"
 #include "trace/stream.hh"
 #include "trace/trace.hh"
 #include "workloads/presets.hh"
+
+#include "session_reference.hh"
 
 namespace bpred
 {
@@ -305,69 +308,6 @@ TEST(ReplayBlockContract, ProbedBlockMatchesScalarEventStream)
     }
 }
 
-/**
- * The session reference: a split predict()/update() loop over
- * @p trace that honours warmup, flush, windows and top sites the way
- * SimSession's block path must — one conditional at a time, scored
- * mispredicts counted per site in a std::map and ranked by count
- * descending, then pc ascending.
- */
-SimResult
-referenceSession(Predictor &predictor, const Trace &trace,
-                 const SimOptions &options)
-{
-    SimResult result;
-    std::map<Addr, u64> sites;
-    WindowSample window;
-    u64 seen = 0;
-    u64 since_flush = 0;
-    for (const BranchRecord &record : trace) {
-        if (!record.conditional) {
-            predictor.notifyUnconditional(record.pc);
-            continue;
-        }
-        const bool prediction = predictor.predict(record.pc);
-        predictor.update(record.pc, record.taken);
-        ++seen;
-        if (options.flushInterval &&
-            ++since_flush == options.flushInterval) {
-            predictor.reset();
-            since_flush = 0;
-        }
-        if (seen <= options.warmupBranches) {
-            continue;
-        }
-        const bool wrong = prediction != record.taken;
-        ++result.conditionals;
-        result.mispredicts += u64(wrong);
-        if (wrong) {
-            ++sites[record.pc];
-        }
-        if (options.windowSize > 0) {
-            ++window.branches;
-            window.mispredicts += u64(wrong);
-            if (window.branches == options.windowSize) {
-                result.windows.push_back(window);
-                window = WindowSample();
-            }
-        }
-    }
-    if (window.branches > 0) {
-        result.windows.push_back(window);
-    }
-    for (const auto &[pc, count] : sites) {
-        result.topSites.push_back({pc, count});
-    }
-    // Stable: equal counts keep the map's ascending pc order.
-    std::stable_sort(result.topSites.begin(), result.topSites.end(),
-                     [](const SiteCount &a, const SiteCount &b) {
-                         return a.mispredicts > b.mispredicts;
-                     });
-    result.topSites.resize(
-        std::min(result.topSites.size(), options.topSites));
-    return result;
-}
-
 /** Tallies, windows and top sites of @p got equal @p want's. */
 void
 expectSameSession(const SimResult &want, const SimResult &got)
@@ -397,6 +337,8 @@ TEST(ReplayBlockContract, SessionBlockPathMatchesReferenceAtBoundaries)
     // with bookkeeping intervals chosen to straddle block boundaries.
     // The second option set has no boundaries at all, so the
     // one-chunk feed is cut only by the session's attribution cap.
+    // Each run is repeated with a site census attached, whose top
+    // sites are ranked from the census table instead.
     const Trace trace = contractTrace(13);
     SimOptions boundaries;
     boundaries.warmupBranches = 1234;
@@ -416,6 +358,13 @@ TEST(ReplayBlockContract, SessionBlockPathMatchesReferenceAtBoundaries)
                 referenceSession(*referenceSide, trace, options);
             EXPECT_FALSE(want.topSites.empty());
             expectSameSession(want, got);
+
+            SiteTable census;
+            SimOptions tallied = options;
+            tallied.siteTally = &census;
+            auto censusSide = makePredictor(scheme.example);
+            expectSameSession(
+                want, simulateWithOptions(*censusSide, trace, tallied));
         }
     }
 }

@@ -16,22 +16,41 @@
  * accepts and yields the same records; whenever the oracle rejects,
  * the scanner rejects too, on the same line or an earlier one. The
  * scanner may reject more (its grammar is stricter), never less.
+ *
+ * The whole-buffer span scanner that the streaming TextTraceSource
+ * replaced lives on too, as the exact oracle: every text input is
+ * also drained through the streaming source on both scan paths
+ * (scalar and AVX2) at pull sizes 1, 7 and 8192, and must give the
+ * span scanner's records or its exact line-numbered error. Longer
+ * inputs shift writer-shaped lines across every offset of the
+ * vector pass's blocks, mix in every accepted odd spelling, and put
+ * a bad line past the first pull.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <iterator>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "trace/adapters.hh"
+#include "sim/corpus.hh"
+#include "support/simd.hh"
 #include "trace/bpt_format.hh"
+#include "trace/text_source.hh"
 #include "trace/trace_io.hh"
 
 namespace bpred
@@ -177,6 +196,250 @@ oracleWriteText(std::ostream &os, const Trace &trace)
     os << std::dec;
 }
 
+/**
+ * The whole-buffer span scanner the streaming TextTraceSource
+ * replaced, verbatim but for its trace span and reserve: the exact
+ * oracle for the streaming scanner, which must give the same
+ * records and the same line-numbered errors on every input.
+ */
+namespace spanscan
+{
+
+/**
+ * Byte classes of the text grammar: spaces, tabs and CRs separate
+ * fields; '#' and '\n' end a line's content; anything else is part
+ * of a field.
+ */
+enum : u8
+{
+    fieldByte,
+    blankByte,
+    stopByte,
+};
+
+constexpr std::array<u8, 256> byteClass = [] {
+    std::array<u8, 256> table{};
+    table[' '] = table['\t'] = table['\r'] = blankByte;
+    table['#'] = table['\n'] = stopByte;
+    return table;
+}();
+
+u8
+classOf(char c)
+{
+    return byteClass[static_cast<u8>(c)];
+}
+
+/** One field of a line, as a view into the text. */
+struct Token
+{
+    const char *begin = nullptr;
+    const char *end = nullptr;
+
+    bool empty() const { return begin == end; }
+
+    bool
+    is(char c) const
+    {
+        return end - begin == 1 && *begin == c;
+    }
+};
+
+/**
+ * The next field at @p at, advancing past it. Never crosses a '#'
+ * or '\n': once the line's content has ended, every later call
+ * returns an empty token.
+ */
+Token
+nextToken(const char *&at, const char *end)
+{
+    while (at < end && classOf(*at) == blankByte) {
+        ++at;
+    }
+    Token token{at, at};
+    while (at < end && classOf(*at) == fieldByte) {
+        ++at;
+    }
+    token.end = at;
+    return token;
+}
+
+/** The start of the line after the one @p at is in. */
+const char *
+nextLine(const char *at, const char *end)
+{
+    if (at >= end) {
+        return end;
+    }
+    if (*at == '\n') {
+        return at + 1;
+    }
+    const void *newline =
+        std::memchr(at, '\n', static_cast<std::size_t>(end - at));
+    return newline != nullptr ? static_cast<const char *>(newline) + 1
+                              : end;
+}
+
+/**
+ * Convert the pc field at @p at, advancing past the whole field:
+ * digits in @p base, or hex digits after a 0x/0X prefix. True when
+ * the field is exactly that number: no sign, no trailing bytes, no
+ * overflow past 64 bits. std::from_chars reads the digits in the
+ * same pass that finds the field's end.
+ */
+bool
+parsePcField(const char *&at, const char *end, int base, Addr &pc)
+{
+    while (at < end && classOf(*at) == blankByte) {
+        ++at;
+    }
+    const char *digits = at;
+    if (end - at > 2 && at[0] == '0' && (at[1] == 'x' || at[1] == 'X')) {
+        digits += 2;
+        base = 16;
+    }
+    const auto [stop, error] = std::from_chars(digits, end, pc, base);
+    at = stop;
+    while (at < end && classOf(*at) == fieldByte) {
+        ++at;
+    }
+    return error == std::errc() && stop == at;
+}
+
+[[noreturn]] void
+failLine(const char *what, u64 line_no)
+{
+    fatal(std::string("trace: ") + what + std::to_string(line_no));
+}
+
+/**
+ * Native when the first non-blank, non-comment line starts with a
+ * one-letter kind field followed by a space or tab; CBP otherwise.
+ */
+TextDialect
+detectDialect(const char *at, const char *end)
+{
+    while (at < end) {
+        const Token first = nextToken(at, end);
+        if (!first.empty()) {
+            return (first.is('C') || first.is('U')) && at < end &&
+                    (*at == ' ' || *at == '\t')
+                ? TextDialect::native
+                : TextDialect::cbp;
+        }
+        at = nextLine(at, end);
+    }
+    return TextDialect::cbp;
+}
+
+/** What a one-byte direction field means in each dialect. */
+enum : u8
+{
+    dirNotTaken,
+    dirTaken,
+    dirBad,
+};
+
+constexpr std::array<u8, 256> nativeDirection = [] {
+    std::array<u8, 256> table{};
+    table.fill(dirBad);
+    table['T'] = dirTaken;
+    table['N'] = dirNotTaken;
+    return table;
+}();
+
+constexpr std::array<u8, 256> cbpDirection = [] {
+    std::array<u8, 256> table{};
+    table.fill(dirBad);
+    table['1'] = table['T'] = table['t'] = dirTaken;
+    table['0'] = table['N'] = table['n'] = dirNotTaken;
+    return table;
+}();
+
+/** The direction field's meaning under @p table. */
+u8
+directionOf(const Token &direction, const std::array<u8, 256> &table)
+{
+    return direction.end - direction.begin == 1
+        ? table[static_cast<u8>(*direction.begin)]
+        : static_cast<u8>(dirBad);
+}
+
+/** Parse one native line, from its first field on. */
+BranchRecord
+parseNativeLine(const char *&at, const char *end, u64 line_no)
+{
+    const Token kind = nextToken(at, end);
+    Addr pc = 0;
+    const bool pc_ok = parsePcField(at, end, 16, pc);
+    const Token direction = nextToken(at, end);
+    if (direction.empty()) {
+        failLine("malformed line ", line_no);
+    }
+    const bool conditional = kind.is('C');
+    if (!conditional && !kind.is('U')) {
+        failLine("bad branch kind on line ", line_no);
+    }
+    const u8 dir = directionOf(direction, nativeDirection);
+    if (dir == dirBad) {
+        failLine("bad direction on line ", line_no);
+    }
+    if (!pc_ok) {
+        failLine("bad pc on line ", line_no);
+    }
+    if (!conditional && dir == dirNotTaken) {
+        failLine("unconditional branch marked not-taken on line ",
+                 line_no);
+    }
+    return {pc, dir == dirTaken, conditional};
+}
+
+/** Parse one CBP line, from its first field on. */
+BranchRecord
+parseCbpLine(const char *&at, const char *end, u64 line_no)
+{
+    Addr pc = 0;
+    const bool pc_ok = parsePcField(at, end, 10, pc);
+    const Token direction = nextToken(at, end);
+    if (direction.empty()) {
+        failLine("malformed line ", line_no);
+    }
+    if (!pc_ok) {
+        failLine("bad pc on line ", line_no);
+    }
+    const u8 dir = directionOf(direction, cbpDirection);
+    if (dir == dirBad) {
+        failLine("bad direction on line ", line_no);
+    }
+    return {pc, dir == dirTaken, true};
+}
+
+Trace
+parse(std::string_view text, TextDialect dialect)
+{
+    const char *at = text.data();
+    const char *const end = at + text.size();
+    if (dialect == TextDialect::detect) {
+        dialect = detectDialect(at, end);
+    }
+    const bool native = dialect == TextDialect::native;
+    Trace trace("t");
+    for (u64 line_no = 1; at < end; ++line_no) {
+        while (at < end && classOf(*at) == blankByte) {
+            ++at;
+        }
+        if (at < end && classOf(*at) == fieldByte) {
+            trace.append(native ? parseNativeLine(at, end, line_no)
+                                : parseCbpLine(at, end, line_no));
+        }
+        // Skip a comment and any fields after the direction.
+        at = nextLine(at, end);
+    }
+    return trace;
+}
+
+} // namespace spanscan
+
 /** Either the parsed records or the line the parse failed on. */
 struct Outcome
 {
@@ -221,11 +484,74 @@ struct Agreement
     int rejected = 0;
 };
 
-/** Check the differential contract for @p text in @p dialect. */
+/** Pull sizes the streaming scanner is drained at. */
+constexpr std::size_t pullSizes[] = {1, 7, 8192};
+
+/** Scan paths the streaming scanner is drained on. */
+constexpr SimdMode scanModes[] = {SimdMode::Scalar, SimdMode::Avx2};
+
+/**
+ * The streaming scanner, drained on every scan path at every pull
+ * size, gives exactly the span oracle's outcome: the same records,
+ * or the same line-numbered error.
+ */
+void
+expectDrainsLikeSpanScan(const std::string &text, TextDialect dialect)
+{
+    const Outcome want =
+        outcomeOf([&] { return spanscan::parse(text, dialect); });
+    for (const SimdMode mode : scanModes) {
+        for (const std::size_t pull : pullSizes) {
+            SCOPED_TRACE(std::string("scan ") + simdModeName(mode) +
+                         ", pull " + std::to_string(pull));
+            const Outcome got = outcomeOf([&] {
+                TextTraceSource source(std::string_view(text), "t",
+                                       dialect, mode);
+                return drainSource(source, pull);
+            });
+            if (want.trace) {
+                ASSERT_TRUE(got.trace) << got.error;
+                ASSERT_EQ(got.trace->records(), want.trace->records());
+            } else {
+                ASSERT_FALSE(got.trace);
+                ASSERT_EQ(got.error, want.error);
+            }
+        }
+    }
+}
+
+/**
+ * expectDrainsLikeSpanScan() on @p text as given and, for a fixed
+ * dialect, between 100 bytes of writer-shaped lines on each side,
+ * so that its lines also reach the vector pass, which leaves the
+ * last 80 bytes of any text to the scalar walk.
+ */
+void
+expectStreamsLikeSpanScan(const std::string &text, TextDialect dialect)
+{
+    expectDrainsLikeSpanScan(text, dialect);
+    if (dialect == TextDialect::detect) {
+        return;
+    }
+    const char *const line =
+        dialect == TextDialect::native ? "C 4a0 T\n" : "1184 1\n";
+    std::string padding;
+    while (padding.size() < 100) {
+        padding += line;
+    }
+    SCOPED_TRACE("between writer-shaped lines");
+    expectDrainsLikeSpanScan(padding + text + "\n" + padding, dialect);
+}
+
+/**
+ * Check the differential contract for @p text in @p dialect, and
+ * the streaming scanner against the span oracle.
+ */
 void
 expectAgrees(const std::string &text, TextDialect dialect,
              Agreement &tally)
 {
+    expectStreamsLikeSpanScan(text, dialect);
     const Outcome scanned =
         outcomeOf([&] { return parseTextTrace(text, "t", dialect); });
     const Outcome oracle = oracleOutcome(text, dialect);
@@ -547,6 +873,13 @@ TEST(TextDifferential, FixedEdgeCases)
     rejects("C 40# T\n", native);
     rejects("0x40# 1\n", cbp);
     parses("C 40 T# trailing\n", native, {{0x40, true, true}});
+    // An empty pc field, after a separator or not.
+    rejects(" 1\n", cbp);
+    rejects(" 1\r\n", cbp);
+    rejects("\t0\n", cbp);
+    rejects("1\n", cbp);
+    rejects("C  T\n", native);
+    rejects("C T\n", native);
     // Tokens after the direction stay ignored.
     parses("C 40 T extra fields\n", native, {{0x40, true, true}});
     parses("64 1 extra\n", cbp, {{64, true, true}});
@@ -575,6 +908,135 @@ TEST(TextDifferential, FixedEdgeCases)
     EXPECT_EQ(parseTextTrace("# c\n64 1\n", "d").size(), 1u);
     EXPECT_GT(tally.accepted, 0);
     EXPECT_GT(tally.rejected, 0);
+}
+
+/** CBP text of @p trace's conditional records: decimal pcs, 1/0. */
+std::string
+decimalCbpText(const Trace &trace)
+{
+    std::string text;
+    for (const BranchRecord &record : trace) {
+        if (record.conditional) {
+            text += std::to_string(record.pc);
+            text += record.taken ? " 1\n" : " 0\n";
+        }
+    }
+    return text;
+}
+
+TEST(TextStream, LinesStraddleEveryBlockOffset)
+{
+    // Writer-shaped text shifted by 0..95 bytes, so every line lands
+    // at every offset of the vector pass's 64-byte blocks and of the
+    // 80-byte tail it leaves to the scalar walk; each also without
+    // its final newline. pcs span 1..16 hex and 1..20 decimal digits.
+    Rng rng(0x0ff5);
+    const Trace body = makeTextSample(rng, 40);
+    std::ostringstream native;
+    writeTextTrace(native, body);
+    Trace conditionals("t");
+    for (const BranchRecord &record : body) {
+        if (record.conditional) {
+            conditionals.append(record);
+        }
+    }
+    for (const auto &[text, expected] :
+         {std::pair{native.str(), &body},
+          std::pair{decimalCbpText(body), &std::as_const(conditionals)}}) {
+        for (std::size_t shift = 0; shift < 96; ++shift) {
+            const std::string prefix = shift == 0 ? ""
+                : shift == 1 ? "\n"
+                             : "#" + std::string(shift - 2, 'x') + "\n";
+            for (const bool final_newline : {true, false}) {
+                std::string shifted = prefix + text;
+                if (!final_newline) {
+                    shifted.pop_back();
+                }
+                SCOPED_TRACE("shift " + std::to_string(shift) +
+                             (final_newline ? "" : ", no final newline"));
+                ASSERT_EQ(spanscan::parse(shifted, TextDialect::detect)
+                              .records(),
+                          expected->records());
+                expectStreamsLikeSpanScan(shifted, TextDialect::detect);
+            }
+        }
+    }
+}
+
+/**
+ * @p record as one well-formed line in a random spelling: mostly
+ * writer-shaped, sometimes with CRLF, a tab or a double separator, a
+ * trailing blank, field or comment, uppercase hex, a 0x prefix, or
+ * leading zeros that stretch the pc to 17..20 digits.
+ */
+std::string
+spelledLine(const BranchRecord &record, bool native, Rng &rng)
+{
+    static const char *const separators[] = {" ", " ", " ", " ", "\t",
+                                             "  "};
+    static const char *const tails[] = {"", "", "", "", "", "", " ",
+                                        " # note", " extra", "\t"};
+    static const char *const endings[] = {"\n", "\n", "\n", "\r\n"};
+    static const char *const cbpTaken[] = {"1", "T", "t"};
+    static const char *const cbpNotTaken[] = {"0", "N", "n"};
+    const auto pick = [&](const auto &options) {
+        return std::string(options[rng.uniformInt(std::size(options))]);
+    };
+    std::ostringstream pc;
+    const u64 style = rng.uniformInt(20);
+    if (native || style == 0) {
+        pc << (style == 0 ? "0x" : "") << (style == 1 ? std::uppercase
+                                                       : std::nouppercase)
+           << std::hex;
+    }
+    if (style == 2) {
+        pc << std::setfill('0') << std::setw(17 + int(rng.uniformInt(4)));
+    }
+    pc << record.pc;
+    std::string line;
+    if (native) {
+        line += record.conditional ? "C" : "U";
+        line += pick(separators);
+    }
+    line += pc.str() + pick(separators);
+    if (native) {
+        line += record.taken ? "T" : "N";
+    } else {
+        line += pick(record.taken ? cbpTaken : cbpNotTaken);
+    }
+    return line + pick(tails) + pick(endings);
+}
+
+TEST(TextStream, SpelledTextsStreamLikeSpanScan)
+{
+    // Long texts, mostly writer-shaped, with every accepted odd
+    // spelling mixed in, a comment or blank line now and then, and
+    // in half the trials one random edit: the vector pass takes the
+    // shaped lines and hands every other line to the scalar walk.
+    Rng rng(0x57e1);
+    Agreement tally;
+    for (int trial = 0; trial < 300; ++trial) {
+        const bool native = rng.chance(0.5);
+        const Trace trace = makeTextSample(rng, 20 + rng.uniformInt(280));
+        std::string text;
+        for (const BranchRecord &record : trace) {
+            if (rng.chance(0.02)) {
+                text += rng.chance(0.5) ? "# comment\n" : "\n";
+            }
+            if (native || record.conditional) {
+                text += spelledLine(record, native, rng);
+            }
+        }
+        if (rng.chance(0.2)) {
+            text.pop_back(); // no final newline
+        }
+        if (rng.chance(0.5)) {
+            text = mutate(text, rng);
+        }
+        expectAgreesInEveryDialect(text, tally);
+    }
+    EXPECT_GT(tally.accepted, 200);
+    EXPECT_GT(tally.rejected, 200);
 }
 
 TEST(TextWriter, GoldenAgainstStreamWriter)
@@ -904,6 +1366,53 @@ TEST(TraceFuzz, HugeDeclaredCountRejectedQuickly)
     bytes.push_back(0x0f);
     std::stringstream stream(bytes);
     EXPECT_THROW(readBinaryTrace(stream), FatalError);
+}
+
+TEST(TextStream, MalformedLineBeyondOnePullFailsAlike)
+{
+    // A bad line more than one replay block (8192 records) in fails
+    // with the span oracle's line-numbered error on every scan path
+    // and pull size and, through runCorpus, as that file's error row
+    // beside a healthy file.
+    Rng rng(0xdee9);
+    const Trace body = makeTextSample(rng, 11000);
+    std::ostringstream native;
+    writeTextTrace(native, body);
+    const std::string cbp = decimalCbpText(body);
+    const u64 cbp_lines = u64(std::count(cbp.begin(), cbp.end(), '\n'));
+    ASSERT_GT(cbp_lines, 8192u);
+    FuzzFiles files;
+    const std::string corpus = files.path("corpus");
+    std::filesystem::create_directories(corpus);
+    std::string good;
+    for (int i = 0; i < 500; ++i) {
+        good += "C " + std::to_string(40 + 4 * (i % 7)) + " T\n";
+    }
+    files.write("corpus/good.txt", good);
+    // The writer's two header comment lines precede its records.
+    for (const auto &[text, line] :
+         {std::pair{native.str() + "C 40zz T\nC 44 T\n",
+                    u64(2 + body.size() + 1)},
+          std::pair{cbp + "-5 1\n64 1\n", cbp_lines + 1}}) {
+        const Outcome want = outcomeOf(
+            [&] { return spanscan::parse(text, TextDialect::detect); });
+        ASSERT_FALSE(want.trace);
+        EXPECT_EQ(want.failedLine, line);
+        expectStreamsLikeSpanScan(text, TextDialect::detect);
+
+        files.write("corpus/deep.txt", text);
+        CorpusOptions options;
+        options.specs = {"gshare:10:8"};
+        const CorpusReport report = runCorpus(corpus, options);
+        ASSERT_EQ(report.files.size(), 2u);
+        const CorpusFileResult &deep = report.files[0];
+        EXPECT_EQ(deep.file, "deep.txt");
+        EXPECT_EQ(deep.error, want.error);
+        EXPECT_EQ(deep.records, 0u);
+        EXPECT_TRUE(deep.results.empty());
+        EXPECT_TRUE(report.files[1].error.empty());
+        EXPECT_EQ(report.files[1].records, 500u);
+    }
 }
 
 } // namespace

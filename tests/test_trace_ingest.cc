@@ -33,6 +33,8 @@
 #include "trace/trace_io.hh"
 #include "workloads/presets.hh"
 
+#include "session_reference.hh"
+
 namespace bpred
 {
 namespace
@@ -886,6 +888,115 @@ TEST(Corpus, StatsAndTalliesDoNotDependOnTopSites)
         }
         EXPECT_TRUE(a.results[0].topSites.empty());
         EXPECT_EQ(b.results[0].topSites.size(), options.topSites);
+    }
+}
+
+TEST(Corpus, CensusCountsAPcOfBothKindsOnce)
+{
+    // One census table holds both kinds, keyed by pc: a pc that is
+    // a conditional on some lines and an unconditional on others
+    // is one table site but counts as one static site of each kind,
+    // exactly as computeTraceStats() counts it. Only sites with
+    // conditionals are classified.
+    ScratchDir dir("both_kinds");
+    Trace trace = makeSampleTrace(5000, 41);
+    for (int i = 0; i < 40; ++i) {
+        trace.appendConditional(0x5000, i % 3 == 0);
+        trace.appendUnconditional(0x5000);
+        trace.appendUnconditional(0x6000);
+    }
+    {
+        std::ofstream os(dir.file("both.txt"));
+        writeTextTrace(os, trace);
+    }
+    const TraceStats want = computeTraceStats(trace);
+    for (const std::size_t top_sites : {std::size_t(0), std::size_t(8)}) {
+        SCOPED_TRACE("topSites=" + std::to_string(top_sites));
+        CorpusOptions options;
+        options.specs = {"gshare:10:8"};
+        options.topSites = top_sites;
+        const CorpusReport report = runCorpus(dir.str(), options);
+        ASSERT_EQ(report.files.size(), 1u);
+        const CorpusFileResult &file = report.files[0];
+        ASSERT_TRUE(file.error.empty()) << file.error;
+        EXPECT_EQ(file.records, trace.size());
+        EXPECT_EQ(file.stats.dynamicConditional, want.dynamicConditional);
+        EXPECT_EQ(file.stats.staticConditional, want.staticConditional);
+        EXPECT_EQ(file.stats.dynamicUnconditional,
+                  want.dynamicUnconditional);
+        EXPECT_EQ(file.stats.staticUnconditional,
+                  want.staticUnconditional);
+        EXPECT_EQ(file.stats.takenConditional, want.takenConditional);
+        const CorpusClassification &classes = file.classes;
+        EXPECT_EQ(classes.easySites + classes.mediumSites +
+                      classes.hardSites + classes.coldSites,
+                  top_sites == 0 ? 0 : want.staticConditional);
+    }
+}
+
+TEST(Corpus, TopSitesMatchSessionReferenceUnderWarmupAndFlush)
+{
+    // The reference member ranks its top sites from the census'
+    // scored mispredicts: with warmup and flushes in play they must
+    // equal the split-loop session oracle's, file by file.
+    ScratchDir dir("census_top");
+    const std::map<std::string, Trace> traces = writeMixedCorpus(dir);
+
+    CorpusOptions options;
+    options.specs = {"gskewed:3:9:6", "gshare:10:8"};
+    options.topSites = 12;
+    options.threads = 2;
+    options.sim.warmupBranches = 1500;
+    options.sim.flushInterval = 4000;
+    const CorpusReport report = runCorpus(dir.str(), options);
+
+    ASSERT_EQ(report.files.size(), traces.size());
+    for (const CorpusFileResult &file : report.files) {
+        SCOPED_TRACE(file.file);
+        ASSERT_TRUE(file.error.empty()) << file.error;
+        SimOptions sim = options.sim;
+        sim.topSites = options.topSites;
+        auto predictor = makePredictor(options.specs[0]);
+        const SimResult want =
+            referenceSession(*predictor, traces.at(file.file), sim);
+        const SimResult &got = file.results[0];
+        EXPECT_EQ(got.conditionals, want.conditionals);
+        EXPECT_EQ(got.mispredicts, want.mispredicts);
+        ASSERT_EQ(got.topSites.size(), options.topSites);
+        ASSERT_EQ(got.topSites.size(), want.topSites.size());
+        for (std::size_t i = 0; i < want.topSites.size(); ++i) {
+            EXPECT_EQ(got.topSites[i].pc, want.topSites[i].pc) << i;
+            EXPECT_EQ(got.topSites[i].mispredicts,
+                      want.topSites[i].mispredicts)
+                << i;
+        }
+    }
+}
+
+TEST(Corpus, UnbuildableSpecFailsBeforeAnyTrace)
+{
+    // A spec that parses but cannot be built (a field out of range)
+    // fails the whole run once, with the factory's diagnostic,
+    // before the directory is listed — not as an error row per file.
+    ScratchDir dir("bad_spec");
+    saveBinaryTrace(dir.file("a.bpt"), makeSampleTrace(2000, 51));
+    for (const auto &[spec, diagnostic] :
+         {std::pair{"bimodal:10:0", "counter width"},
+          std::pair{"gshare:64:12", "index width"}}) {
+        SCOPED_TRACE(spec);
+        CorpusOptions options;
+        options.specs = {"gshare:10:8", spec};
+        for (const std::string &directory :
+             {dir.str(), dir.file("missing")}) {
+            try {
+                (void)runCorpus(directory, options);
+                FAIL() << "accepted " << spec;
+            } catch (const FatalError &error) {
+                EXPECT_NE(std::string(error.what()).find(diagnostic),
+                          std::string::npos)
+                    << error.what();
+            }
+        }
     }
 }
 
