@@ -5,7 +5,10 @@
  * Probing it with (address, history) identities measures
  * compulsory + capacity aliasing (§3.2): a fully-associative table
  * has no conflicts by construction, and LRU is the reference
- * hardware-realizable replacement policy the paper uses.
+ * hardware-realizable replacement policy the paper uses. The
+ * three-Cs meter (three_c.hh) counts the same misses without it,
+ * from last-use stamps; this table serves FaLruPredictor, which
+ * needs each entry's payload and the recency order.
  */
 
 #pragma once

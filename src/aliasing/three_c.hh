@@ -54,10 +54,14 @@ struct ThreeCsResult
  * Measure the three-Cs decomposition of @p function over @p trace.
  *
  * Walks the trace once, maintaining the global history (shifting in
- * unconditional branches as taken), and probes both a direct-mapped
- * tagged table indexed by @p function and a fully-associative LRU
- * tagged table of the same entry count with the full
- * (address, history) identity.
+ * unconditional branches as taken). Each conditional branch probes
+ * a direct-mapped tagged table indexed by @p function and is
+ * counted against a fully-associative LRU table of the same entry
+ * count, keyed by the full (address, history) identity. That count
+ * is exact but keeps no recency list: it stamps each reference with
+ * its position, remembers each identity's last stamp, and marks the
+ * stamps still in use, so it costs one bit per trace record plus
+ * one map slot per distinct identity.
  */
 ThreeCsResult measureThreeCs(const Trace &trace,
                              const IndexFunction &function);
@@ -65,13 +69,12 @@ ThreeCsResult measureThreeCs(const Trace &trace,
 /**
  * Measure several index functions in one pass over @p trace (the
  * Figure 1 / Figure 2 inner loop). All functions must share the
- * same historyBits; the FA table is sized to 2^indexBits of the
- * first function unless @p fa_entries overrides it.
+ * same historyBits; the FA table holds 2^indexBits entries of the
+ * first function.
  */
 std::vector<ThreeCsResult>
 measureThreeCsMulti(const Trace &trace,
-                    const std::vector<IndexFunction> &functions,
-                    u64 fa_entries = 0);
+                    const std::vector<IndexFunction> &functions);
 
 } // namespace bpred
 

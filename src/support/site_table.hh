@@ -3,7 +3,7 @@
  * One flat open-addressing identity table: u64 key -> Value.
  *
  * Every per-record identity lookup in the repository — corpus site
- * tallies, the three-Cs first-reference set, the FA-LRU index, the
+ * tallies, the three-Cs last-use stamps, the FA-LRU index, the
  * stack-distance last-use map, the unaliased predictor's counters —
  * touches one key per trace record. A node-based std::unordered_map
  * pays an allocation per key and a pointer chase per lookup; this

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -199,6 +201,155 @@ TEST(AliasingReference, FunctionMixesMatchOracle)
     }
     // 6 + 15 + 20 mixes at each of three history lengths.
     EXPECT_EQ(mixes, 3u * 41);
+}
+
+/** A trace of conditionals at sites @p sites: site s is 4 * (s + 1). */
+Trace
+siteTrace(const std::string &name, const std::vector<u64> &sites)
+{
+    Trace trace(name);
+    for (const u64 site : sites) {
+        trace.appendConditional(4 * (site + 1), true);
+    }
+    return trace;
+}
+
+/**
+ * measureThreeCs at h = 0 and 2^@p bits entries against
+ * paper::LruTable and a first-reference set fed the same pcs:
+ * equal miss and compulsory counts and bit-equal ratios. Returns
+ * the FA miss count.
+ */
+u64
+expectLruCountsMatch(const Trace &trace, unsigned bits)
+{
+    paper::LruTable lru(std::size_t(1) << bits);
+    std::set<u64> seen;
+    u64 references = 0;
+    u64 misses = 0;
+    u64 first = 0;
+    for (const BranchRecord &record : trace) {
+        if (record.conditional) {
+            ++references;
+            misses += lru.reference({record.pc >> 2, 0}) ? 1 : 0;
+            first += seen.insert(record.pc >> 2).second ? 1 : 0;
+        }
+    }
+    const ThreeCsResult result =
+        measureThreeCs(trace, {IndexKind::Address, bits, 0});
+    const std::string what =
+        trace.name() + " C " + std::to_string(u64(1) << bits);
+    EXPECT_EQ(result.dynamicBranches, references) << what;
+    const auto count = [references](double r) {
+        return static_cast<u64>(
+            std::llround(r * static_cast<double>(references)));
+    };
+    EXPECT_EQ(count(result.faMissRatio), misses) << what;
+    EXPECT_EQ(count(result.compulsory), first) << what;
+    expectSameBits(result.faMissRatio, ratio(misses, references),
+                   what + " FA-LRU");
+    expectSameBits(result.compulsory, ratio(first, references),
+                   what + " compulsory");
+    return misses;
+}
+
+TEST(AliasingReference, LruEdgeCasesMatchOracle)
+{
+    // Hand-built site streams at every capacity from 2 to 16, each
+    // aimed at one step of the FA-LRU miss count: the hit test at
+    // the LRU boundary, evictions that must skip superseded uses,
+    // and traces with nothing to count.
+    for (unsigned bits = 1; bits <= 4; ++bits) {
+        const u64 c = u64(1) << bits;
+
+        // Fill, evict site 0, then hit site 1, which is exactly the
+        // LRU entry, then miss on the evicted site 0.
+        std::vector<u64> sites;
+        for (u64 s = 0; s <= c; ++s) {
+            sites.push_back(s);
+        }
+        sites.push_back(1);
+        sites.push_back(0);
+        EXPECT_EQ(expectLruCountsMatch(siteTrace("lru-hit", sites), bits),
+                  c + 2);
+
+        // c + 1 sites round-robin: every reference misses, each
+        // re-reference finding its site evicted.
+        sites.clear();
+        for (int round = 0; round < 5; ++round) {
+            for (u64 s = 0; s <= c; ++s) {
+                sites.push_back(s);
+            }
+        }
+        EXPECT_EQ(
+            expectLruCountsMatch(siteTrace("thrash", sites), bits),
+            sites.size());
+
+        // Fewer sites than entries: only first references miss.
+        sites.clear();
+        for (int round = 0; round < 7; ++round) {
+            for (u64 s = 0; s + 1 < c; ++s) {
+                sites.push_back(s);
+            }
+        }
+        EXPECT_EQ(expectLruCountsMatch(siteTrace("fits", sites), bits),
+                  c - 1);
+
+        // One site hit hundreds of times between misses, so the
+        // live stamps lie far apart and an eviction scans words of
+        // superseded ones; then the hot site is the LRU victim.
+        sites.assign({0});
+        for (int i = 0; i < 300; ++i) {
+            sites.push_back(1);
+        }
+        for (u64 s = 2; s <= c + 1; ++s) {
+            sites.push_back(s);
+        }
+        sites.push_back(c + 1);
+        sites.push_back(1);
+        sites.push_back(0);
+        EXPECT_EQ(
+            expectLruCountsMatch(siteTrace("long-window", sites), bits),
+            c + 4);
+
+        // The whole table hot for many rounds, then new sites push
+        // each old one out in LRU order, then the old ones return.
+        sites.clear();
+        for (int round = 0; round < 100; ++round) {
+            for (u64 s = 0; s < c; ++s) {
+                sites.push_back((s * 3 + u64(round)) % c);
+            }
+        }
+        for (u64 s = c; s < 2 * c; ++s) {
+            sites.push_back(s);
+            sites.push_back(s);
+        }
+        for (u64 s = 0; s < c; ++s) {
+            sites.push_back(s);
+        }
+        expectLruCountsMatch(siteTrace("hot-then-cold", sites), bits);
+
+        // A small random pool just over capacity.
+        sites.clear();
+        Rng rng(23 + bits);
+        for (int i = 0; i < 3000; ++i) {
+            sites.push_back(rng.uniformInt(c + 3));
+        }
+        expectLruCountsMatch(siteTrace("random", sites), bits);
+
+        // Nothing to count: no records, and only unconditionals.
+        EXPECT_EQ(expectLruCountsMatch(Trace("empty"), bits), 0u);
+        Trace unconditional("unconditional");
+        for (u64 s = 0; s < 4 * c; ++s) {
+            unconditional.appendUnconditional(4 * (s % 3 + 1));
+        }
+        EXPECT_EQ(expectLruCountsMatch(unconditional, bits), 0u);
+        const ThreeCsResult none =
+            measureThreeCs(unconditional, {IndexKind::Address, bits, 0});
+        EXPECT_EQ(none.totalAliasing, 0.0);
+        EXPECT_EQ(none.faMissRatio, 0.0);
+        EXPECT_EQ(none.compulsory, 0.0);
+    }
 }
 
 /** The largest word-aligned address: at h = 2 with history 11 its

@@ -224,9 +224,9 @@ TEST(ThreeCs, FaMissesObeyMattsonInclusion)
     // The paper's capacity aliasing, by definition: an LRU table of
     // C entries misses on a reference exactly when it is the first
     // one to its (address, history) pair or when at least C other
-    // distinct pairs came since its last use. So the flat LRU list
-    // behind measureThreeCsMulti must agree, count for count, with
-    // the independent Fenwick stack-distance tracker, at every
+    // distinct pairs came since its last use. So the timestamp LRU
+    // count behind measureThreeCsMulti must agree, count for count,
+    // with the independent Fenwick stack-distance tracker, at every
     // Figure 1 (h=4) and Figure 2 (h=12) capacity.
     const struct
     {
